@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race cover crash-recovery metamorphic fuzz-smoke load-smoke bench bench-smoke bench-json clean
+.PHONY: ci fmt-check vet build test race cover crash-recovery metamorphic fuzz-smoke load-smoke bench bench-smoke bench-json bench-module clean
 
-ci: fmt-check vet build race cover crash-recovery metamorphic fuzz-smoke load-smoke bench-smoke
+ci: fmt-check vet build race cover crash-recovery metamorphic fuzz-smoke load-smoke bench-smoke bench-module
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -74,6 +74,12 @@ load-smoke:
 # One iteration of every benchmark: catches bit-rot without timing.
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+
+# The benchmark (bench/) is its own module, so `./...` above never
+# builds it: vet and test it against the program it links.
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # The real measurement run (B-series + E-series).
 bench:

@@ -94,8 +94,9 @@ type Mediator struct {
 	// Options.DisableWriteBatching is set.
 	sched *writeScheduler
 
-	// queryCompiled / queryFallback count Query calls served by a
-	// bound plan vs the uncompiled fallback (see QueryExecStats).
+	// queryCompiled / queryFallback count reads served by a bound plan
+	// vs the uncompiled fallback; runQuery alone increments them (see
+	// QueryExecStats).
 	queryCompiled atomic.Uint64
 	queryFallback atomic.Uint64
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"ontoaccess/internal/r3m"
@@ -637,27 +638,36 @@ func (st *SelectTranslation) runParsed(tx *rdb.Tx, stmt sqlparser.Statement) (sp
 	var sols sparql.Solutions
 	for _, row := range res.Set.Rows {
 		b := make(sparql.Binding, len(st.bindings))
-		skip := false
-		for i, vb := range st.bindings {
-			v := row[i]
-			if v.IsNull() {
-				if vb.nullable {
-					continue // OPTIONAL/aggregate NULL: variable stays unbound
-				}
-				skip = true
-				break
-			}
-			term, err := st.decodeValue(tx, vb, v)
-			if err != nil {
-				return nil, err
-			}
-			b[vb.name] = term
+		ok, err := st.m.decodeRow(tx, st.bindings, row, b)
+		if err != nil {
+			return nil, err
 		}
-		if !skip {
+		if ok {
 			sols = append(sols, b)
 		}
 	}
 	return sols, nil
+}
+
+// decodeRow decodes one result row into b, clearing it first. ok is
+// false when a non-nullable column is NULL: the row yields no solution.
+func (m *Mediator) decodeRow(tx *rdb.Tx, bindings []varBinding, row []rdb.Value, b sparql.Binding) (ok bool, err error) {
+	clear(b)
+	for i, vb := range bindings {
+		v := row[i]
+		if v.IsNull() {
+			if vb.nullable {
+				continue // OPTIONAL/aggregate NULL: variable stays unbound
+			}
+			return false, nil
+		}
+		term, err := m.decodeValue(tx, vb, v)
+		if err != nil {
+			return false, err
+		}
+		b[vb.name] = term
+	}
+	return true, nil
 }
 
 // decodeValue converts one result column back into an RDF term. It
@@ -665,7 +675,7 @@ func (st *SelectTranslation) runParsed(tx *rdb.Tx, stmt sqlparser.Statement) (sp
 // Schema accessor takes the catalog lock, which this goroutine
 // already holds via tx, and a queued DDL writer would deadlock a
 // recursive read-lock.
-func (st *SelectTranslation) decodeValue(tx *rdb.Tx, vb varBinding, v rdb.Value) (rdf.Term, error) {
+func (m *Mediator) decodeValue(tx *rdb.Tx, vb varBinding, v rdb.Value) (rdf.Term, error) {
 	switch {
 	case vb.kind == bindAgg:
 		// Aggregate results decode as plain literals of their engine
@@ -674,7 +684,7 @@ func (st *SelectTranslation) decodeValue(tx *rdb.Tx, vb varBinding, v rdb.Value)
 		// evaluator's aggregation reproduces byte-for-byte.
 		return rdf.Literal(v.Text()), nil
 	case vb.kind == bindSubject:
-		uri, err := st.m.mapping.InstanceURI(vb.tm, map[string]string{vb.col: v.Text()})
+		uri, err := m.mapping.InstanceURI(vb.tm, map[string]string{vb.col: v.Text()})
 		if err != nil {
 			return rdf.Term{}, err
 		}
@@ -684,7 +694,7 @@ func (st *SelectTranslation) decodeValue(tx *rdb.Tx, vb varBinding, v rdb.Value)
 		if err != nil {
 			return rdf.Term{}, fmt.Errorf("core: missing schema for %q", vb.refTM.Name)
 		}
-		uri, err := st.m.mapping.InstanceURI(vb.refTM, map[string]string{refSchema.PrimaryKey[0]: v.Text()})
+		uri, err := m.mapping.InstanceURI(vb.refTM, map[string]string{refSchema.PrimaryKey[0]: v.Text()})
 		if err != nil {
 			return rdf.Term{}, err
 		}
@@ -731,41 +741,49 @@ func (m *Mediator) Query(src string) (*QueryResult, error) {
 
 // QueryOn evaluates a SPARQL query against a read target: the live
 // head (zero target), a retained historical version (AsOf), or a
-// branch head (Branch). Compiled plans, the parse memo and both
-// fallback paths all run against the same resolved snapshot, so the
-// result is byte-identical to what Query returned when that version
-// was the head.
+// branch head (Branch). It runs QueryStreamOn's driver into a
+// collecting sink, so paths, counters and errors are the streaming
+// API's, and the result is byte-identical to what Query returned when
+// that version was the head.
 func (m *Mediator) QueryOn(src string, target rdb.ReadTarget) (*QueryResult, error) {
-	if !m.opts.DisablePlanCache {
-		if cq, hit := m.qparses.get(src); hit {
-			if out, err, handled := m.runCachedQuery(cq, target); handled {
-				m.queryCompiled.Add(1)
-				return out, err
-			}
-			m.queryFallback.Add(1)
-			return m.queryUncompiled(cq.q, target)
-		}
-	}
-	q, err := sparql.ParseQuery(src)
+	c := &resultCollector{}
+	sql, err := m.runQuery(src, c, target)
 	if err != nil {
 		return nil, err
 	}
-	if !m.opts.DisablePlanCache {
-		cq := m.buildCachedQuery(src, q)
-		m.qparses.put(src, cq)
-		if out, err, handled := m.runCachedQuery(cq, target); handled {
-			m.queryCompiled.Add(1)
-			return out, err
-		}
-	}
-	m.queryFallback.Add(1)
-	return m.queryUncompiled(q, target)
+	c.res.SQL = sql
+	return &c.res, nil
 }
 
-// QueryExecStats reports how many Query calls were served by a bound
-// compiled plan versus the uncompiled fallback (text fast path or
-// virtual-view evaluation) — the read-path effectiveness counter
-// /healthz exposes.
+// resultCollector is the StreamSink that builds a QueryResult. It is
+// the one place solutions are copied: the streaming decode path reuses
+// its binding across rows.
+type resultCollector struct{ res QueryResult }
+
+func (c *resultCollector) Head(vars []string) error {
+	c.res.Form, c.res.Vars = sparql.FormSelect, vars
+	return nil
+}
+
+func (c *resultCollector) Solution(b sparql.Binding) error {
+	c.res.Solutions = append(c.res.Solutions, maps.Clone(b))
+	return nil
+}
+
+func (c *resultCollector) Ask(b bool) error {
+	c.res.Form, c.res.Bool = sparql.FormAsk, b
+	return nil
+}
+
+func (c *resultCollector) Graph(g *rdf.Graph) error {
+	c.res.Form, c.res.Graph = sparql.FormConstruct, g
+	return nil
+}
+
+// QueryExecStats reports how many Query and QueryStream calls were
+// served by a bound compiled plan versus the uncompiled fallback (text
+// fast path or virtual-view evaluation) — the read-path effectiveness
+// counter /healthz exposes.
 func (m *Mediator) QueryExecStats() (compiled, fallback uint64) {
 	return m.queryCompiled.Load(), m.queryFallback.Load()
 }
@@ -776,27 +794,20 @@ func (m *Mediator) QueryExecStats() (compiled, fallback uint64) {
 // everything else (and any translation failure) evaluates over the
 // virtual RDF view. It executes the exact SQL the compiled path lowers
 // structurally, serving as the parity baseline for the plan pipeline.
-func (m *Mediator) queryUncompiled(q *sparql.Query, target rdb.ReadTarget) (*QueryResult, error) {
-	out := &QueryResult{Form: q.Form}
-	err := m.viewOn(target, func(tx *rdb.Tx) error {
+// The result reaches the sink only once evaluation has succeeded; sql
+// is the translated SELECT when the text fast path served the query.
+func (m *Mediator) queryUncompiled(q *sparql.Query, sink StreamSink, target rdb.ReadTarget) (sql string, err error) {
+	err = m.viewOn(target, func(tx *rdb.Tx) error {
 		// Fast path: SELECT over a translatable pattern — aggregating,
 		// UNION-splitting, or plain, in that order of specificity.
 		if q.Form == sparql.FormSelect && q.Where != nil {
+			var res selResult
+			ok := false
 			switch {
 			case q.Aggs != nil:
-				if st, sql, ok := m.runAggregateSelect(tx, q); ok {
-					out.Vars = st.vars
-					out.Solutions = st.sols
-					out.SQL = sql
-					return nil
-				}
+				res, sql, ok = m.runAggregateSelect(tx, q)
 			case len(q.Where.Unions) == 1:
-				if st, sql, ok := m.runUnionSelect(tx, q); ok {
-					out.Vars = st.vars
-					out.Solutions = st.sols
-					out.SQL = sql
-					return nil
-				}
+				res, sql, ok = m.runUnionSelect(tx, q)
 			case len(q.Where.Unions) == 0:
 				proj := q.Vars
 				if q.Star {
@@ -805,15 +816,14 @@ func (m *Mediator) queryUncompiled(q *sparql.Query, target rdb.ReadTarget) (*Que
 				if st, spec, terr := m.translateSelect(tx, q.Where, proj, nil); terr == nil {
 					if merr := applyQueryModifiers(st, q, spec); merr == nil {
 						st.SQL = sqlgen.Select(*spec)
-						sols, rerr := st.Run(tx)
-						if rerr == nil {
-							out.Vars = st.Vars
-							out.Solutions = sols
-							out.SQL = st.SQL
-							return nil
+						if sols, rerr := st.Run(tx); rerr == nil {
+							res, sql, ok = selResult{vars: st.Vars, sols: sols}, st.SQL, true
 						}
 					}
 				}
+			}
+			if ok {
+				return emitSolutions(sink, res.vars, res.sols)
 			}
 		}
 		// General path: evaluate over the virtual view.
@@ -824,29 +834,25 @@ func (m *Mediator) queryUncompiled(q *sparql.Query, target rdb.ReadTarget) (*Que
 			if err != nil {
 				return err
 			}
-			out.Solutions = sols
+			vars := q.Vars
 			if q.Star {
-				out.Vars = q.Where.Vars()
-			} else {
-				out.Vars = q.Vars
+				vars = q.Where.Vars()
 			}
+			return emitSolutions(sink, vars, sols)
 		case sparql.FormAsk:
 			b, err := sparql.EvalAsk(vg, q)
 			if err != nil {
 				return err
 			}
-			out.Bool = b
+			return sink.Ask(b)
 		case sparql.FormConstruct:
 			g, err := sparql.EvalConstruct(vg, q)
 			if err != nil {
 				return err
 			}
-			out.Graph = g
+			return sink.Graph(g)
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return sql, err
 }

@@ -7,7 +7,6 @@ import (
 
 	"ontoaccess/internal/rdb"
 	"ontoaccess/internal/rdb/sqlparser"
-	"ontoaccess/internal/rdf"
 	"ontoaccess/internal/sparql"
 	"ontoaccess/internal/sqlgen"
 )
@@ -618,48 +617,20 @@ func colRefOf(qualified string) sqlparser.ColRef {
 
 // ---- execution -----------------------------------------------------
 
-// exec runs the bound plan against the transaction's pinned snapshot.
-func (p *QueryPlan) exec(m *Mediator, tx *rdb.Tx, bq *boundQuery) (*QueryResult, error) {
-	out := &QueryResult{Form: p.form, SQL: bq.sql}
-	if len(p.union) > 0 {
-		var all sparql.Solutions
-		for i := range p.union {
-			st := &SelectTranslation{
-				SQL: bq.sql, Vars: p.union[i].vars, bindings: p.union[i].bindings, m: m,
-			}
-			sols, err := st.runParsed(tx, bq.union[i])
-			if err != nil {
-				return nil, err
-			}
-			all = append(all, sols...)
+// unionSolutions runs every bound UNION branch against the
+// transaction's pinned snapshot and applies the solution-level tail,
+// which must see all branches' rows before the first solution.
+func (p *QueryPlan) unionSolutions(m *Mediator, tx *rdb.Tx, bq *boundQuery) (sparql.Solutions, error) {
+	var all sparql.Solutions
+	for i := range p.union {
+		st := &SelectTranslation{bindings: p.union[i].bindings, m: m}
+		sols, err := st.runParsed(tx, bq.union[i])
+		if err != nil {
+			return nil, err
 		}
-		out.Vars = p.union[0].vars
-		out.Solutions = unionTail(all, p.richQ)
-		return out, nil
+		all = append(all, sols...)
 	}
-	st := &SelectTranslation{SQL: bq.sql, Vars: p.sel.vars, bindings: p.sel.bindings, m: m}
-	sols, err := st.runParsed(tx, bq.sel)
-	if err != nil {
-		return nil, err
-	}
-	switch p.form {
-	case sparql.FormSelect:
-		out.Vars = st.Vars
-		out.Solutions = sols
-	case sparql.FormAsk:
-		out.Bool = len(sols) > 0
-	case sparql.FormConstruct:
-		g := rdf.NewGraph()
-		for _, b := range sols {
-			for _, tp := range bq.tmpl {
-				if t, ok := tp.Instantiate(b); ok {
-					g.Add(t)
-				}
-			}
-		}
-		out.Graph = g
-	}
-	return out, nil
+	return unionTail(all, p.richQ), nil
 }
 
 // ---- mediator integration ------------------------------------------
@@ -711,26 +682,6 @@ func (m *Mediator) queryPlanForShape(key string, slots int, q *sparql.Query, nq 
 	}
 	m.qplans.put(key, plan)
 	return plan, true
-}
-
-// runCachedQuery executes a memoized query's bound plan inside a
-// lock-free snapshot view. handled is false when the entry is
-// uncompiled or the compiled execution failed — the uncompiled path is
-// then authoritative, mirroring the text fast path's silent fallback.
-func (m *Mediator) runCachedQuery(cq *cachedQuery, target rdb.ReadTarget) (*QueryResult, error, bool) {
-	if cq.bound == nil {
-		return nil, nil, false
-	}
-	var out *QueryResult
-	err := m.viewOn(target, func(tx *rdb.Tx) error {
-		var e error
-		out, e = cq.plan.exec(m, tx, cq.bound)
-		return e
-	})
-	if err != nil {
-		return nil, nil, false
-	}
-	return out, nil, true
 }
 
 // QueryPlanCacheStats reports the query plan cache's counters.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"ontoaccess/internal/rdb"
 	"ontoaccess/internal/rdb/sqlexec"
 	"ontoaccess/internal/rdf"
@@ -24,8 +26,9 @@ type StreamSink interface {
 }
 
 // QueryStream evaluates a SPARQL query and delivers the result
-// through sink instead of materializing a QueryResult. Result
-// content, order, and error outcomes match Query on the same source.
+// through sink instead of materializing a QueryResult. It is the one
+// read driver: Query runs it into a collecting sink, so result
+// content, order and error outcomes are Query's by construction.
 //
 // Compiled non-UNION SELECT plans stream end-to-end: the sqlexec
 // cursor pins one MVCC snapshot for its whole lifetime (lock-free
@@ -35,20 +38,19 @@ type StreamSink interface {
 // sink sees solutions as the executor produces them — O(1) result
 // buffering regardless of result size. Plans whose solution tail must
 // see every row first (ORDER BY, aggregation, DISTINCT-after-sort)
-// materialize inside the cursor exactly as Query does and replay.
+// materialize inside the cursor. Compiled ASK and CONSTRUCT plans run
+// through the same cursor and reach the sink once it completes;
+// compiled UNION plans materialize their branches for the
+// solution-level tail, then emit. The uncompiled path — shapes that do
+// not compile, and every query when Options.DisablePlanCache is set —
+// evaluates and then emits into the sink.
 //
-// Error contract: before anything reaches the sink, errors behave as
-// in Query (compiled-path failures silently fall back to the
-// uncompiled path; its failure is authoritative). Once the sink has
-// received Head, an execution error aborts the stream mid-way and is
-// returned as-is — the sink has seen a valid prefix and the caller
-// owns the truncation semantics (the HTTP endpoint pins them; see
-// DESIGN.md §10).
-//
-// All other shapes — ASK, CONSTRUCT, UNION, uncompiled fallbacks, and
-// every query when Options.DisablePlanCache is set — evaluate through
-// the existing machinery and replay the materialized result through
-// the sink, so QueryStream is a strict superset interface over Query.
+// Error contract: a compiled-path failure before anything reaches the
+// sink falls back silently to the uncompiled path, whose failure is
+// authoritative. Once the sink has been called, an execution or sink
+// error aborts the stream and is returned as-is — the sink has seen a
+// valid prefix and the caller owns the truncation semantics (the HTTP
+// endpoint pins them; see DESIGN.md §10).
 func (m *Mediator) QueryStream(src string, sink StreamSink) error {
 	return m.QueryStreamOn(src, sink, rdb.ReadTarget{})
 }
@@ -59,114 +61,133 @@ func (m *Mediator) QueryStream(src string, sink StreamSink) error {
 // is byte-stable under concurrent writes — the cursor's snapshot can
 // no longer change hands mid-stream by definition.
 func (m *Mediator) QueryStreamOn(src string, sink StreamSink, target rdb.ReadTarget) error {
-	if m.opts.DisablePlanCache {
-		out, err := m.QueryOn(src, target)
-		if err != nil {
-			return err
-		}
-		return replayResult(out, sink)
+	_, err := m.runQuery(src, sink, target)
+	return err
+}
+
+// runQuery is the read driver under QueryStreamOn and QueryOn: parse
+// memo, bound plan, silent fallback, and the compiled/fallback
+// counters. sql is the translated SELECT when one served the query.
+func (m *Mediator) runQuery(src string, sink StreamSink, target rdb.ReadTarget) (sql string, err error) {
+	var cq *cachedQuery
+	if !m.opts.DisablePlanCache {
+		cq, _ = m.qparses.get(src)
 	}
-	cq, hit := m.qparses.get(src)
-	if !hit {
+	if cq == nil {
 		q, err := sparql.ParseQuery(src)
 		if err != nil {
-			return err
+			return "", err
 		}
-		cq = m.buildCachedQuery(src, q)
-		m.qparses.put(src, cq)
+		if m.opts.DisablePlanCache {
+			cq = &cachedQuery{q: q}
+		} else {
+			cq = m.buildCachedQuery(src, q)
+			m.qparses.put(src, cq)
+		}
 	}
-	if cq.bound != nil && cq.plan.form == sparql.FormSelect && len(cq.plan.union) == 0 {
+	if cq.bound != nil {
 		if handled, err := m.streamCompiled(cq, sink, target); handled {
 			m.queryCompiled.Add(1)
-			return err
+			return cq.bound.sql, err
 		}
-	} else if out, err, handled := m.runCachedQuery(cq, target); handled {
-		m.queryCompiled.Add(1)
-		if err != nil {
-			return err
-		}
-		return replayResult(out, sink)
 	}
 	m.queryFallback.Add(1)
-	out, err := m.queryUncompiled(cq.q, target)
-	if err != nil {
-		return err
-	}
-	return replayResult(out, sink)
+	return m.queryUncompiled(cq.q, sink, target)
 }
 
-// streamCompiled runs a bound non-UNION SELECT plan as a cursor over
-// one pinned snapshot, decoding rows into the sink on the fly.
-// handled is false when execution failed before anything reached the
-// sink — the uncompiled path is then authoritative, mirroring
-// runCachedQuery's silent fallback. Head is deferred until the first
-// surviving row (or successful completion), so head-of-stream
-// failures still fall back invisibly.
+// bindingPool recycles the binding compiled cursors decode rows into.
+// A sink sees it only for the duration of a Solution call, so it is
+// free again once the cursor has returned.
+var bindingPool = sync.Pool{New: func() any { return make(sparql.Binding) }}
+
+// streamCompiled runs a bound plan over one pinned snapshot into the
+// sink. handled is false when execution failed before anything reached
+// the sink — the uncompiled path is then authoritative. SELECT defers
+// Head until the first surviving row (or successful completion), so
+// head-of-stream failures still fall back invisibly.
 func (m *Mediator) streamCompiled(cq *cachedQuery, sink StreamSink, target rdb.ReadTarget) (handled bool, err error) {
 	plan, bq := cq.plan, cq.bound
-	st := &SelectTranslation{SQL: bq.sql, Vars: plan.sel.vars, bindings: plan.sel.bindings, m: m}
 	delivered := false
-	b := make(sparql.Binding, len(st.bindings))
 	verr := m.viewOn(target, func(tx *rdb.Tx) error {
-		return sqlexec.SelectFunc(tx, bq.sel,
-			func([]string) error { return nil },
-			func(row []rdb.Value) (bool, error) {
-				clear(b)
-				for i, vb := range st.bindings {
-					v := row[i]
-					if v.IsNull() {
-						if vb.nullable {
-							continue // OPTIONAL/aggregate NULL: variable stays unbound
-						}
-						return true, nil // non-nullable NULL: row yields no solution
-					}
-					term, derr := st.decodeValue(tx, vb, v)
-					if derr != nil {
-						return false, derr
-					}
-					b[vb.name] = term
-				}
-				if !delivered {
-					delivered = true
-					if herr := sink.Head(st.Vars); herr != nil {
-						return false, herr
-					}
-				}
-				if serr := sink.Solution(b); serr != nil {
-					return false, serr
-				}
-				return true, nil
-			})
-	})
-	if verr != nil {
-		if !delivered {
-			return false, nil
-		}
-		return true, verr
-	}
-	if !delivered {
-		return true, sink.Head(st.Vars)
-	}
-	return true, nil
-}
-
-// replayResult feeds an already-materialized QueryResult through a
-// sink — the bridge for every non-streaming execution path.
-func replayResult(out *QueryResult, sink StreamSink) error {
-	switch out.Form {
-	case sparql.FormAsk:
-		return sink.Ask(out.Bool)
-	case sparql.FormConstruct:
-		return sink.Graph(out.Graph)
-	default:
-		if err := sink.Head(out.Vars); err != nil {
-			return err
-		}
-		for _, b := range out.Solutions {
-			if err := sink.Solution(b); err != nil {
+		if len(plan.union) > 0 {
+			sols, err := plan.unionSolutions(m, tx, bq)
+			if err != nil {
 				return err
 			}
+			delivered = true
+			return emitSolutions(sink, plan.union[0].vars, sols)
 		}
-		return nil
+		noHead := func([]string) error { return nil }
+		b := bindingPool.Get().(sparql.Binding)
+		defer bindingPool.Put(b)
+		switch plan.form {
+		case sparql.FormAsk:
+			// The plan carries LIMIT 1: the first row is the witness.
+			found := false
+			if err := sqlexec.SelectFunc(tx, bq.sel, noHead, func([]rdb.Value) (bool, error) {
+				found = true
+				return false, nil
+			}); err != nil {
+				return err
+			}
+			delivered = true
+			return sink.Ask(found)
+		case sparql.FormConstruct:
+			g := rdf.NewGraph()
+			if err := sqlexec.SelectFunc(tx, bq.sel, noHead, func(row []rdb.Value) (bool, error) {
+				ok, err := m.decodeRow(tx, plan.sel.bindings, row, b)
+				if err != nil || !ok {
+					return err == nil, err
+				}
+				for _, tp := range bq.tmpl {
+					if t, ok := tp.Instantiate(b); ok {
+						g.Add(t)
+					}
+				}
+				return true, nil
+			}); err != nil {
+				return err
+			}
+			delivered = true
+			return sink.Graph(g)
+		}
+		err := sqlexec.SelectFunc(tx, bq.sel, noHead, func(row []rdb.Value) (bool, error) {
+			ok, err := m.decodeRow(tx, plan.sel.bindings, row, b)
+			if err != nil || !ok {
+				return err == nil, err
+			}
+			if !delivered {
+				delivered = true
+				if err := sink.Head(plan.sel.vars); err != nil {
+					return false, err
+				}
+			}
+			if err := sink.Solution(b); err != nil {
+				return false, err
+			}
+			return true, nil
+		})
+		if err != nil || delivered {
+			return err
+		}
+		delivered = true
+		return sink.Head(plan.sel.vars)
+	})
+	if verr != nil && !delivered {
+		return false, nil
 	}
+	return true, verr
+}
+
+// emitSolutions feeds materialized SELECT solutions through a sink.
+func emitSolutions(sink StreamSink, vars []string, sols sparql.Solutions) error {
+	if err := sink.Head(vars); err != nil {
+		return err
+	}
+	for _, b := range sols {
+		if err := sink.Solution(b); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -14,16 +16,23 @@ import (
 
 // collectSink copies each solution's ?t value; a small per-row sleep
 // stretches the cursor's lifetime so concurrent writers overlap it.
+// With failAt set, the failAt-th solution fails with errSinkFull.
 type collectSink struct {
 	vars   []string
 	titles []string
 	delay  time.Duration
+	failAt int
 }
+
+var errSinkFull = errors.New("sink full")
 
 func (s *collectSink) Head(vars []string) error { s.vars = vars; return nil }
 func (s *collectSink) Solution(b sparql.Binding) error {
 	if s.delay > 0 {
 		time.Sleep(s.delay)
+	}
+	if s.failAt > 0 && len(s.titles)+1 == s.failAt {
+		return errSinkFull
 	}
 	t, ok := b["t"]
 	if !ok {
@@ -113,4 +122,82 @@ WHERE { ?x foaf:title ?t . }`, paperPrologue, k)
 	}
 	t.Logf("%d streams over %d MODIFY steps observed %d distinct snapshots",
 		streams, steps.Load(), len(distinct))
+}
+
+// TestQueryStreamErrorContract pins the one error rule Query and
+// QueryStream share: a compiled-path failure before anything reaches
+// the sink falls back silently to the uncompiled path; a failure after
+// that is returned as-is.
+func TestQueryStreamErrorContract(t *testing.T) {
+	m := paperMediator(t, Options{})
+	baseline := paperMediator(t, Options{DisablePlanCache: true})
+	for _, mm := range []*Mediator{m, baseline} {
+		mustExec(t, mm, listing15)
+		mustExec(t, mm, paperPrologue+`INSERT DATA { ex:author7 foaf:title "Dr" ; foaf:family_name "Other" ; foaf:mbox <mailto:o@example.org> ; ont:team ex:team5 . }`)
+	}
+
+	// A sink failing mid-stream: its error comes back and the query is
+	// not re-run uncompiled behind the partial result.
+	_, fallbackBefore := m.QueryExecStats()
+	sink := &collectSink{failAt: 2}
+	if err := m.QueryStream(paperPrologue+`SELECT ?x ?t WHERE { ?x foaf:title ?t . }`, sink); !errors.Is(err, errSinkFull) {
+		t.Fatalf("QueryStream err = %v, want the sink's %v", err, errSinkFull)
+	}
+	if len(sink.titles) != 1 {
+		t.Errorf("sink saw %d solutions before failing, want 1", len(sink.titles))
+	}
+	if _, fallback := m.QueryExecStats(); fallback != fallbackBefore {
+		t.Errorf("fallback count moved %d -> %d after a post-delivery sink error", fallbackBefore, fallback)
+	}
+
+	// A plan that goes stale at bind: the shape compiles with two
+	// distinct constant subjects joined on their team, and arguments
+	// that merge them break the SELECT's structure. Both APIs fall back
+	// to the uncompiled answer.
+	distinct := paperPrologue + `SELECT ?t ?team WHERE { ex:author6 ont:team ?team . ex:author7 foaf:title ?t ; ont:team ?team . }`
+	merged := paperPrologue + `SELECT ?t ?team WHERE { ex:author7 ont:team ?team . ex:author7 foaf:title ?t ; ont:team ?team . }`
+	if _, err := m.Query(distinct); err != nil {
+		t.Fatal(err)
+	}
+	q, err := sparql.ParseQuery(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, args, nq, ok := normalizeQuery(q)
+	if !ok {
+		t.Fatal("merged-subject query not normalizable")
+	}
+	plan, ok := m.queryPlanForShape(key, len(args), q, nq)
+	if !ok {
+		t.Fatal("merged-subject shape did not compile")
+	}
+	if _, err := plan.bind(m, args); !errors.Is(err, errPlanStale) {
+		t.Fatalf("bind err = %v, want errPlanStale", err)
+	}
+	want, err := baseline.Query(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Solutions) != 1 {
+		t.Fatalf("uncompiled answer has %d solutions, want 1", len(want.Solutions))
+	}
+	_, fallbackBefore = m.QueryExecStats()
+	got, err := m.Query(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed := &collectSink{}
+	if err := m.QueryStream(merged, streamed); err != nil {
+		t.Fatal(err)
+	}
+	if _, fallback := m.QueryExecStats(); fallback != fallbackBefore+2 {
+		t.Errorf("fallback count %d -> %d, want one fallback each for Query and QueryStream", fallbackBefore, fallback)
+	}
+	if !reflect.DeepEqual(got.Vars, want.Vars) || !reflect.DeepEqual(got.Solutions, want.Solutions) || got.SQL != want.SQL {
+		t.Errorf("stale-plan Query = %v %v (SQL %q), uncompiled %v %v (SQL %q)",
+			got.Vars, got.Solutions, got.SQL, want.Vars, want.Solutions, want.SQL)
+	}
+	if !reflect.DeepEqual(streamed.vars, want.Vars) || len(streamed.titles) != 1 || streamed.titles[0] != want.Solutions[0]["t"].Value {
+		t.Errorf("stale-plan QueryStream = %v %v, uncompiled %v %v", streamed.vars, streamed.titles, want.Vars, want.Solutions)
+	}
 }

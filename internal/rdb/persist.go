@@ -70,19 +70,15 @@ const (
 	walUpdate byte = 'u'
 	walDelete byte = 'd'
 
-	checkpointFile  = "checkpoint.db"
-	checkpointMagic = "OACP1"
-	// Incremental checkpoints: checkpoint.db becomes a manifest
-	// (manifestMagic) referencing one immutable per-table file
+	checkpointFile = "checkpoint.db"
+	// Incremental checkpoints: checkpoint.db is a manifest
+	// (manifestMagicV2) referencing one immutable per-table file
 	// (tableFileMagic) per table, named by the snapshot version that
 	// last changed the table — so a checkpoint rewrites only the
-	// tables dirtied since the previous one. V2 manifests
-	// (manifestMagicV2) additionally carry the global commit seq and a
-	// refs block (every named branch with its head and base snapshots),
-	// so recovery restores the commit DAG, not just the main head. The
-	// legacy formats (manifestMagic, checkpointMagic) are still read
-	// for old data dirs.
-	manifestMagic   = "OACM1"
+	// tables dirtied since the previous one. The manifest also carries
+	// the global commit seq and a refs block (every named branch with
+	// its head and base snapshots), so recovery restores the commit
+	// DAG, not just the main head.
 	manifestMagicV2 = "OACM2"
 	tableFileMagic  = "OATB1"
 
@@ -739,101 +735,7 @@ func (d *walDec) schema() *TableSchema {
 	return s
 }
 
-// restoreCheckpoint rebuilds the database from the checkpoint file
-// blob — a V2 manifest with a refs block, a legacy incremental
-// manifest, or the legacy monolithic format — and returns the main
-// head version it covers. Runs single-threaded during Open, before the
-// database is shared.
-func (db *Database) restoreCheckpoint(dir string, data []byte) (uint64, error) {
-	if len(data) >= len(manifestMagicV2) && string(data[:len(manifestMagicV2)]) == manifestMagicV2 {
-		return db.restoreManifestV2(dir, data)
-	}
-	if len(data) >= len(manifestMagic) && string(data[:len(manifestMagic)]) == manifestMagic {
-		return db.restoreManifest(dir, data)
-	}
-	if len(data) < len(checkpointMagic)+4 || string(data[:len(checkpointMagic)]) != checkpointMagic {
-		return 0, fmt.Errorf("not a checkpoint file")
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)) != binary.LittleEndian.Uint32(tail) {
-		return 0, fmt.Errorf("checkpoint checksum mismatch")
-	}
-	d := &walDec{b: body[len(checkpointMagic):]}
-	version := d.u64()
-	ntables := d.u64()
-	restored := make(map[string]*tableVersion, ntables)
-	for i := uint64(0); i < ntables && d.err == nil; i++ {
-		v, err := db.loadTableBody(d)
-		if err != nil {
-			return 0, err
-		}
-		if d.err != nil {
-			break
-		}
-		if err := db.CreateTable(v.schema); err != nil {
-			return 0, err
-		}
-		v.asOf = version // legacy format has no per-table versions
-		restored[lowerName(v.schema.Name)] = v
-	}
-	if d.err != nil {
-		return 0, d.err
-	}
-	db.installSnapshot(restored, version, legacyParent(version), MainBranch)
-	db.resetHistory()
-	return version, nil
-}
-
-// legacyParent reconstructs the parent version for pre-DAG formats,
-// whose publishes were dense on one branch.
-func legacyParent(version uint64) uint64 {
-	if version == 0 {
-		return 0
-	}
-	return version - 1
-}
-
-// restoreManifest rebuilds the database from a legacy incremental
-// manifest (no refs block): each listed table loads from its immutable
-// per-table file, keeping the per-table asOf version so the next
-// checkpoint can reuse the files of tables that stayed clean.
-func (db *Database) restoreManifest(dir string, data []byte) (uint64, error) {
-	if len(data) < len(manifestMagic)+4 {
-		return 0, fmt.Errorf("truncated checkpoint manifest")
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)) != binary.LittleEndian.Uint32(tail) {
-		return 0, fmt.Errorf("checkpoint manifest checksum mismatch")
-	}
-	d := &walDec{b: body[len(manifestMagic):]}
-	version := d.u64()
-	ntables := d.u64()
-	restored := make(map[string]*tableVersion, ntables)
-	for i := uint64(0); i < ntables && d.err == nil; i++ {
-		key := d.str()
-		asOf := d.u64()
-		if d.err != nil {
-			break
-		}
-		v, err := db.loadTableFile(filepath.Join(dir, tableFileName(key, asOf)))
-		if err != nil {
-			return 0, err
-		}
-		if err := db.CreateTable(v.schema); err != nil {
-			return 0, err
-		}
-		v.asOf = asOf
-		restored[key] = v
-	}
-	if d.err != nil {
-		return 0, d.err
-	}
-	db.installSnapshot(restored, version, legacyParent(version), MainBranch)
-	db.resetHistory()
-	return version, nil
-}
-
-// snapMeta is one decoded snapshot descriptor from a V2 manifest.
+// snapMeta is one decoded snapshot descriptor from a checkpoint manifest.
 type snapMeta struct {
 	version uint64
 	parent  uint64
@@ -872,13 +774,18 @@ func buildReferencedBy(s *dbSnapshot) map[string][]fkBackRef {
 	return out
 }
 
-// restoreManifestV2 rebuilds the database — main head, global commit
+// restoreCheckpoint rebuilds the database — main head, global commit
 // seq, and every named branch with its head and base snapshots — from
-// a V2 manifest. Table files are loaded once per (key, asOf) pair and
-// shared by pointer across every snapshot that references them, so the
+// the checkpoint manifest blob and returns the main head version it
+// covers. Table files are loaded once per (key, asOf) pair and shared
+// by pointer across every snapshot that references them, so the
 // restored DAG keeps the table-level structural sharing that makes
-// diffs and merges cheap.
-func (db *Database) restoreManifestV2(dir string, data []byte) (uint64, error) {
+// diffs and merges cheap. Runs single-threaded during Open, before the
+// database is shared.
+func (db *Database) restoreCheckpoint(dir string, data []byte) (uint64, error) {
+	if len(data) < len(manifestMagicV2) || string(data[:len(manifestMagicV2)]) != manifestMagicV2 {
+		return 0, fmt.Errorf("not a checkpoint file")
+	}
 	if len(data) < len(manifestMagicV2)+4 {
 		return 0, fmt.Errorf("truncated checkpoint manifest")
 	}

@@ -1,11 +1,10 @@
 package rdb
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ontoaccess/internal/rdb/wal"
@@ -344,23 +343,41 @@ func TestAutoCheckpointTruncatesLog(t *testing.T) {
 }
 
 func TestCorruptCheckpointRefused(t *testing.T) {
-	dir := t.TempDir()
-	db, _ := mustOpen(t, dir, Options{})
-	seedGroups(t, db)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, checkpointFile)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open("persisttest", Options{DataDir: dir}); err == nil {
-		t.Fatal("open of a corrupt checkpoint succeeded")
+	for _, tc := range []struct {
+		name    string
+		corrupt func(data []byte)
+		wantErr string
+	}{
+		{"bit flip", func(data []byte) { data[len(data)/2] ^= 0xFF }, "checksum mismatch"},
+		// The monolithic (OACP1) and first incremental (OACM1) formats
+		// are not read: an old magic is not a checkpoint.
+		{"old monolithic magic", func(data []byte) { copy(data, "OACP1") }, "not a checkpoint file"},
+		{"old manifest magic", func(data []byte) { copy(data, "OACM1") }, "not a checkpoint file"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db, _ := mustOpen(t, dir, Options{})
+			seedGroups(t, db)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, checkpointFile)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(data)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = Open("persisttest", Options{DataDir: dir})
+			if err == nil {
+				t.Fatal("open of a corrupt checkpoint succeeded")
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("open error = %v, want it to say %q", err, tc.wantErr)
+			}
+		})
 	}
 }
 
@@ -397,75 +414,6 @@ func TestStaleSegmentAfterCrashedCheckpointSkipped(t *testing.T) {
 	}
 	if got := dump(t, db2); !reflect.DeepEqual(got, want) {
 		t.Fatalf("stale-segment recovery diverges:\n got %v\nwant %v", got, want)
-	}
-}
-
-// encodeLegacyCheckpoint reproduces the pre-incremental monolithic
-// checkpoint format, which restoreCheckpoint must keep reading so old
-// data directories survive an upgrade.
-func encodeLegacyCheckpoint(s *dbSnapshot) []byte {
-	b := []byte(checkpointMagic)
-	b = binary.AppendUvarint(b, s.version)
-	b = binary.AppendUvarint(b, uint64(len(s.order)))
-	for _, key := range s.order {
-		v := s.tables[key]
-		b = appendSchema(b, v.schema)
-		b = binary.AppendVarint(b, v.nextID)
-		b = binary.AppendVarint(b, v.nextAuto)
-		b = binary.AppendUvarint(b, uint64(v.rows.len()))
-		v.scan(func(id int64, row []Value) bool {
-			b = binary.AppendUvarint(b, uint64(id))
-			b = appendRow(b, row)
-			return true
-		})
-	}
-	sum := crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli))
-	return binary.LittleEndian.AppendUint32(b, sum)
-}
-
-func TestLegacyCheckpointRestored(t *testing.T) {
-	dir := t.TempDir()
-	db, _ := mustOpen(t, dir, Options{})
-	seedGroups(t, db)
-	want := dump(t, db)
-	snap := db.snapshot()
-	if err := wal.WriteFileAtomic(filepath.Join(dir, checkpointFile), encodeLegacyCheckpoint(snap)); err != nil {
-		t.Fatal(err)
-	}
-	// Drop the WAL so only the legacy checkpoint carries the state.
-	if err := db.persist.log.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db.persist = nil
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.Name() != checkpointFile {
-			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	db2, recovered := mustOpen(t, dir, Options{})
-	if !recovered {
-		t.Fatal("reopen found no state")
-	}
-	if got := dump(t, db2); !reflect.DeepEqual(got, want) {
-		t.Fatalf("legacy checkpoint restore diverges:\n got %v\nwant %v", got, want)
-	}
-	// The next checkpoint must rewrite every table into the new format.
-	if err := db2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, checkpointFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data[:len(manifestMagicV2)]) != manifestMagicV2 {
-		t.Fatalf("post-upgrade checkpoint is not a V2 manifest: %q", data[:5])
 	}
 }
 

@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race cover crash-recovery metamorphic fuzz-smoke load-smoke bench bench-smoke bench-json bench-module clean
+.PHONY: ci fmt-check vet build test race allocs cover crash-recovery metamorphic fuzz-smoke load-smoke bench bench-smoke bench-json bench-module clean
 
-ci: fmt-check vet build race cover crash-recovery metamorphic fuzz-smoke load-smoke bench-smoke bench-module
+ci: fmt-check vet build race allocs cover crash-recovery metamorphic fuzz-smoke load-smoke bench-smoke bench-module
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -24,6 +24,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The allocation gates: per-request and per-row allocation ceilings of
+# the read path (core) and the streamed executor (sqlexec). They are
+# built `!race` — the race detector changes allocation counts — so the
+# race run above skips them.
+allocs:
+	$(GO) test -run 'Allocs' ./internal/core ./internal/rdb/sqlexec
 
 # Coverage gates: the translation core, the SQL executor (the
 # compiled read path's engine), the write-ahead log, the storage

@@ -653,8 +653,8 @@ func (st *SelectTranslation) runParsed(tx *rdb.Tx, stmt sqlparser.Statement) (sp
 // false when a non-nullable column is NULL: the row yields no solution.
 func (m *Mediator) decodeRow(tx *rdb.Tx, bindings []varBinding, row []rdb.Value, b sparql.Binding) (ok bool, err error) {
 	clear(b)
-	for i, vb := range bindings {
-		v := row[i]
+	for i := range bindings {
+		vb, v := &bindings[i], row[i]
 		if v.IsNull() {
 			if vb.nullable {
 				continue // OPTIONAL/aggregate NULL: variable stays unbound
@@ -675,7 +675,7 @@ func (m *Mediator) decodeRow(tx *rdb.Tx, bindings []varBinding, row []rdb.Value,
 // Schema accessor takes the catalog lock, which this goroutine
 // already holds via tx, and a queued DDL writer would deadlock a
 // recursive read-lock.
-func (m *Mediator) decodeValue(tx *rdb.Tx, vb varBinding, v rdb.Value) (rdf.Term, error) {
+func (m *Mediator) decodeValue(tx *rdb.Tx, vb *varBinding, v rdb.Value) (rdf.Term, error) {
 	switch {
 	case vb.kind == bindAgg:
 		// Aggregate results decode as plain literals of their engine
@@ -684,21 +684,13 @@ func (m *Mediator) decodeValue(tx *rdb.Tx, vb varBinding, v rdb.Value) (rdf.Term
 		// evaluator's aggregation reproduces byte-for-byte.
 		return rdf.Literal(v.Text()), nil
 	case vb.kind == bindSubject:
-		uri, err := m.mapping.InstanceURI(vb.tm, map[string]string{vb.col: v.Text()})
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return rdf.IRI(uri), nil
+		return m.instanceIRI(vb.tm, vb.col, v)
 	case vb.refTM != nil:
 		refSchema, err := tx.Schema(vb.refTM.Name)
 		if err != nil {
 			return rdf.Term{}, fmt.Errorf("core: missing schema for %q", vb.refTM.Name)
 		}
-		uri, err := m.mapping.InstanceURI(vb.refTM, map[string]string{refSchema.PrimaryKey[0]: v.Text()})
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return rdf.IRI(uri), nil
+		return m.instanceIRI(vb.refTM, refSchema.PrimaryKey[0], v)
 	case vb.am != nil && vb.am.IsObject:
 		return rdf.IRI(vb.am.ValuePrefix + v.Text()), nil
 	case vb.am != nil:
@@ -706,6 +698,21 @@ func (m *Mediator) decodeValue(tx *rdb.Tx, vb varBinding, v rdb.Value) (rdf.Term
 	default:
 		return rdf.Literal(v.Text()), nil
 	}
+}
+
+// instanceIRI builds the instance URI of tm's row whose attr holds v:
+// straight from the key for the usual single-placeholder pattern, and
+// through the attribute map otherwise (which also reports why a URI
+// cannot be built).
+func (m *Mediator) instanceIRI(tm *r3m.TableMap, attr string, v rdb.Value) (rdf.Term, error) {
+	if uri, ok := m.mapping.KeyURI(tm, attr, v); ok {
+		return rdf.IRI(uri), nil
+	}
+	uri, err := m.mapping.InstanceURI(tm, map[string]string{attr: v.Text()})
+	if err != nil {
+		return rdf.Term{}, err
+	}
+	return rdf.IRI(uri), nil
 }
 
 // QueryResult is the outcome of Mediator.Query.

@@ -201,3 +201,53 @@ func TestQueryStreamErrorContract(t *testing.T) {
 		t.Errorf("stale-plan QueryStream = %v %v, uncompiled %v %v", streamed.vars, streamed.titles, want.Vars, want.Solutions)
 	}
 }
+
+// TestQueryStreamRowBufferLifetime pins that the executor's reused row
+// buffer is never observed after its callback returns: compiled
+// CONSTRUCT and DISTINCT queries streamed into a copying sink (and run
+// through Query) match the uncompiled reference.
+func TestQueryStreamRowBufferLifetime(t *testing.T) {
+	m := paperMediator(t, Options{})
+	ref := paperMediator(t, Options{DisablePlanCache: true})
+	for _, mm := range []*Mediator{m, ref} {
+		mustExec(t, mm, listing15)
+		mustExec(t, mm, paperPrologue+`INSERT DATA { ex:team6 foaf:name "Database Technology" ; ont:teamCode "DBTG" . }`)
+		for i := 7; i <= 12; i++ {
+			mustExec(t, mm, fmt.Sprintf(paperPrologue+`INSERT DATA { ex:author%d foaf:family_name "Name%d" ; foaf:mbox <mailto:a%d@example.org> ; ont:team ex:team%d . }`, i, i, i, 5+i%2))
+		}
+	}
+	for _, q := range []string{
+		`CONSTRUCT { ?x foaf:mbox ?m . ?x ont:team ?t . } WHERE { ?x foaf:mbox ?m ; ont:team ?t . }`,
+		`SELECT DISTINCT ?t WHERE { ?x ont:team ?t . }`,
+		`SELECT DISTINCT ?x ?l WHERE { ?x foaf:family_name ?l ; ont:team ?t . }`,
+	} {
+		q = paperPrologue + q
+		want, err := ref.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled, _ := m.QueryExecStats()
+		c := &resultCollector{}
+		if err := m.QueryStream(q, c); err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after, _ := m.QueryExecStats(); after != compiled+2 {
+			t.Fatalf("%s: not served by a compiled plan", q)
+		}
+		for _, r := range []*QueryResult{&c.res, got} {
+			if want.Graph != nil {
+				if r.Graph == nil || !r.Graph.Equal(want.Graph) || r.Graph.Len() < 2 {
+					t.Errorf("%s: graph %v, uncompiled %v", q, r.Graph, want.Graph)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(r.Vars, want.Vars) || !reflect.DeepEqual(r.Solutions, want.Solutions) || len(want.Solutions) < 2 {
+				t.Errorf("%s: %v %v, uncompiled %v %v", q, r.Vars, r.Solutions, want.Vars, want.Solutions)
+			}
+		}
+	}
+}

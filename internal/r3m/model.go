@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strings"
 
+	"ontoaccess/internal/rdb"
 	"ontoaccess/internal/rdf"
 )
 
@@ -344,6 +345,19 @@ func (m *Mapping) InstanceURI(tm *TableMap, vals map[string]string) (string, err
 		return "", err
 	}
 	return cp.build(vals)
+}
+
+// KeyURI builds the instance URI of a row of tm from one key value,
+// without the map InstanceURI takes: it applies when the URI pattern
+// has exactly one placeholder, named attr, and the key's lexical form
+// is non-empty. ok is false otherwise — InstanceURI then builds the
+// URI or reports why it cannot.
+func (m *Mapping) KeyURI(tm *TableMap, attr string, key rdb.Value) (uri string, ok bool) {
+	cp, err := tm.compiled(m.URIPrefix)
+	if err != nil {
+		return "", false
+	}
+	return cp.buildKey(attr, key)
 }
 
 // compiled returns the compiled URI pattern, building it on first use.

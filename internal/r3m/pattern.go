@@ -2,7 +2,10 @@ package r3m
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+
+	"ontoaccess/internal/rdb"
 )
 
 // compiledPattern is a parsed URI pattern: an alternating sequence of
@@ -16,6 +19,9 @@ type compiledPattern struct {
 	// literalLen is the total length of literal content, used to rank
 	// pattern specificity during table identification.
 	literalLen int
+	// key names the placeholder of a single-placeholder pattern ("" for
+	// any other); head and tail are the literal text around it.
+	key, head, tail string
 }
 
 type patternSegment struct {
@@ -66,7 +72,23 @@ func compilePattern(prefix, pattern string) (*compiledPattern, error) {
 	if len(cp.segments) == 1 && cp.segments[0].attr != "" {
 		return nil, fmt.Errorf("URI pattern %q has no literal part", pattern)
 	}
+	if names := cp.attrNames(); len(names) == 1 {
+		cp.key = names[0]
+		for i, seg := range cp.segments {
+			if seg.attr != "" {
+				cp.head, cp.tail = joinLiterals(cp.segments[:i]), joinLiterals(cp.segments[i+1:])
+			}
+		}
+	}
 	return cp, nil
+}
+
+func joinLiterals(segs []patternSegment) string {
+	var b strings.Builder
+	for _, s := range segs {
+		b.WriteString(s.literal)
+	}
+	return b.String()
 }
 
 // attrNames returns the placeholder names in order.
@@ -137,6 +159,30 @@ func (cp *compiledPattern) build(vals map[string]string) (string, error) {
 		b.WriteString(v)
 	}
 	return b.String(), nil
+}
+
+// buildKey instantiates a single-placeholder pattern with the key's
+// lexical form in one sized allocation. ok is false when the pattern
+// is not keyed by attr or the key is empty (build reports that case).
+func (cp *compiledPattern) buildKey(attr string, key rdb.Value) (string, bool) {
+	if cp.key == "" || cp.key != attr {
+		return "", false
+	}
+	var buf [20]byte
+	var digits []byte
+	text := ""
+	if key.Kind == rdb.KInt {
+		digits = strconv.AppendInt(buf[:0], key.I, 10)
+	} else if text = key.Text(); text == "" {
+		return "", false
+	}
+	var b strings.Builder
+	b.Grow(len(cp.head) + len(digits) + len(text) + len(cp.tail))
+	b.WriteString(cp.head)
+	b.Write(digits)
+	b.WriteString(text)
+	b.WriteString(cp.tail)
+	return b.String(), true
 }
 
 // isAbsoluteIRI reports whether s begins with a URI scheme (the

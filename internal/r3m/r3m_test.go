@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ontoaccess/internal/rdb"
 	"ontoaccess/internal/rdf"
 )
 
@@ -421,6 +422,38 @@ func TestPatternMultiPlaceholder(t *testing.T) {
 	}
 	if _, err := cp.build(map[string]string{"a": "x"}); err == nil {
 		t.Error("missing value must fail")
+	}
+}
+
+// TestPatternBuildKey pins the map-free key build against build: the
+// same URI for every key kind, and no answer where build would need
+// more than one value or reports a missing one.
+func TestPatternBuildKey(t *testing.T) {
+	cp, err := compilePattern("http://e/", "mailto:%%email%%x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []rdb.Value{rdb.Int(-42), rdb.Int(7), rdb.String_("a@b"), rdb.Float(2.5), rdb.Bool(true)} {
+		want, err := cp.build(map[string]string{"email": key.Text()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := cp.buildKey("email", key); !ok || got != want {
+			t.Errorf("buildKey(%v) = %q %v, build %q", key, got, ok, want)
+		}
+	}
+	if _, ok := cp.buildKey("email", rdb.String_("")); ok {
+		t.Error("an empty key must be left to build's error")
+	}
+	if _, ok := cp.buildKey("id", rdb.Int(1)); ok {
+		t.Error("a key for another attribute must be left to build")
+	}
+	multi, err := compilePattern("http://e/", "row-%%a%%-%%b%%")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := multi.buildKey("a", rdb.Int(1)); ok {
+		t.Error("a multi-placeholder pattern must be left to build")
 	}
 }
 

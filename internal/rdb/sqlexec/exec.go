@@ -106,8 +106,11 @@ func Exec(tx *rdb.Tx, stmt sqlparser.Statement) (Result, error) {
 // The rows are read off tx's MVCC snapshot, which stays pinned (and
 // immutable) for the transaction's lifetime: a cursor held open
 // across concurrent writers is safe and sees a single consistent
-// version. Row slices are owned by the callee only during the row
-// call; copy them to retain.
+// version.
+//
+// vals is only valid during the row call: the streaming path projects
+// every row into one buffer the cursor owns and overwrites it for the
+// next row. A consumer that keeps a row must copy it.
 func SelectFunc(tx *rdb.Tx, st sqlparser.Select, head func(cols []string) error, row func(vals []rdb.Value) (bool, error)) error {
 	p, err := planSelect(tx, st)
 	if err != nil {
@@ -258,11 +261,21 @@ func execUpdate(tx *rdb.Tx, st sqlparser.Update) (Result, error) {
 		set map[string]rdb.Value
 	}
 	var updates []pending
+	var pr prog
+	metas := []tableMeta{newTableMeta(sqlparser.TableRef{Table: st.Table}, schema)}
+	where := bexpr(-1)
+	if st.Where != nil {
+		where = pr.bind(st.Where, metas)
+	}
+	set := make([]bexpr, len(st.Set))
+	for i, a := range st.Set {
+		set[i] = pr.bind(a.Value, metas)
+	}
 	scanErr := error(nil)
 	tx.Scan(st.Table, func(id int64, row []rdb.Value) bool {
-		env := singleEnv(st.Table, schema, row)
-		if st.Where != nil {
-			v, err := evalExpr(env, st.Where)
+		e := env{row}
+		if where >= 0 {
+			v, err := pr.eval(where, e)
 			if err != nil {
 				scanErr = err
 				return false
@@ -271,16 +284,16 @@ func execUpdate(tx *rdb.Tx, st sqlparser.Update) (Result, error) {
 				return true
 			}
 		}
-		set := make(map[string]rdb.Value, len(st.Set))
-		for _, a := range st.Set {
-			v, err := evalExpr(env, a.Value)
+		vals := make(map[string]rdb.Value, len(st.Set))
+		for i, a := range st.Set {
+			v, err := pr.eval(set[i], e)
 			if err != nil {
 				scanErr = err
 				return false
 			}
-			set[a.Column] = v
+			vals[a.Column] = v
 		}
-		updates = append(updates, pending{id: id, set: set})
+		updates = append(updates, pending{id: id, set: vals})
 		return true
 	})
 	if scanErr != nil {
@@ -300,10 +313,15 @@ func execDelete(tx *rdb.Tx, st sqlparser.Delete) (Result, error) {
 		return Result{}, err
 	}
 	var ids []int64
+	var pr prog
+	where := bexpr(-1)
+	if st.Where != nil {
+		where = pr.bind(st.Where, []tableMeta{newTableMeta(sqlparser.TableRef{Table: st.Table}, schema)})
+	}
 	scanErr := error(nil)
 	tx.Scan(st.Table, func(id int64, row []rdb.Value) bool {
-		if st.Where != nil {
-			v, err := evalExpr(singleEnv(st.Table, schema, row), st.Where)
+		if where >= 0 {
+			v, err := pr.eval(where, env{row})
 			if err != nil {
 				scanErr = err
 				return false

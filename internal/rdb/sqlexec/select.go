@@ -11,240 +11,6 @@ import (
 	"ontoaccess/internal/rdb/sqlparser"
 )
 
-// env is the row environment for expression evaluation: one entry per
-// table in FROM/JOIN order.
-type env struct {
-	tables []envTable
-}
-
-type envTable struct {
-	name   string // effective name (alias if given), lower-cased
-	schema *rdb.TableSchema
-	row    []rdb.Value
-}
-
-func singleEnv(name string, schema *rdb.TableSchema, row []rdb.Value) *env {
-	return &env{tables: []envTable{{name: strings.ToLower(name), schema: schema, row: row}}}
-}
-
-// resolve finds the value of a column reference, enforcing uniqueness
-// for unqualified names across joined tables.
-func (e *env) resolve(ref sqlparser.ColRef) (rdb.Value, error) {
-	if ref.Table != "" {
-		want := strings.ToLower(ref.Table)
-		for _, t := range e.tables {
-			if t.name == want {
-				ci := t.schema.ColumnIndex(ref.Column)
-				if ci < 0 {
-					return rdb.Null, &rdb.TableError{Table: ref.Table, Column: ref.Column}
-				}
-				return t.row[ci], nil
-			}
-		}
-		return rdb.Null, fmt.Errorf("sqlexec: unknown table or alias %q", ref.Table)
-	}
-	found := -1
-	var val rdb.Value
-	for _, t := range e.tables {
-		if ci := t.schema.ColumnIndex(ref.Column); ci >= 0 {
-			if found >= 0 {
-				return rdb.Null, fmt.Errorf("sqlexec: ambiguous column %q", ref.Column)
-			}
-			found = 1
-			val = t.row[ci]
-		}
-	}
-	if found < 0 {
-		return rdb.Null, fmt.Errorf("sqlexec: unknown column %q", ref.Column)
-	}
-	return val, nil
-}
-
-// evalExpr evaluates an expression with SQL three-valued logic:
-// comparisons involving NULL yield NULL, which WHERE treats as not
-// true.
-func evalExpr(e *env, expr sqlparser.Expr) (rdb.Value, error) {
-	switch x := expr.(type) {
-	case sqlparser.Lit:
-		return x.Value, nil
-	case sqlparser.ColRef:
-		return e.resolve(x)
-	case sqlparser.Neg:
-		v, err := evalExpr(e, x.Inner)
-		if err != nil || v.IsNull() {
-			return rdb.Null, err
-		}
-		switch v.Kind {
-		case rdb.KInt:
-			return rdb.Int(-v.I), nil
-		case rdb.KFloat:
-			return rdb.Float(-v.F), nil
-		}
-		return rdb.Null, fmt.Errorf("sqlexec: cannot negate %s", v.Kind)
-	case sqlparser.Not:
-		v, err := evalExpr(e, x.Inner)
-		if err != nil {
-			return rdb.Null, err
-		}
-		if v.IsNull() {
-			return rdb.Null, nil
-		}
-		if v.Kind != rdb.KBool {
-			return rdb.Null, fmt.Errorf("sqlexec: NOT applied to %s", v.Kind)
-		}
-		return rdb.Bool(!v.B), nil
-	case sqlparser.IsNull:
-		v, err := evalExpr(e, x.Inner)
-		if err != nil {
-			return rdb.Null, err
-		}
-		res := v.IsNull()
-		if x.Negate {
-			res = !res
-		}
-		return rdb.Bool(res), nil
-	case sqlparser.InList:
-		v, err := evalExpr(e, x.Inner)
-		if err != nil {
-			return rdb.Null, err
-		}
-		if v.IsNull() {
-			return rdb.Null, nil
-		}
-		found := false
-		for _, item := range x.Values {
-			if rdb.Equal(v, item) {
-				found = true
-				break
-			}
-		}
-		if x.Negate {
-			found = !found
-		}
-		return rdb.Bool(found), nil
-	case sqlparser.Binary:
-		return evalBinary(e, x)
-	default:
-		return rdb.Null, fmt.Errorf("sqlexec: unsupported expression %T", expr)
-	}
-}
-
-func evalBinary(e *env, x sqlparser.Binary) (rdb.Value, error) {
-	// AND/OR implement SQL three-valued logic with short-circuit
-	// behaviour consistent with it.
-	if x.Op == sqlparser.OpAnd || x.Op == sqlparser.OpOr {
-		l, err := evalExpr(e, x.Left)
-		if err != nil {
-			return rdb.Null, err
-		}
-		r, err := evalExpr(e, x.Right)
-		if err != nil {
-			return rdb.Null, err
-		}
-		lb, lok := boolOf(l)
-		rb, rok := boolOf(r)
-		if x.Op == sqlparser.OpAnd {
-			switch {
-			case lok && !lb, rok && !rb:
-				return rdb.Bool(false), nil
-			case lok && rok:
-				return rdb.Bool(true), nil
-			default:
-				return rdb.Null, nil
-			}
-		}
-		switch {
-		case lok && lb, rok && rb:
-			return rdb.Bool(true), nil
-		case lok && rok:
-			return rdb.Bool(false), nil
-		default:
-			return rdb.Null, nil
-		}
-	}
-
-	l, err := evalExpr(e, x.Left)
-	if err != nil {
-		return rdb.Null, err
-	}
-	r, err := evalExpr(e, x.Right)
-	if err != nil {
-		return rdb.Null, err
-	}
-	if l.IsNull() || r.IsNull() {
-		return rdb.Null, nil // NULL propagates through comparisons and arithmetic
-	}
-	switch x.Op {
-	case sqlparser.OpEq, sqlparser.OpNe, sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt, sqlparser.OpGe:
-		c, err := rdb.Compare(l, r)
-		if err != nil {
-			return rdb.Null, err
-		}
-		var res bool
-		switch x.Op {
-		case sqlparser.OpEq:
-			res = c == 0
-		case sqlparser.OpNe:
-			res = c != 0
-		case sqlparser.OpLt:
-			res = c < 0
-		case sqlparser.OpLe:
-			res = c <= 0
-		case sqlparser.OpGt:
-			res = c > 0
-		case sqlparser.OpGe:
-			res = c >= 0
-		}
-		return rdb.Bool(res), nil
-	case sqlparser.OpLike:
-		if l.Kind != rdb.KString || r.Kind != rdb.KString {
-			return rdb.Null, fmt.Errorf("sqlexec: LIKE requires strings")
-		}
-		return rdb.Bool(sqlparser.LikeToMatcher(r.S)(l.S)), nil
-	case sqlparser.OpAdd, sqlparser.OpSub, sqlparser.OpMul, sqlparser.OpDiv:
-		lf, err := l.AsFloat()
-		if err != nil {
-			return rdb.Null, err
-		}
-		rf, err := r.AsFloat()
-		if err != nil {
-			return rdb.Null, err
-		}
-		var v float64
-		switch x.Op {
-		case sqlparser.OpAdd:
-			v = lf + rf
-		case sqlparser.OpSub:
-			v = lf - rf
-		case sqlparser.OpMul:
-			v = lf * rf
-		case sqlparser.OpDiv:
-			if rf == 0 {
-				return rdb.Null, fmt.Errorf("sqlexec: division by zero")
-			}
-			v = lf / rf
-		}
-		// Integer operands keep integer typing only when the float64
-		// result converts back exactly — on overflow the conversion is
-		// implementation-defined, and the SPARQL evaluator's identical
-		// guard promotes to double there, so the engines stay aligned.
-		if l.Kind == rdb.KInt && r.Kind == rdb.KInt && x.Op != sqlparser.OpDiv && v == float64(int64(v)) {
-			return rdb.Int(int64(v)), nil
-		}
-		return rdb.Float(v), nil
-	}
-	return rdb.Null, fmt.Errorf("sqlexec: unsupported operator %d", x.Op)
-}
-
-func boolOf(v rdb.Value) (bool, bool) {
-	if v.Kind == rdb.KBool {
-		return v.B, true
-	}
-	return false, false
-}
-
-func isTrue(v rdb.Value) bool { return v.Kind == rdb.KBool && v.B }
-
 // ---- streaming executor ---------------------------------------------
 //
 // execSelect plans and runs a SELECT as a streaming pipeline of scans
@@ -369,20 +135,15 @@ type selStep struct {
 	// on holds a left step's non-probe ON conjuncts — they decide
 	// matching, before the null extension; inner steps keep such
 	// conjuncts in residual instead (equivalent for inner joins).
-	on []sqlparser.Expr
+	on []bexpr
 	// preds are single-table conjuncts pushed down to this step;
 	// residual are multi-table or unresolvable conjuncts assigned to
 	// the earliest step where their tables are all placed. On a left
 	// step, residual conjuncts run after the match-or-null extension
-	// (WHERE semantics) and preds stay empty.
-	preds    []sqlparser.Expr
-	residual []sqlparser.Expr
-}
-
-type tableMeta struct {
-	eff    string // effective name as written
-	lower  string
-	schema *rdb.TableSchema
+	// (WHERE semantics) and preds stay empty. All three are bound
+	// against the step's visible environment (see bindAt).
+	preds    []bexpr
+	residual []bexpr
 }
 
 type selPlan struct {
@@ -391,6 +152,14 @@ type selPlan struct {
 	schemas []*rdb.TableSchema
 	metas   []tableMeta
 	steps   []selStep
+	// prog holds every bound expression of the plan: step conditions,
+	// the deferred WHERE, the projection, sort keys and aggregates.
+	prog prog
+	proj projection
+	// where is the bound WHERE of deferred mode; keys the bound ORDER
+	// BY expressions.
+	where bexpr
+	keys  []bexpr
 	// textual records that placement order equals textual order, so a
 	// step's visible environment is a prefix of the full one (needed
 	// when conjuncts could not be statically resolved).
@@ -460,38 +229,21 @@ func conjunctsOf(e sqlparser.Expr, out []sqlparser.Expr) []sqlparser.Expr {
 // qualifyExpr rewrites every column reference to its qualified form
 // and reports the set of tables the expression reads. ok is false
 // when a reference is ambiguous or unknown; such conjuncts keep their
-// original form and are evaluated late, where evalExpr reproduces the
-// exact resolution error.
+// original form and are bound where they are evaluated, to a leaf that
+// reproduces the exact resolution error.
 func qualifyExpr(e sqlparser.Expr, metas []tableMeta) (sqlparser.Expr, uint64, bool) {
 	switch x := e.(type) {
 	case sqlparser.Lit:
 		return x, 0, true
 	case sqlparser.ColRef:
-		if x.Table != "" {
-			want := strings.ToLower(x.Table)
-			for i := range metas {
-				if metas[i].lower == want {
-					if metas[i].schema.ColumnIndex(x.Column) < 0 {
-						return x, 0, false
-					}
-					return x, 1 << uint(i), true
-				}
-			}
+		ti, _, err := resolveRef(x, metas)
+		if err != nil {
 			return x, 0, false
 		}
-		found := -1
-		for i := range metas {
-			if metas[i].schema.ColumnIndex(x.Column) >= 0 {
-				if found >= 0 {
-					return x, 0, false
-				}
-				found = i
-			}
+		if x.Table == "" {
+			x = sqlparser.ColRef{Table: metas[ti].eff, Column: x.Column}
 		}
-		if found < 0 {
-			return x, 0, false
-		}
-		return sqlparser.ColRef{Table: metas[found].eff, Column: x.Column}, 1 << uint(found), true
+		return x, 1 << uint(ti), true
 	case sqlparser.Neg:
 		in, m, ok := qualifyExpr(x.Inner, metas)
 		return sqlparser.Neg{Inner: in}, m, ok
@@ -520,7 +272,7 @@ func qualifyExpr(e sqlparser.Expr, metas []tableMeta) (sqlparser.Expr, uint64, b
 func TypeClass(t rdb.ColType) int { return typeClass(t) }
 
 // typeClass groups column types by comparison semantics; equality
-// across classes is a type error in evalExpr, so index and hash paths
+// across classes is a type error in eval, so index and hash paths
 // only engage within one class.
 func typeClass(t rdb.ColType) int {
 	switch t {
@@ -634,40 +386,18 @@ const classNull = -1
 // unique unqualified match). ok is false for unknown or ambiguous
 // references — which error at evaluation time.
 func colRefClass(cr sqlparser.ColRef, metas []tableMeta) (int, bool) {
-	if cr.Table != "" {
-		want := strings.ToLower(cr.Table)
-		for i := range metas {
-			if metas[i].lower == want {
-				ci := metas[i].schema.ColumnIndex(cr.Column)
-				if ci < 0 {
-					return 0, false
-				}
-				return typeClass(metas[i].schema.Columns[ci].Type), true
-			}
-		}
+	ti, ci, err := resolveRef(cr, metas)
+	if err != nil {
 		return 0, false
 	}
-	found := -1
-	for i := range metas {
-		if metas[i].schema.ColumnIndex(cr.Column) >= 0 {
-			if found >= 0 {
-				return 0, false
-			}
-			found = i
-		}
-	}
-	if found < 0 {
-		return 0, false
-	}
-	ci := metas[found].schema.ColumnIndex(cr.Column)
-	return typeClass(metas[found].schema.Columns[ci].Type), true
+	return typeClass(metas[ti].schema.Columns[ci].Type), true
 }
 
 // analyzeExpr classifies an expression by its result class (classNull,
 // 0 unknown, or a typeClass) and whether evaluating it can raise an
 // error for *any* row, given the schemas. The analysis is
 // conservative: fallible means "might error", infallible is a proof
-// that evalExpr returns (value, nil) for every possible row, which is
+// that eval returns (value, nil) for every possible row, which is
 // what licenses predicate pushdown and early termination without
 // changing which errors the statement surfaces.
 func analyzeExpr(e sqlparser.Expr, metas []tableMeta) (class int, fallible bool) {
@@ -773,7 +503,7 @@ func planSelectMode(tx *rdb.Tx, st sqlparser.Select, forceTextual bool) (*selPla
 			return nil, err
 		}
 		p.schemas[i] = s
-		p.metas[i] = tableMeta{eff: r.EffectiveName(), lower: strings.ToLower(r.EffectiveName()), schema: s}
+		p.metas[i] = newTableMeta(r, s)
 	}
 	if len(st.Items) == 1 && st.Items[0].Agg == sqlparser.AggCount && st.Items[0].Expr == nil &&
 		len(st.GroupBy) == 0 && len(st.Having) == 0 {
@@ -862,6 +592,7 @@ func planSelectMode(tx *rdb.Tx, st sqlparser.Select, forceTextual bool) (*selPla
 			}
 		}
 	}
+	p.prog = make(prog, 0, 16)
 	if costBased {
 		if err := p.planCostBased(tx, st, wheres, ons); err != nil {
 			return nil, err
@@ -869,7 +600,36 @@ func planSelectMode(tx *rdb.Tx, st sqlparser.Select, forceTextual bool) (*selPla
 	} else {
 		p.planTextual(tx, st, wheres, ons)
 	}
+	p.bindOutput()
 	return p, nil
+}
+
+// bindAt binds a condition evaluated at step si: against the step's
+// prefix of the tables in textual placement (later tables are not yet
+// visible there, exactly as in the naive executor's join phase), and
+// against all of them otherwise.
+func (p *selPlan) bindAt(si int, e sqlparser.Expr) bexpr {
+	if p.textual {
+		return p.prog.bind(e, p.metas[:si+1])
+	}
+	return p.prog.bind(e, p.metas)
+}
+
+// bindOutput binds what is evaluated on fully joined rows: the
+// deferred WHERE, the projection or the aggregates, and the sort keys.
+func (p *selPlan) bindOutput() {
+	st := p.st
+	if p.deferredWhere {
+		p.where = p.prog.bind(st.Where, p.metas)
+	}
+	switch {
+	case p.countAlias != "":
+	case p.agg != nil:
+		p.agg.bind(&p.prog, p.metas)
+	default:
+		p.proj = p.prog.bindProjection(st, p.metas)
+		p.keys = p.prog.bindKeys(st.OrderBy, p.metas)
+	}
 }
 
 // planTextual builds the step list in textual order: base scan
@@ -897,9 +657,9 @@ func (p *selPlan) planTextual(tx *rdb.Tx, st sqlparser.Select, wheres []conjunct
 		for _, c := range ons[ji] {
 			if !c.used {
 				if step.leftOuter {
-					step.on = append(step.on, c.expr)
+					step.on = append(step.on, p.bindAt(ji+1, c.expr))
 				} else {
-					step.residual = append(step.residual, c.expr)
+					step.residual = append(step.residual, p.bindAt(ji+1, c.expr))
 				}
 			}
 		}
@@ -1069,11 +829,12 @@ func (p *selPlan) assignConjunct(cs []conjunct) {
 				break
 			}
 		}
+		b := p.bindAt(si, c.expr)
 		if c.mask != 0 && c.mask == uint64(1)<<uint(p.steps[si].ti) && !p.steps[si].leftOuter {
-			p.steps[si].preds = append(p.steps[si].preds, c.expr)
+			p.steps[si].preds = append(p.steps[si].preds, b)
 			continue
 		}
-		p.steps[si].residual = append(p.steps[si].residual, c.expr)
+		p.steps[si].residual = append(p.steps[si].residual, b)
 	}
 }
 
@@ -1082,41 +843,27 @@ func (p *selPlan) assignConjunct(cs []conjunct) {
 func (p *selPlan) planBaseProbe(tx *rdb.Tx) {
 	base := &p.steps[0]
 	ti := base.ti
-	for _, e := range base.preds {
-		b, ok := e.(sqlparser.Binary)
-		if !ok || b.Op != sqlparser.OpEq {
+	for _, b := range base.preds {
+		eq := &p.prog[b]
+		if eq.kind != bBinary || eq.op != sqlparser.OpEq {
 			continue
 		}
-		var cr sqlparser.ColRef
-		var lit sqlparser.Lit
-		if c, cok := b.Left.(sqlparser.ColRef); cok {
-			if l, lok := b.Right.(sqlparser.Lit); lok {
-				cr, lit = c, l
-			} else {
-				continue
-			}
-		} else if c, cok := b.Right.(sqlparser.ColRef); cok {
-			if l, lok := b.Left.(sqlparser.Lit); lok {
-				cr, lit = c, l
-			} else {
-				continue
-			}
-		} else {
+		cr, lit := &p.prog[eq.l], &p.prog[eq.r]
+		if cr.kind != bCol {
+			cr, lit = lit, cr
+		}
+		if cr.kind != bCol || lit.kind != bLit || int(cr.ti) != ti {
 			continue
 		}
-		ci := p.schemas[ti].ColumnIndex(cr.Column)
-		if ci < 0 {
-			continue
-		}
-		col := &p.schemas[ti].Columns[ci]
-		if litClass(lit.Value) == 0 || litClass(lit.Value) != typeClass(col.Type) {
+		col := &p.schemas[ti].Columns[cr.ci]
+		if litClass(lit.lit) == 0 || litClass(lit.lit) != typeClass(col.Type) {
 			continue // cross-class equality errors row by row; keep it a filter
 		}
 		has, err := tx.HasIndex(p.refs[ti].Table, col.Name)
 		if err != nil || !has {
 			continue
 		}
-		key, ok := probeKey(lit.Value, col.Type)
+		key, ok := probeKey(lit.lit, col.Type)
 		if !ok {
 			base.impossible = true // e.g. 5.5 against an INTEGER key
 			break
@@ -1284,12 +1031,9 @@ type collRow struct {
 type selExec struct {
 	p    *selPlan
 	tx   *rdb.Tx
-	full *env // all tables in original order; rows filled as placed
-	// stepEnvs[i] is the environment visible at step i: a prefix of
-	// full in textual mode, full otherwise (safe because every
-	// early-evaluated conjunct is statically qualified).
-	stepEnvs []*env
-	hashes   []map[string][]idRow // per step, built lazily
+	full env // all tables in original order; rows filled as placed
+	// hashes holds the hash-join tables, per step, built lazily.
+	hashes []map[string][]idRow
 	// ids[ti] is the internal id of the row currently bound for table
 	// ti; nullRows[ti] is the all-NULL tuple a left join extends with.
 	ids      []int64
@@ -1299,8 +1043,7 @@ type selExec struct {
 	collect   bool
 	collected []collRow
 
-	project func(*env) ([]rdb.Value, error)
-	cols    []string
+	cols []string
 
 	// streaming collection
 	rows    [][]rdb.Value
@@ -1309,17 +1052,20 @@ type selExec struct {
 	count   int             // COUNT(*) mode
 	agg     *aggregator     // GROUP BY / aggregate mode
 	sorting bool
-	envs    []*env         // materialized for ORDER BY
+	envs    []env          // materialized for ORDER BY
 	topk    *topkCollector // bounded heap for ORDER BY + LIMIT
 	seq     int            // emission sequence, the heap's stability tiebreak
 	keyBuf  []rdb.Value    // reusable sort-key scratch: rejected rows stay allocation-free
 
 	// Streaming delivery (runStream): out receives each in-window row
 	// the moment the pipeline produces it instead of appending to rows.
-	// skip and limit apply OFFSET/LIMIT on the fly; emitted counts every
-	// row that buffered mode would have appended, so the target-based
-	// early stop fires at exactly the same point in both modes.
+	// Rows are projected into buf, the one row buffer the cursor owns,
+	// so out sees it only for the duration of the call. skip and limit
+	// apply OFFSET/LIMIT on the fly; emitted counts every row that
+	// buffered mode would have appended, so the target-based early stop
+	// fires at exactly the same point in both modes.
 	out     func([]rdb.Value) (bool, error)
+	buf     []rdb.Value
 	skip    int
 	limit   int
 	sent    int
@@ -1333,10 +1079,7 @@ func (p *selPlan) run(tx *rdb.Tx) (*ResultSet, error) {
 		// baseline reproduces exactly.
 		return SelectNaive(tx, p.st)
 	}
-	x, err := p.prepare(tx)
-	if err != nil {
-		return nil, err
-	}
+	x := p.prepare(tx)
 	if err := x.drive(); err != nil {
 		return nil, err
 	}
@@ -1371,11 +1114,9 @@ func (p *selPlan) runStream(tx *rdb.Tx, head func(cols []string) error, row func
 		}
 		return nil
 	}
-	x, err := p.prepare(tx)
-	if err != nil {
-		return err
-	}
+	x := p.prepare(tx)
 	x.out = row
+	x.buf = make([]rdb.Value, len(p.proj.items))
 	if p.st.Offset > 0 {
 		x.skip = p.st.Offset
 	}
@@ -1386,23 +1127,12 @@ func (p *selPlan) runStream(tx *rdb.Tx, head func(cols []string) error, row func
 	return x.drive()
 }
 
-// prepare builds the runtime state of one execution: environments,
-// projection, and the output-stage mode (count, aggregate, top-K,
+// prepare builds the runtime state of one execution: the row
+// environment and the output-stage mode (count, aggregate, top-K,
 // sort materialization or direct emission with a LIMIT target).
-func (p *selPlan) prepare(tx *rdb.Tx) (*selExec, error) {
+func (p *selPlan) prepare(tx *rdb.Tx) *selExec {
 	x := &selExec{p: p, tx: tx, target: -1}
-	x.full = &env{tables: make([]envTable, len(p.refs))}
-	for i := range p.refs {
-		x.full.tables[i] = envTable{name: p.metas[i].lower, schema: p.schemas[i]}
-	}
-	x.stepEnvs = make([]*env, len(p.steps))
-	for i := range p.steps {
-		if p.textual {
-			x.stepEnvs[i] = &env{tables: x.full.tables[:i+1]}
-		} else {
-			x.stepEnvs[i] = x.full
-		}
-	}
+	x.full = make(env, len(p.refs))
 	x.hashes = make([]map[string][]idRow, len(p.steps))
 	x.ids = make([]int64, len(p.refs))
 	x.nullRows = make([][]rdb.Value, len(p.refs))
@@ -1418,13 +1148,9 @@ func (p *selPlan) prepare(tx *rdb.Tx) (*selExec, error) {
 	case p.countAlias != "":
 	case p.agg != nil:
 		x.cols = p.agg.cols
-		x.agg = newAggregator(p.agg)
+		x.agg = newAggregator(p.agg, p.prog)
 	default:
-		cols, project, err := buildProjection(st, p.schemas, p.refs)
-		if err != nil {
-			return nil, err
-		}
-		x.cols, x.project = cols, project
+		x.cols = p.proj.cols
 		x.sorting = len(st.OrderBy) > 0
 		if st.Distinct {
 			x.seen = map[string]bool{}
@@ -1448,8 +1174,7 @@ func (p *selPlan) prepare(tx *rdb.Tx) (*selExec, error) {
 			x.target = off + st.Limit
 		}
 	}
-
-	return x, nil
+	return x
 }
 
 // drive runs the join pipeline to completion: every produced row goes
@@ -1487,9 +1212,7 @@ func (x *selExec) drive() error {
 			return false
 		})
 		for _, cr := range x.collected {
-			for t := range cr.rows {
-				x.full.tables[t].row = cr.rows[t]
-			}
+			copy(x.full, cr.rows)
 			cont, err := x.emitRow()
 			if err != nil {
 				return err
@@ -1515,18 +1238,18 @@ func (x *selExec) finish() (*ResultSet, error) {
 	}
 	if x.topk != nil {
 		for _, r := range x.topk.finish() {
-			row, err := x.project(r.env)
+			row, err := p.prog.project(p.proj, r.env, make([]rdb.Value, len(p.proj.items)))
 			if err != nil {
 				return nil, err
 			}
 			x.rows = append(x.rows, row)
 		}
 	} else if x.sorting {
-		if err := sortEnvs(x.envs, st.OrderBy); err != nil {
+		if err := p.prog.sortEnvs(x.envs, p.keys, st.OrderBy); err != nil {
 			return nil, err
 		}
 		for _, e := range x.envs {
-			row, err := x.project(e)
+			row, err := p.prog.project(p.proj, e, make([]rdb.Value, len(p.proj.items)))
 			if err != nil {
 				return nil, err
 			}
@@ -1569,7 +1292,7 @@ func (x *selExec) step(si int) (bool, error) {
 	}
 	var iterErr error
 	visit := func(id int64, row []rdb.Value) bool {
-		x.full.tables[s.ti].row = row
+		x.full[s.ti] = row
 		x.ids[s.ti] = id
 		ok, err := x.filterAndDescend(si)
 		if err != nil {
@@ -1581,7 +1304,7 @@ func (x *selExec) step(si int) (bool, error) {
 	cont := true
 	switch s.access {
 	case accessProbe:
-		left := x.full.tables[s.left.ti].row[s.left.ci]
+		left := x.full[s.left.ti][s.left.ci]
 		key, ok := probeKey(left, s.probeType)
 		if !ok {
 			return true, nil // NULL or unrepresentable: no match, no error
@@ -1598,7 +1321,7 @@ func (x *selExec) step(si int) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		left := x.full.tables[s.left.ti].row[s.left.ci]
+		left := x.full[s.left.ti][s.left.ci]
 		key, ok := hashKey(left, typeClass(s.probeType))
 		if !ok {
 			return true, nil
@@ -1642,18 +1365,11 @@ func (x *selExec) stepLeft(si int) (bool, error) {
 	cont := true
 	var iterErr error
 	tryRow := func(id int64, row []rdb.Value) bool {
-		x.full.tables[s.ti].row = row
+		x.full[s.ti] = row
 		x.ids[s.ti] = id
-		e := x.stepEnvs[si]
-		for _, c := range s.on {
-			v, err := evalExpr(e, c)
-			if err != nil {
-				iterErr = err
-				return false
-			}
-			if !isTrue(v) {
-				return true // candidate fails ON: not a match, keep looking
-			}
+		if ok, err := x.p.prog.holds(s.on, x.full); !ok {
+			iterErr = err
+			return err == nil // candidate fails ON: not a match, keep looking
 		}
 		matched = true
 		ok, err := x.filterAndDescend(si)
@@ -1666,7 +1382,7 @@ func (x *selExec) stepLeft(si int) (bool, error) {
 	}
 	switch s.access {
 	case accessProbe:
-		left := x.full.tables[s.left.ti].row[s.left.ci]
+		left := x.full[s.left.ti][s.left.ci]
 		if key, ok := probeKey(left, s.probeType); ok {
 			if err := x.tx.MatchColumn(x.p.refs[s.ti].Table, s.probeName, key, tryRow); err != nil {
 				return false, err
@@ -1679,7 +1395,7 @@ func (x *selExec) stepLeft(si int) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		left := x.full.tables[s.left.ti].row[s.left.ci]
+		left := x.full[s.left.ti][s.left.ci]
 		if key, ok := hashKey(left, typeClass(s.probeType)); ok {
 			for _, ir := range h[key] {
 				if !tryRow(ir.id, ir.row) {
@@ -1699,7 +1415,7 @@ func (x *selExec) stepLeft(si int) (bool, error) {
 		return false, nil
 	}
 	if !matched {
-		x.full.tables[s.ti].row = x.nullRows[s.ti]
+		x.full[s.ti] = x.nullRows[s.ti]
 		x.ids[s.ti] = -1
 		return x.filterAndDescend(si)
 	}
@@ -1709,24 +1425,10 @@ func (x *selExec) stepLeft(si int) (bool, error) {
 // filterAndDescend applies the step's pushed predicates and residual
 // conditions to the current row, then recurses into the next step.
 func (x *selExec) filterAndDescend(si int) (bool, error) {
-	e := x.stepEnvs[si]
 	s := &x.p.steps[si]
-	for _, pred := range s.preds {
-		v, err := evalExpr(e, pred)
-		if err != nil {
-			return false, err
-		}
-		if !isTrue(v) {
-			return true, nil
-		}
-	}
-	for _, res := range s.residual {
-		v, err := evalExpr(e, res)
-		if err != nil {
-			return false, err
-		}
-		if !isTrue(v) {
-			return true, nil
+	for _, conds := range [2][]bexpr{s.preds, s.residual} {
+		if ok, err := x.p.prog.holds(conds, x.full); !ok {
+			return err == nil, err
 		}
 	}
 	return x.step(si + 1)
@@ -1741,7 +1443,9 @@ func (x *selExec) hashFor(si int) (map[string][]idRow, error) {
 	}
 	s := &x.p.steps[si]
 	h := make(map[string][]idRow)
-	scratch := singleEnv(x.p.refs[s.ti].EffectiveName(), x.p.schemas[s.ti], nil)
+	// The step's preds read only its own table, so a scratch
+	// environment holding just the candidate row evaluates them.
+	scratch := make(env, len(x.full))
 	class := typeClass(s.probeType)
 	var buildErr error
 	err := x.tx.Scan(x.p.refs[s.ti].Table, func(id int64, row []rdb.Value) bool {
@@ -1749,16 +1453,10 @@ func (x *selExec) hashFor(si int) (map[string][]idRow, error) {
 		if !ok {
 			return true // NULL join keys match nothing
 		}
-		scratch.tables[0].row = row
-		for _, pred := range s.preds {
-			v, err := evalExpr(scratch, pred)
-			if err != nil {
-				buildErr = err
-				return false
-			}
-			if !isTrue(v) {
-				return true
-			}
+		scratch[s.ti] = row
+		if ok, err := x.p.prog.holds(s.preds, scratch); !ok {
+			buildErr = err
+			return err == nil
 		}
 		h[key] = append(h[key], idRow{id: id, row: row})
 		return true
@@ -1780,7 +1478,7 @@ func (x *selExec) emit() (bool, error) {
 		// complete row, exactly as the baseline does after
 		// materializing the joins — same errors, same first error,
 		// same three-valued filtering.
-		v, err := evalExpr(x.full, x.p.st.Where)
+		v, err := x.p.prog.eval(x.p.where, x.full)
 		if err != nil {
 			return false, err
 		}
@@ -1794,10 +1492,7 @@ func (x *selExec) emit() (bool, error) {
 		// early stop — the first target rows in placement order are
 		// not the first in baseline order.
 		ids := append([]int64(nil), x.ids...)
-		rows := make([][]rdb.Value, len(x.full.tables))
-		for t := range x.full.tables {
-			rows[t] = x.full.tables[t].row
-		}
+		rows := append([][]rdb.Value(nil), x.full...)
 		x.collected = append(x.collected, collRow{ids: ids, rows: rows})
 		return true, nil
 	}
@@ -1820,8 +1515,8 @@ func (x *selExec) emitRow() (bool, error) {
 		return true, nil
 	}
 	if x.topk != nil {
-		for i, k := range x.topk.keys {
-			v, err := evalExpr(x.full, k.Expr)
+		for i, k := range x.p.keys {
+			v, err := x.p.prog.eval(k, x.full)
 			if err != nil {
 				return false, err // unreachable: heap requires infallible keys
 			}
@@ -1833,20 +1528,22 @@ func (x *selExec) emitRow() (bool, error) {
 		// rejection with zero allocations.
 		if x.topk.admits(x.keyBuf, x.seq) {
 			keys := append([]rdb.Value(nil), x.keyBuf...)
-			snap := make([]envTable, len(x.full.tables))
-			copy(snap, x.full.tables)
-			x.topk.add(topkRow{keys: keys, seq: x.seq, env: &env{tables: snap}})
+			x.topk.add(topkRow{keys: keys, seq: x.seq, env: append(env(nil), x.full...)})
 		}
 		x.seq++
 		return true, nil
 	}
 	if x.sorting {
-		snap := make([]envTable, len(x.full.tables))
-		copy(snap, x.full.tables)
-		x.envs = append(x.envs, &env{tables: snap})
+		x.envs = append(x.envs, append(env(nil), x.full...))
 		return true, nil
 	}
-	row, err := x.project(x.full)
+	// A streaming cursor projects into its one reused buffer; buffered
+	// execution retains rows, so each gets its own.
+	dst := x.buf
+	if x.out == nil {
+		dst = make([]rdb.Value, len(x.p.proj.items))
+	}
+	row, err := x.p.prog.project(x.p.proj, x.full, dst)
 	if err != nil {
 		return false, err
 	}
@@ -1894,6 +1591,7 @@ func (x *selExec) deliver(row []rdb.Value) (bool, error) {
 type aggItem struct {
 	fn   sqlparser.AggFunc
 	expr sqlparser.Expr
+	b    bexpr // expr bound (see aggPlan.bind)
 	gidx int
 }
 
@@ -1903,6 +1601,7 @@ type aggItem struct {
 // items, and finish truncates result rows to vis columns.
 type aggPlan struct {
 	groupBy []sqlparser.Expr
+	groupB  []bexpr // groupBy bound (see aggPlan.bind)
 	items   []aggItem
 	cols    []string
 	vis     int
@@ -2030,6 +1729,20 @@ func newAggPlan(st sqlparser.Select) (*aggPlan, error) {
 	return p, nil
 }
 
+// bind binds the GROUP BY keys and the aggregate arguments against the
+// fully joined row.
+func (ap *aggPlan) bind(p *prog, metas []tableMeta) {
+	ap.groupB = make([]bexpr, len(ap.groupBy))
+	for i, g := range ap.groupBy {
+		ap.groupB[i] = p.bind(g, metas)
+	}
+	for i := range ap.items {
+		if ap.items[i].expr != nil {
+			ap.items[i].b = p.bind(ap.items[i].expr, metas)
+		}
+	}
+}
+
 // havingExprMatch reports whether a HAVING aggregate argument names
 // the same column as an existing aggregate item's.
 func havingExprMatch(a, b sqlparser.Expr) bool {
@@ -2065,18 +1778,19 @@ type aggGroup struct {
 // since aggregation forces textual placement.
 type aggregator struct {
 	p      *aggPlan
+	prog   prog
 	order  []string
 	groups map[string]*aggGroup
 }
 
-func newAggregator(p *aggPlan) *aggregator {
-	return &aggregator{p: p, groups: map[string]*aggGroup{}}
+func newAggregator(p *aggPlan, pr prog) *aggregator {
+	return &aggregator{p: p, prog: pr, groups: map[string]*aggGroup{}}
 }
 
-func (a *aggregator) add(e *env) error {
-	keys := make([]rdb.Value, len(a.p.groupBy))
-	for i, g := range a.p.groupBy {
-		v, err := evalExpr(e, g)
+func (a *aggregator) add(e env) error {
+	keys := make([]rdb.Value, len(a.p.groupB))
+	for i, g := range a.p.groupB {
+		v, err := a.prog.eval(g, e)
 		if err != nil {
 			return err
 		}
@@ -2098,7 +1812,7 @@ func (a *aggregator) add(e *env) error {
 			acc.count++ // COUNT(*) counts rows, NULLs included
 			continue
 		}
-		v, err := evalExpr(e, it.expr)
+		v, err := a.prog.eval(it.b, e)
 		if err != nil {
 			return err
 		}
@@ -2239,7 +1953,7 @@ func havingLexHolds(l, r string, op sqlparser.BinOp) bool {
 type topkRow struct {
 	keys []rdb.Value
 	seq  int
-	env  *env
+	env  env
 }
 
 // topkCollector keeps the first cap rows of the stable sort order in a
@@ -2310,21 +2024,31 @@ func (h *topkCollector) finish() []topkRow {
 	return h.items
 }
 
-// sortEnvs orders materialized rows by the ORDER BY keys. The first
-// evaluation error wins — earlier versions let later comparisons
-// overwrite it, losing errors raised by all but the last failing key.
-func sortEnvs(envs []*env, keys []sqlparser.OrderKey) error {
+// bindKeys binds the ORDER BY expressions against the fully joined row.
+func (p *prog) bindKeys(keys []sqlparser.OrderKey, metas []tableMeta) []bexpr {
+	out := make([]bexpr, len(keys))
+	for i, k := range keys {
+		out[i] = p.bind(k.Expr, metas)
+	}
+	return out
+}
+
+// sortEnvs orders materialized rows by the ORDER BY keys (bound as
+// kb). The first evaluation error wins — earlier versions let later
+// comparisons overwrite it, losing errors raised by all but the last
+// failing key.
+func (p prog) sortEnvs(envs []env, kb []bexpr, keys []sqlparser.OrderKey) error {
 	var sortErr error
 	sort.SliceStable(envs, func(i, j int) bool {
-		for _, k := range keys {
-			a, err := evalExpr(envs[i], k.Expr)
+		for ki, k := range keys {
+			a, err := p.eval(kb[ki], envs[i])
 			if err != nil {
 				if sortErr == nil {
 					sortErr = err
 				}
 				return false
 			}
-			b, err := evalExpr(envs[j], k.Expr)
+			b, err := p.eval(kb[ki], envs[j])
 			if err != nil {
 				if sortErr == nil {
 					sortErr = err
@@ -2358,21 +2082,20 @@ func SelectNaive(tx *rdb.Tx, st sqlparser.Select) (*ResultSet, error) {
 	for _, j := range st.Joins {
 		refs = append(refs, j.Ref)
 	}
-	schemas := make([]*rdb.TableSchema, len(refs))
+	metas := make([]tableMeta, len(refs))
 	for i, r := range refs {
 		s, err := tx.Schema(r.Table)
 		if err != nil {
 			return nil, err
 		}
-		schemas[i] = s
+		metas[i] = newTableMeta(r, s)
 	}
+	var pr prog
 
-	var envs []*env
+	var envs []env
 	// Seed with the FROM table.
 	err := tx.Scan(st.From.Table, func(_ int64, row []rdb.Value) bool {
-		envs = append(envs, &env{tables: []envTable{{
-			name: strings.ToLower(st.From.EffectiveName()), schema: schemas[0], row: row,
-		}}})
+		envs = append(envs, env{row})
 		return true
 	})
 	if err != nil {
@@ -2386,16 +2109,15 @@ func SelectNaive(tx *rdb.Tx, st sqlparser.Select) (*ResultSet, error) {
 		}); err != nil {
 			return nil, err
 		}
-		name := strings.ToLower(j.Ref.EffectiveName())
-		nullRow := make([]rdb.Value, len(schemas[ji+1].Columns))
-		var next []*env
+		// ON sees the tables joined so far plus this one.
+		on := pr.bind(j.On, metas[:ji+2])
+		nullRow := make([]rdb.Value, len(metas[ji+1].schema.Columns))
+		var next []env
 		for _, base := range envs {
 			matched := false
 			for _, row := range joinRows {
-				cand := &env{tables: append(append([]envTable{}, base.tables...), envTable{
-					name: name, schema: schemas[ji+1], row: row,
-				})}
-				v, err := evalExpr(cand, j.On)
+				cand := append(append(make(env, 0, len(base)+1), base...), row)
+				v, err := pr.eval(on, cand)
 				if err != nil {
 					return nil, err
 				}
@@ -2407,18 +2129,17 @@ func SelectNaive(tx *rdb.Tx, st sqlparser.Select) (*ResultSet, error) {
 			if !matched && j.LeftOuter {
 				// LEFT OUTER JOIN: the unmatched outer row survives,
 				// NULL-extended.
-				next = append(next, &env{tables: append(append([]envTable{}, base.tables...), envTable{
-					name: name, schema: schemas[ji+1], row: nullRow,
-				})})
+				next = append(next, append(append(make(env, 0, len(base)+1), base...), nullRow))
 			}
 		}
 		envs = next
 	}
 
 	if st.Where != nil {
-		var kept []*env
+		where := pr.bind(st.Where, metas)
+		var kept []env
 		for _, e := range envs {
-			v, err := evalExpr(e, st.Where)
+			v, err := pr.eval(where, e)
 			if err != nil {
 				return nil, err
 			}
@@ -2440,7 +2161,8 @@ func SelectNaive(tx *rdb.Tx, st sqlparser.Select) (*ResultSet, error) {
 	if ap, err := newAggPlan(st); err != nil {
 		return nil, err
 	} else if ap != nil {
-		agg := newAggregator(ap)
+		ap.bind(&pr, metas)
+		agg := newAggregator(ap, pr)
 		for _, e := range envs {
 			if err := agg.add(e); err != nil {
 				return nil, err
@@ -2451,19 +2173,17 @@ func SelectNaive(tx *rdb.Tx, st sqlparser.Select) (*ResultSet, error) {
 
 	// ORDER BY before projection so keys may use any column.
 	if len(st.OrderBy) > 0 {
-		if err := sortEnvs(envs, st.OrderBy); err != nil {
+		kb := pr.bindKeys(st.OrderBy, metas)
+		if err := pr.sortEnvs(envs, kb, st.OrderBy); err != nil {
 			return nil, err
 		}
 	}
 
 	// Projection.
-	cols, project, err := buildProjection(st, schemas, refs)
-	if err != nil {
-		return nil, err
-	}
-	rs := &ResultSet{Columns: cols}
+	pj := pr.bindProjection(st, metas)
+	rs := &ResultSet{Columns: pj.cols}
 	for _, e := range envs {
-		row, err := project(e)
+		row, err := pr.project(pj, e, make([]rdb.Value, len(pj.items)))
 		if err != nil {
 			return nil, err
 		}
@@ -2510,58 +2230,4 @@ func compareForSort(a, b rdb.Value) int {
 		return c
 	}
 	return strings.Compare(a.String(), b.String())
-}
-
-// buildProjection computes the output column names and a projector
-// function from the select items.
-func buildProjection(st sqlparser.Select, schemas []*rdb.TableSchema, refs []sqlparser.TableRef) ([]string, func(*env) ([]rdb.Value, error), error) {
-	multi := len(refs) > 1
-	var cols []string
-	type getter func(*env) (rdb.Value, error)
-	var getters []getter
-
-	for _, item := range st.Items {
-		switch {
-		case item.Star:
-			for ti, s := range schemas {
-				prefix := ""
-				if multi {
-					prefix = strings.ToLower(refs[ti].EffectiveName()) + "."
-				}
-				for ci := range s.Columns {
-					cols = append(cols, prefix+s.Columns[ci].Name)
-					ti2, ci2 := ti, ci
-					getters = append(getters, func(e *env) (rdb.Value, error) {
-						return e.tables[ti2].row[ci2], nil
-					})
-				}
-			}
-		default:
-			name := item.Alias
-			if name == "" {
-				if cr, ok := item.Expr.(sqlparser.ColRef); ok {
-					name = cr.Column
-				} else {
-					name = fmt.Sprintf("expr%d", len(cols)+1)
-				}
-			}
-			cols = append(cols, name)
-			expr := item.Expr
-			getters = append(getters, func(e *env) (rdb.Value, error) {
-				return evalExpr(e, expr)
-			})
-		}
-	}
-	project := func(e *env) ([]rdb.Value, error) {
-		row := make([]rdb.Value, len(getters))
-		for i, g := range getters {
-			v, err := g(e)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		return row, nil
-	}
-	return cols, project, nil
 }

@@ -48,87 +48,7 @@ INSERT INTO publication_author (publication, author) VALUES
 func TestStreamingMatchesNaive(t *testing.T) {
 	db := paperDB(t)
 	seedJoinData(t, db)
-	queries := []string{
-		// base scans and pushdown
-		`SELECT id, lastname FROM author`,
-		`SELECT id FROM author WHERE team = 1`,      // secondary-index base probe
-		`SELECT id, name FROM team WHERE id = 2`,    // pk base probe
-		`SELECT id FROM team WHERE id = 99`,         // pk miss
-		`SELECT id FROM author WHERE email IS NULL`, // IS NULL filter
-		`SELECT id FROM author WHERE email IS NOT NULL AND team = 1`,
-		`SELECT id FROM author WHERE id = 2.0`, // integral float probes the pk
-		`SELECT id FROM author WHERE id = 2.5`, // unsatisfiable typed equality
-		// joins: pk probe, secondary probe, hash, nested
-		`SELECT a.lastname, t.name FROM author a JOIN team t ON a.team = t.id`,
-		`SELECT t.name, a.lastname FROM team t JOIN author a ON a.team = t.id`,
-		`SELECT a.lastname, t.code FROM author a JOIN team t ON t.id = a.team WHERE t.name = 'Software Engineering'`,
-		`SELECT t.name, p.name FROM team t JOIN publisher p ON t.name = p.name`, // hash join (no index on name)
-		`SELECT a.id, t.id FROM author a JOIN team t ON a.id < t.id`,            // nested fallback (non-equi)
-		`SELECT p.title, a.lastname FROM publication p JOIN publication_author pa ON pa.publication = p.id JOIN author a ON a.id = pa.author`,
-		`SELECT p.title, a.lastname FROM publication p JOIN publication_author pa ON pa.publication = p.id JOIN author a ON a.id = pa.author WHERE p.year = 2009`,
-		// unqualified columns across joins
-		`SELECT lastname, code FROM author a JOIN team t ON a.team = t.id WHERE firstname = 'Matthias'`,
-		// modifiers
-		`SELECT DISTINCT t.name FROM author a JOIN team t ON a.team = t.id`,
-		`SELECT id FROM author ORDER BY lastname DESC`,
-		`SELECT id, email FROM author ORDER BY email, id DESC`, // NULLs first, tie-broken
-		`SELECT id FROM author ORDER BY team, lastname LIMIT 2`,
-		`SELECT id FROM author LIMIT 2`,
-		`SELECT id FROM author LIMIT 2 OFFSET 1`,
-		`SELECT id FROM author LIMIT 0`,
-		`SELECT id FROM author OFFSET 2`,
-		`SELECT DISTINCT team FROM author LIMIT 1`,
-		`SELECT COUNT(*) FROM author WHERE team = 1`,
-		`SELECT COUNT(*) AS n FROM author a JOIN team t ON a.team = t.id`,
-		`SELECT lastname FROM author WHERE lastname LIKE '%er%'`,
-		`SELECT id FROM publication WHERE year IN (2008, 2010) ORDER BY id`,
-		// comparison pushdown (the compiled FILTER shapes)
-		`SELECT id FROM publication WHERE year > 2008`,
-		`SELECT id FROM publication WHERE year >= 2008 AND year <> 2009`,
-		`SELECT p.id, a.id FROM publication p JOIN publication_author pa ON pa.publication = p.id JOIN author a ON a.id = pa.author WHERE p.year <= 2009`,
-		`SELECT id FROM team WHERE name < code`,
-		// top-K heap: ORDER BY + LIMIT/OFFSET, ties at the boundary,
-		// DESC keys, exceeding limits, LIMIT 0
-		`SELECT id FROM team ORDER BY name LIMIT 2`, // two teams tie on the key
-		`SELECT id FROM team ORDER BY name LIMIT 1 OFFSET 1`,
-		`SELECT id FROM author ORDER BY team DESC, lastname LIMIT 2 OFFSET 1`,
-		`SELECT a.id, t.id FROM author a JOIN team t ON a.team = t.id ORDER BY t.name DESC, a.id LIMIT 3`,
-		`SELECT id, email FROM author ORDER BY email LIMIT 10 OFFSET 2`, // NULL keys inside the heap
-		`SELECT id FROM author ORDER BY lastname LIMIT 0`,
-		`SELECT id FROM publication WHERE year > 2008 ORDER BY year DESC, id LIMIT 2`,
-		// offset+limit overflowing int must not produce a bogus heap
-		// capacity; the full-sort path takes over
-		`SELECT id FROM author ORDER BY lastname LIMIT 9223372036854775806 OFFSET 2`,
-		// deferred WHERE: fallible conjuncts evaluate per joined row
-		`SELECT id FROM team WHERE id = 99 AND name = 5`,
-		`SELECT a.id FROM author a JOIN team t ON a.team = t.id WHERE t.name = 5`,
-		// LEFT OUTER JOIN: pk probe, secondary probe, hash, non-equi
-		// scan, extra ON conjuncts, WHERE after the null extension
-		`SELECT a.lastname, t.name FROM author a LEFT JOIN team t ON a.team = t.id`,
-		`SELECT a.lastname, t.name FROM author a LEFT OUTER JOIN team t ON a.team = t.id`,
-		`SELECT t.id, a.id FROM team t LEFT JOIN author a ON a.team = t.id`,
-		`SELECT t.name, p.name FROM team t LEFT JOIN publisher p ON t.name = p.name`,
-		`SELECT a.id, t.id FROM author a LEFT JOIN team t ON a.id < t.id`,
-		`SELECT a.id, t.id FROM author a LEFT JOIN team t ON a.team = t.id AND t.name = 'Software Engineering'`,
-		`SELECT a.lastname FROM author a LEFT JOIN team t ON a.team = t.id WHERE t.name IS NULL`,
-		`SELECT a.lastname, t.code FROM author a LEFT JOIN team t ON a.team = t.id WHERE t.code = 'SEAL'`,
-		`SELECT a.id, t.id FROM author a LEFT JOIN team t ON a.team = t.id ORDER BY t.id DESC, a.id LIMIT 3`,
-		`SELECT p.title, pa.author FROM publication p LEFT JOIN publication_author pa ON pa.publication = p.id JOIN author a ON a.team = 1`,
-		`SELECT COUNT(*) AS n FROM author a LEFT JOIN team t ON a.team = t.id`,
-		// aggregates and GROUP BY, with and without matching rows
-		`SELECT COUNT(*) AS n, MIN(year) AS mn, MAX(year) AS mx, SUM(year) AS s, AVG(year) AS a FROM publication`,
-		`SELECT COUNT(email) AS ne FROM author`,
-		`SELECT type, COUNT(*) AS n FROM publication GROUP BY type`,
-		`SELECT team, COUNT(email) AS ne, MIN(lastname) AS mn FROM author GROUP BY team`,
-		`SELECT t.name, COUNT(*) AS n FROM author a JOIN team t ON a.team = t.id GROUP BY t.name`,
-		`SELECT t.name, COUNT(a.email) AS n FROM team t LEFT JOIN author a ON a.team = t.id GROUP BY t.name`,
-		`SELECT AVG(year) AS a FROM publication WHERE year > 2100`,
-		`SELECT type, COUNT(*) AS n FROM publication WHERE year > 2100 GROUP BY type`,
-		`SELECT SUM(lastname) AS s FROM author`,                           // non-numeric: error in both
-		`SELECT lastname, COUNT(*) AS n FROM author`,                      // non-grouped item: error in both
-		`SELECT MAX(year) AS m FROM publication GROUP BY type ORDER BY m`, // modifier clash: error in both
-	}
-	for _, q := range queries {
+	for _, q := range selectBattery {
 		q := q
 		t.Run(q, func(t *testing.T) {
 			stmt, err := sqlparser.ParseStatement(q)
@@ -163,6 +83,89 @@ func TestStreamingMatchesNaive(t *testing.T) {
 			}
 		})
 	}
+}
+
+// selectBattery covers every access path of the streaming planner over
+// the seedJoinData tables.
+var selectBattery = []string{
+	// base scans and pushdown
+	`SELECT id, lastname FROM author`,
+	`SELECT id FROM author WHERE team = 1`,      // secondary-index base probe
+	`SELECT id, name FROM team WHERE id = 2`,    // pk base probe
+	`SELECT id FROM team WHERE id = 99`,         // pk miss
+	`SELECT id FROM author WHERE email IS NULL`, // IS NULL filter
+	`SELECT id FROM author WHERE email IS NOT NULL AND team = 1`,
+	`SELECT id FROM author WHERE id = 2.0`, // integral float probes the pk
+	`SELECT id FROM author WHERE id = 2.5`, // unsatisfiable typed equality
+	// joins: pk probe, secondary probe, hash, nested
+	`SELECT a.lastname, t.name FROM author a JOIN team t ON a.team = t.id`,
+	`SELECT t.name, a.lastname FROM team t JOIN author a ON a.team = t.id`,
+	`SELECT a.lastname, t.code FROM author a JOIN team t ON t.id = a.team WHERE t.name = 'Software Engineering'`,
+	`SELECT t.name, p.name FROM team t JOIN publisher p ON t.name = p.name`, // hash join (no index on name)
+	`SELECT a.id, t.id FROM author a JOIN team t ON a.id < t.id`,            // nested fallback (non-equi)
+	`SELECT p.title, a.lastname FROM publication p JOIN publication_author pa ON pa.publication = p.id JOIN author a ON a.id = pa.author`,
+	`SELECT p.title, a.lastname FROM publication p JOIN publication_author pa ON pa.publication = p.id JOIN author a ON a.id = pa.author WHERE p.year = 2009`,
+	// unqualified columns across joins
+	`SELECT lastname, code FROM author a JOIN team t ON a.team = t.id WHERE firstname = 'Matthias'`,
+	// modifiers
+	`SELECT DISTINCT t.name FROM author a JOIN team t ON a.team = t.id`,
+	`SELECT id FROM author ORDER BY lastname DESC`,
+	`SELECT id, email FROM author ORDER BY email, id DESC`, // NULLs first, tie-broken
+	`SELECT id FROM author ORDER BY team, lastname LIMIT 2`,
+	`SELECT id FROM author LIMIT 2`,
+	`SELECT id FROM author LIMIT 2 OFFSET 1`,
+	`SELECT id FROM author LIMIT 0`,
+	`SELECT id FROM author OFFSET 2`,
+	`SELECT DISTINCT team FROM author LIMIT 1`,
+	`SELECT COUNT(*) FROM author WHERE team = 1`,
+	`SELECT COUNT(*) AS n FROM author a JOIN team t ON a.team = t.id`,
+	`SELECT lastname FROM author WHERE lastname LIKE '%er%'`,
+	`SELECT id FROM publication WHERE year IN (2008, 2010) ORDER BY id`,
+	// comparison pushdown (the compiled FILTER shapes)
+	`SELECT id FROM publication WHERE year > 2008`,
+	`SELECT id FROM publication WHERE year >= 2008 AND year <> 2009`,
+	`SELECT p.id, a.id FROM publication p JOIN publication_author pa ON pa.publication = p.id JOIN author a ON a.id = pa.author WHERE p.year <= 2009`,
+	`SELECT id FROM team WHERE name < code`,
+	// top-K heap: ORDER BY + LIMIT/OFFSET, ties at the boundary,
+	// DESC keys, exceeding limits, LIMIT 0
+	`SELECT id FROM team ORDER BY name LIMIT 2`, // two teams tie on the key
+	`SELECT id FROM team ORDER BY name LIMIT 1 OFFSET 1`,
+	`SELECT id FROM author ORDER BY team DESC, lastname LIMIT 2 OFFSET 1`,
+	`SELECT a.id, t.id FROM author a JOIN team t ON a.team = t.id ORDER BY t.name DESC, a.id LIMIT 3`,
+	`SELECT id, email FROM author ORDER BY email LIMIT 10 OFFSET 2`, // NULL keys inside the heap
+	`SELECT id FROM author ORDER BY lastname LIMIT 0`,
+	`SELECT id FROM publication WHERE year > 2008 ORDER BY year DESC, id LIMIT 2`,
+	// offset+limit overflowing int must not produce a bogus heap
+	// capacity; the full-sort path takes over
+	`SELECT id FROM author ORDER BY lastname LIMIT 9223372036854775806 OFFSET 2`,
+	// deferred WHERE: fallible conjuncts evaluate per joined row
+	`SELECT id FROM team WHERE id = 99 AND name = 5`,
+	`SELECT a.id FROM author a JOIN team t ON a.team = t.id WHERE t.name = 5`,
+	// LEFT OUTER JOIN: pk probe, secondary probe, hash, non-equi
+	// scan, extra ON conjuncts, WHERE after the null extension
+	`SELECT a.lastname, t.name FROM author a LEFT JOIN team t ON a.team = t.id`,
+	`SELECT a.lastname, t.name FROM author a LEFT OUTER JOIN team t ON a.team = t.id`,
+	`SELECT t.id, a.id FROM team t LEFT JOIN author a ON a.team = t.id`,
+	`SELECT t.name, p.name FROM team t LEFT JOIN publisher p ON t.name = p.name`,
+	`SELECT a.id, t.id FROM author a LEFT JOIN team t ON a.id < t.id`,
+	`SELECT a.id, t.id FROM author a LEFT JOIN team t ON a.team = t.id AND t.name = 'Software Engineering'`,
+	`SELECT a.lastname FROM author a LEFT JOIN team t ON a.team = t.id WHERE t.name IS NULL`,
+	`SELECT a.lastname, t.code FROM author a LEFT JOIN team t ON a.team = t.id WHERE t.code = 'SEAL'`,
+	`SELECT a.id, t.id FROM author a LEFT JOIN team t ON a.team = t.id ORDER BY t.id DESC, a.id LIMIT 3`,
+	`SELECT p.title, pa.author FROM publication p LEFT JOIN publication_author pa ON pa.publication = p.id JOIN author a ON a.team = 1`,
+	`SELECT COUNT(*) AS n FROM author a LEFT JOIN team t ON a.team = t.id`,
+	// aggregates and GROUP BY, with and without matching rows
+	`SELECT COUNT(*) AS n, MIN(year) AS mn, MAX(year) AS mx, SUM(year) AS s, AVG(year) AS a FROM publication`,
+	`SELECT COUNT(email) AS ne FROM author`,
+	`SELECT type, COUNT(*) AS n FROM publication GROUP BY type`,
+	`SELECT team, COUNT(email) AS ne, MIN(lastname) AS mn FROM author GROUP BY team`,
+	`SELECT t.name, COUNT(*) AS n FROM author a JOIN team t ON a.team = t.id GROUP BY t.name`,
+	`SELECT t.name, COUNT(a.email) AS n FROM team t LEFT JOIN author a ON a.team = t.id GROUP BY t.name`,
+	`SELECT AVG(year) AS a FROM publication WHERE year > 2100`,
+	`SELECT type, COUNT(*) AS n FROM publication WHERE year > 2100 GROUP BY type`,
+	`SELECT SUM(lastname) AS s FROM author`,                           // non-numeric: error in both
+	`SELECT lastname, COUNT(*) AS n FROM author`,                      // non-grouped item: error in both
+	`SELECT MAX(year) AS m FROM publication GROUP BY type ORDER BY m`, // modifier clash: error in both
 }
 
 // TestStreamingErrorParity checks that planning does not swallow the
@@ -633,4 +636,150 @@ CREATE TABLE r (id INTEGER PRIMARY KEY, v DOUBLE);
 		}
 		return nil
 	})
+}
+
+// errText renders an error for comparison; "" for none.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// streamSelect runs a SELECT through the streaming cursor, copying each
+// row, with placement forced textual or left to the cost-based planner.
+func streamSelect(tx *rdb.Tx, sel sqlparser.Select, textual bool) ([][]rdb.Value, error) {
+	p, err := planSelectMode(tx, sel, textual)
+	if err != nil {
+		return nil, err
+	}
+	var rows [][]rdb.Value
+	err = p.runStream(tx, func([]string) error { return nil }, func(vals []rdb.Value) (bool, error) {
+		rows = append(rows, append([]rdb.Value(nil), vals...))
+		return true, nil
+	})
+	return rows, err
+}
+
+// TestNameResolutionErrorParity pins that slot binding keeps column
+// resolution errors lazy and identical: an unknown column, unknown
+// alias, unknown qualified column or ambiguous unqualified column in
+// the WHERE, an ON or the SELECT list fails with the same text in the
+// streamed cursor (textual and cost-based), Select, SelectTextual and
+// SelectNaive — and over tables with no rows to evaluate it on, fails
+// nowhere.
+func TestNameResolutionErrorParity(t *testing.T) {
+	const join = ` FROM author a JOIN team t ON a.team = t.id`
+	queries := []string{
+		// WHERE
+		`SELECT id FROM author WHERE nosuch = 1`,
+		`SELECT id FROM author WHERE x.id = 1`,
+		`SELECT id FROM author a WHERE a.nosuch = 1`,
+		`SELECT a.id` + join + ` WHERE nosuch = 1`,
+		`SELECT a.id` + join + ` WHERE x.id = 1`,
+		`SELECT a.id` + join + ` WHERE id = 1`,
+		`SELECT a.id` + join + ` WHERE t.nosuch IS NULL`,
+		// ON (including a forward reference to a later table)
+		`SELECT a.id` + join + ` AND nosuch = 1`,
+		`SELECT a.id FROM author a JOIN team t ON a.team = x.id`,
+		`SELECT a.id FROM author a JOIN team t ON a.team = id`,
+		`SELECT a.id FROM author a JOIN team t ON a.team = t.nosuch`,
+		`SELECT a.id FROM author a JOIN team t ON a.team = p.id JOIN publisher p ON p.id = t.id`,
+		`SELECT a.id FROM author a LEFT JOIN team t ON a.team = t.id AND t.nosuch = 1`,
+		// SELECT list
+		`SELECT nosuch FROM author`,
+		`SELECT x.id FROM author`,
+		`SELECT a.nosuch FROM author a`,
+		`SELECT nosuch` + join,
+		`SELECT x.id` + join,
+		`SELECT id` + join,
+		`SELECT a.id, t.nosuch` + join,
+		`SELECT DISTINCT id` + join + ` LIMIT 1`,
+	}
+	seeded := paperDB(t)
+	seedJoinData(t, seeded)
+	outerOnly := paperDB(t) // authors, but no team to join them to
+	if _, err := Run(outerOnly, `INSERT INTO author (id, lastname) VALUES (1, 'Hert'), (2, 'Reif');`); err != nil {
+		t.Fatal(err)
+	}
+	dbs := []struct {
+		name string
+		db   *rdb.Database
+	}{{"empty", paperDB(t)}, {"outer-only", outerOnly}, {"seeded", seeded}}
+	for _, d := range dbs {
+		for _, q := range queries {
+			stmt, err := sqlparser.ParseStatement(q)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			sel := stmt.(sqlparser.Select)
+			d.db.View(func(tx *rdb.Tx) error {
+				_, nerr := SelectNaive(tx, sel)
+				want := errText(nerr)
+				if d.name == "empty" && want != "" {
+					t.Errorf("%s on %s: naive failed with no rows to evaluate: %v", q, d.name, nerr)
+				}
+				if d.name == "seeded" && want == "" {
+					t.Errorf("%s on %s: expected a resolution error", q, d.name)
+				}
+				_, serr := Select(tx, sel)
+				_, terr := SelectTextual(tx, sel)
+				_, cerr := streamSelect(tx, sel, false)
+				_, xerr := streamSelect(tx, sel, true)
+				for _, got := range []struct {
+					path string
+					err  error
+				}{{"Select", serr}, {"SelectTextual", terr}, {"streamed", cerr}, {"streamed textual", xerr}} {
+					if errText(got.err) != want {
+						t.Errorf("%s on %s: %s error %q, naive %q", q, d.name, got.path, errText(got.err), want)
+					}
+				}
+				return nil
+			})
+		}
+	}
+}
+
+// TestSelectFuncRowLifetime pins the cursor's row contract: vals is one
+// buffer reused for every row, so a consumer that copies each row sees
+// exactly Select's rows, and one that keeps the slice itself sees it
+// overwritten.
+func TestSelectFuncRowLifetime(t *testing.T) {
+	db := paperDB(t)
+	seedJoinData(t, db)
+	for _, q := range selectBattery {
+		stmt, err := sqlparser.ParseStatement(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := stmt.(sqlparser.Select)
+		db.View(func(tx *rdb.Tx) error {
+			want, werr := Select(tx, sel)
+			var got [][]rdb.Value
+			gerr := SelectFunc(tx, sel, func([]string) error { return nil }, func(vals []rdb.Value) (bool, error) {
+				got = append(got, append([]rdb.Value(nil), vals...))
+				return true, nil
+			})
+			if errText(gerr) != errText(werr) {
+				t.Errorf("%s: SelectFunc error %v, Select %v", q, gerr, werr)
+				return nil
+			}
+			if werr == nil && len(got)+len(want.Rows) > 0 && !reflect.DeepEqual(got, want.Rows) {
+				t.Errorf("%s: copied rows %v, Select %v", q, got, want.Rows)
+			}
+			return nil
+		})
+	}
+
+	stmt, _ := sqlparser.ParseStatement(`SELECT id, lastname FROM author`)
+	var kept [][]rdb.Value
+	db.View(func(tx *rdb.Tx) error {
+		return SelectFunc(tx, stmt.(sqlparser.Select), func([]string) error { return nil }, func(vals []rdb.Value) (bool, error) {
+			kept = append(kept, vals)
+			return true, nil
+		})
+	})
+	if len(kept) != 4 || &kept[0][0] != &kept[3][0] {
+		t.Errorf("streamed rows do not share the cursor's buffer: %v", kept)
+	}
 }

@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race allocs cover crash-recovery metamorphic fuzz-smoke load-smoke bench bench-smoke bench-json bench-module clean
+.PHONY: ci fmt-check vet build test race allocs cover crash-recovery metamorphic fuzz-smoke bench-module clean
 
-ci: fmt-check vet build race allocs cover crash-recovery metamorphic fuzz-smoke load-smoke bench-smoke bench-module
+ci: fmt-check vet build race allocs cover crash-recovery metamorphic fuzz-smoke bench-module
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -25,10 +25,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The allocation gates: per-request and per-row allocation ceilings of
-# the read path (core) and the streamed executor (sqlexec). They are
-# built `!race` — the race detector changes allocation counts — so the
-# race run above skips them.
+# The allocation gates: per-request ceilings of the read and write
+# paths (core) and per-row ceilings of the streamed executor
+# (sqlexec). They are built `!race` — the race detector changes
+# allocation counts — so the race run above skips them.
 allocs:
 	$(GO) test -run 'Allocs' ./internal/core ./internal/rdb/sqlexec
 
@@ -72,39 +72,11 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzStatsInvariant -fuzztime 10s -run '^$$' ./internal/rdb
 	$(GO) test -fuzz FuzzShardedPublish -fuzztime 10s -run '^$$' ./internal/rdb
 
-# The HTTP load gate: the closed-loop harness (mixed reads/writes over
-# a live endpoint with shedding and deadlines armed) must come back
-# clean at low load — percentiles populated, nothing shed or timed out.
-load-smoke:
-	$(GO) test -run TestLoadSmoke -v .
-
-# One iteration of every benchmark: catches bit-rot without timing.
-bench-smoke:
-	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
-
 # The benchmark (bench/) is its own module, so `./...` above never
 # builds it: vet and test it against the program it links.
 bench-module:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
-
-# The real measurement run (B-series + E-series).
-bench:
-	$(GO) test -bench . -benchmem -run '^$$' .
-
-# Machine-readable benchmark record: runs the E- and B-series and
-# writes BENCH_E.json / BENCH_B.json (ns/op, allocs, custom metrics
-# like ops/sec) so the perf trajectory is recorded per PR. BENCHTIME
-# trades accuracy for speed: CI uses a short run to keep the gate
-# fast; use >=1s locally for numbers worth quoting.
-BENCHTIME ?= 100x
-# Concurrency benchmarks (B7 writer/reader throughput, B11 batched
-# same-table writes, B15 fsync batching) additionally sweep -cpu so
-# BENCH_B.json records a scaling curve, not just the 1-core story.
-CONCBENCH = BenchmarkB(7|11|15)_
-bench-json:
-	( $(GO) test -bench 'Benchmark[EB][0-9]' -skip '$(CONCBENCH)' -benchmem -benchtime $(BENCHTIME) -run '^$$' . && \
-	  $(GO) test -bench '$(CONCBENCH)' -benchmem -benchtime $(BENCHTIME) -cpu 1,2,4,8 -run '^$$' . ) | $(GO) run ./cmd/benchjson -dir .
 
 clean:
 	$(GO) clean ./...

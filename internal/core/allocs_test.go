@@ -71,3 +71,43 @@ func TestReadPathAllocs(t *testing.T) {
 		t.Errorf("exec stats = %d compiled, %d fallback; the gated reads must hit compiled plans", compiled, fallback)
 	}
 }
+
+// TestWritePathAllocs gates the allocations of a plan-cache-hit,
+// pk-pinned keyed MODIFY through ExecuteString on a memory mediator:
+// parse memo and bound plan both hit, and the scheduler commits it
+// under one key shard. The two request strings alternate, so every run
+// rewrites the mailbox. The ceiling is the count the write path had
+// when this gate was added (112 on go1.24).
+func TestWritePathAllocs(t *testing.T) {
+	m := paperMediator(t, Options{})
+	mustExec(t, m, listing15)
+	modify := func(box string) string {
+		return paperPrologue + `MODIFY DELETE { ex:author6 foaf:mbox ?m . } INSERT { ex:author6 foaf:mbox <mailto:` +
+			box + `@example.org> . } WHERE { ex:author6 foaf:mbox ?m . }`
+	}
+	reqs := [2]string{modify("a"), modify("b")}
+	for _, r := range reqs {
+		mustExec(t, m, r)
+	}
+	parses, plans, sched := m.ParseCacheStats(), m.ModifyPlanCacheStats(), m.SchedulerStats()
+	const runs = 200
+	i := 0
+	got := testing.AllocsPerRun(runs, func() {
+		i++
+		if _, err := m.ExecuteString(reqs[i%2]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 112 {
+		t.Errorf("keyed MODIFY: %v allocs, ceiling 112", got)
+	}
+	if hits := m.ParseCacheStats().Hits - parses.Hits; hits < runs {
+		t.Errorf("parse memo hits = %d over %d runs; the gated writes must reuse the bound plan", hits, runs)
+	}
+	if s := m.ModifyPlanCacheStats(); s.Misses != plans.Misses {
+		t.Errorf("modify plan cache missed %d times; the gated writes must not recompile", s.Misses-plans.Misses)
+	}
+	if s := m.SchedulerStats(); s.KeyedFallbacks != 0 || s.WholeTableBatches != sched.WholeTableBatches {
+		t.Errorf("scheduler stats = %+v; the gated writes must stay keyed", s)
+	}
+}

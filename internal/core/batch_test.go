@@ -249,8 +249,8 @@ INSERT DATA {
 	}
 }
 
-// TestUnbatchedOptionBypassesScheduler pins the ablation contract the
-// B11 benchmark relies on.
+// TestUnbatchedOptionBypassesScheduler pins the contract the
+// unbatched reference path relies on: it never enters the scheduler.
 func TestUnbatchedOptionBypassesScheduler(t *testing.T) {
 	m := paperMediator(t, Options{DisableWriteBatching: true})
 	mustExec(t, m, seedTeam5)

@@ -218,7 +218,7 @@ func TestListing15TranslatesToListing16(t *testing.T) {
 	}
 }
 
-// TestUnsortedExecutionFailsSortedSucceeds is experiment B2's core
+// TestUnsortedExecutionFailsSortedSucceeds is the sort ablation's
 // assertion: without Algorithm 1 step five the Listing 15 request
 // fails under immediate FK checking.
 func TestUnsortedExecutionFailsSortedSucceeds(t *testing.T) {

@@ -35,8 +35,11 @@ import (
 )
 
 // Options tune translation behaviour; the zero value is the paper's
-// behaviour plus the compiled-plan pipeline. The ablation flags exist
-// for the B-series benchmarks (B2, B3, B7, B8).
+// behaviour plus the compiled-plan pipeline. Each Disable flag turns
+// one step off: DisableSort and DisableModifyOptimization are the
+// paper's own ablations (Sections 5.1 and 5.2), and DisablePlanCache
+// and DisableWriteBatching select the uncompiled and unbatched paths
+// that the parity and differential tests use as their reference.
 type Options struct {
 	// DisableSort skips Algorithm 1 step five (foreign-key sorting of
 	// generated statements). With immediate constraint checking this
@@ -56,8 +59,8 @@ type Options struct {
 	// DisableWriteBatching turns off the group-commit scheduler:
 	// every compiled plan commits in its own transaction instead of
 	// being coalesced with concurrent operations that share its lock
-	// signature (see batch.go). The B11 benchmark measures the
-	// difference.
+	// signature (see batch.go). Tests compare batched results against
+	// this one-commit-per-operation path.
 	DisableWriteBatching bool
 }
 

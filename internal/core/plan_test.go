@@ -386,7 +386,7 @@ MODIFY
 DELETE { ?x foaf:mbox ?mbox . }
 INSERT { ?x foaf:mbox <mailto:hert@example.com> . }
 WHERE { ?x rdf:type foaf:Person ; foaf:firstName "Matthias" ; foaf:family_name "Hert" ; foaf:mbox ?mbox . }`,
-		// Constant-subject BGP (the B3/E6 shape), repeated for re-binding.
+		// Constant-subject BGP (a keyed mailbox rotation), repeated for re-binding.
 		paperPrologue + `
 MODIFY
 DELETE { ex:author6 foaf:mbox ?m . }

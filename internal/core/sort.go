@@ -18,8 +18,8 @@ import (
 //
 // Within one class the original generation order is preserved, so the
 // output is deterministic. With Options.DisableSort the statements
-// run in generation order, which the B2 ablation uses to demonstrate
-// the failure mode the paper describes.
+// run in generation order: the paper's ablation, which demonstrates
+// the failure mode Section 5.1 describes.
 func (m *Mediator) sortStatements(tx *rdb.Tx, stmts []plannedStmt) ([]plannedStmt, error) {
 	if m.opts.DisableSort || len(stmts) < 2 {
 		return stmts, nil

@@ -43,8 +43,11 @@ func get(t *testing.T, s *Server, query, accept string) *httptest.ResponseRecord
 // LIMIT/OFFSET, aggregates), OPTIONAL with unbound variables, UNION,
 // the uncompiled expression fallback, empty results, ASK and CONSTRUCT
 // — each in both the text table and SPARQL-results-JSON renderings.
+// The server runs with shedding and deadlines armed; this clean mixed
+// traffic must use both response modes and trip neither.
 func TestStreamedResponseParity(t *testing.T) {
-	s, m := newServer(t)
+	_, m := newServer(t)
+	s := NewWithOptions(m, Options{MaxInFlight: 32, RequestTimeout: 30 * time.Second})
 	ref, err := workload.NewMediator(core.Options{DisablePlanCache: true})
 	if err != nil {
 		t.Fatal(err)
@@ -138,6 +141,11 @@ func TestStreamedResponseParity(t *testing.T) {
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK || rec.Body.String() != turtle.Serialize(eg, rdf.CommonPrefixes()) {
 		t.Errorf("export Turtle parity broken (status %d)", rec.Code)
+	}
+
+	if st := s.Stats(); st.Streamed == 0 || st.Buffered == 0 || st.BytesWritten == 0 ||
+		st.Shed != 0 || st.TimedOut != 0 || st.Truncated != 0 {
+		t.Errorf("endpoint stats after clean mixed traffic: %+v", st)
 	}
 }
 

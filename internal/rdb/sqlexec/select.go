@@ -90,7 +90,7 @@ import (
 // DISTINCT, ORDER BY, LIMIT). A reordered plan therefore returns
 // byte-identical rows in byte-identical order to textual placement,
 // just faster. SelectTextual forces textual placement and is the
-// measurement baseline (BenchmarkB16_JoinOrdering).
+// reference the reordering parity tests compare against.
 //
 // LEFT OUTER JOIN runs in textual placement: per outer row, the
 // candidate rows stream through the join's ON conditions; if none
@@ -198,15 +198,14 @@ func execSelect(tx *rdb.Tx, st sqlparser.Select) (*ResultSet, error) {
 // Select executes a SELECT with the full optimized pipeline,
 // cost-based join ordering included — the exported twin of the
 // executor's internal entry point, paired with SelectTextual for the
-// join-ordering measurement.
+// join-ordering parity tests.
 func Select(tx *rdb.Tx, st sqlparser.Select) (*ResultSet, error) {
 	return execSelect(tx, st)
 }
 
 // SelectTextual executes a SELECT with cost-based join ordering
-// disabled: placement stays purely textual. It is the measurement
-// baseline for the join-ordering benchmark
-// (BenchmarkB16_JoinOrdering); results are byte-identical to
+// disabled: placement stays purely textual. It is the reference for
+// the join-ordering parity tests: results are byte-identical to
 // execSelect by the ordering contract.
 func SelectTextual(tx *rdb.Tx, st sqlparser.Select) (*ResultSet, error) {
 	p, err := planSelectMode(tx, st, true)
@@ -2073,9 +2072,8 @@ func (p prog) sortEnvs(envs []env, kb []bexpr, keys []sqlparser.OrderKey) error 
 // SelectNaive executes a SELECT with the original
 // materialize-everything nested-loop strategy: every table is scanned
 // in full, joins build the filtered cross product in memory, and
-// WHERE applies last. It is kept as the measurement baseline for the
-// streaming executor (BenchmarkB12_QueryJoin) and as a second referee
-// in differential tests.
+// WHERE applies last. It is kept as the referee the streaming
+// executor's differential tests compare against.
 func SelectNaive(tx *rdb.Tx, st sqlparser.Select) (*ResultSet, error) {
 	// Build the joined row set with nested loops.
 	refs := []sqlparser.TableRef{st.From}

@@ -23,7 +23,8 @@ type Solutions []Binding
 // selectivity before evaluation).
 type EvalOptions struct {
 	// NoReorder evaluates triple patterns in textual order, as a
-	// naive engine would; used by the B7 ablation benchmark.
+	// naive engine would: the reference the reordering tests compare
+	// results against.
 	NoReorder bool
 }
 

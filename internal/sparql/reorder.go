@@ -12,7 +12,8 @@ package sparql
 // The heuristic mirrors what production SPARQL engines do with
 // statistics they don't have: boundness is the only signal available
 // without cardinality estimates, and it already avoids the worst
-// cartesian orderings (see BenchmarkB7_JoinOrderAblation).
+// cartesian orderings (see chainQuery in the tests, where textual
+// order enumerates every edge before reaching the one constant).
 func reorderGroup(g *GroupPattern) *GroupPattern {
 	out := &GroupPattern{
 		Triples: reorderTriples(g.Triples),

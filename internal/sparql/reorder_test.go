@@ -94,8 +94,8 @@ func TestReorderShortPatternsUntouched(t *testing.T) {
 }
 
 // chainStore builds a store where naive left-to-right evaluation of
-// the benchmark query explodes (an unbound first pattern) while the
-// reordered plan starts from a constant.
+// chainQuery explodes (an unbound first pattern) while the reordered
+// plan starts from a constant.
 func chainStore(n int) *triplestore.Store {
 	store := triplestore.New()
 	for i := 0; i < n; i++ {
@@ -137,33 +137,4 @@ func TestChainQueryBothPlansAgree(t *testing.T) {
 	if fast[0]["a"] != slow[0]["a"] {
 		t.Errorf("results differ: %v vs %v", fast[0], slow[0])
 	}
-}
-
-// BenchmarkB7_JoinOrderAblation quantifies the reordering: the naive
-// plan enumerates every ex:p edge first; the reordered plan starts at
-// the single ex:r match.
-func BenchmarkB7_JoinOrderAblation(b *testing.B) {
-	store := chainStore(2000)
-	q, err := ParseQuery(chainQuery)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("Reordered", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sols, err := EvalWith(store, q, EvalOptions{})
-			if err != nil || len(sols) != 1 {
-				b.Fatalf("sols=%d err=%v", len(sols), err)
-			}
-		}
-	})
-	b.Run("TextualOrder", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sols, err := EvalWith(store, q, EvalOptions{NoReorder: true})
-			if err != nil || len(sols) != 1 {
-				b.Fatalf("sols=%d err=%v", len(sols), err)
-			}
-		}
-	})
 }

@@ -6,9 +6,9 @@
 //  1. It is the baseline comparator: the paper's introduction argues
 //     for mediation over native triple storage partly on performance
 //     and compatibility grounds (citing the Berlin SPARQL benchmark
-//     results, reference [7]). Benchmarks B1/B6 run the same update
-//     and query streams against this store and against the OntoAccess
-//     mediator.
+//     results, reference [7]). The differential tests run the same
+//     update and query streams against this store and against the
+//     OntoAccess mediator.
 //  2. It provides the reference semantics for SPARQL/Update: a MODIFY
 //     executed through the mediator must leave the exported RDF view
 //     of the database in the same state a native store would reach

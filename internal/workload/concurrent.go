@@ -9,13 +9,12 @@ import (
 )
 
 // ConcurrentStream drives the mixed write stream through one mediator
-// from several goroutines — the B7 experiment. Each worker owns a
-// disjoint id space (authors, publications), so its requests write
-// disjoint rows; the shared pools (teams, publishers, pubtypes) are
-// created once up front and only read afterwards, through foreign
-// keys. With the compiled-plan pipeline the mediator executes
-// disjoint-table writers in parallel and serializes same-table
-// writers on that table's lock.
+// from several goroutines. Each worker owns a disjoint id space
+// (authors, publications), so its requests write disjoint rows; the
+// shared pools (teams, publishers, pubtypes) are created once up front
+// and only read afterwards, through foreign keys. With the
+// compiled-plan pipeline the mediator executes disjoint-table writers
+// in parallel and serializes same-table writers on that table's lock.
 type ConcurrentStream struct {
 	// Workers is the number of goroutines Run starts.
 	Workers int
@@ -63,9 +62,9 @@ SELECT ?name WHERE { ex:team1 foaf:name ?name . }`,
 }
 
 // NewConcurrentModifyStream builds a driver whose workers execute the
-// MODIFY-heavy mix (ModifyHeavyStream) over disjoint id spaces — the
-// B7 MODIFY-mix experiment. Compiled MODIFYs on each worker's own
-// author rows run under per-table locks.
+// MODIFY-heavy mix (ModifyHeavyStream) over disjoint id spaces.
+// Compiled MODIFYs on each worker's own author rows run under
+// per-table locks.
 func NewConcurrentModifyStream(seed int64, workers, perWorker int) *ConcurrentStream {
 	if workers < 1 {
 		workers = 1
@@ -89,8 +88,8 @@ SELECT ?name WHERE { ex:team1 foaf:name ?name . }`,
 // interleaves every update of the standard mix with a query from a
 // pool of compiled shapes (point SELECT, multi-table join, ASK, and
 // the FILTER / ORDER BY / LIMIT shapes the pipeline compiles since
-// PR 5), so the read path dominates the request stream — the B7/B12
-// serving profile of a read-mostly endpoint. Queries run against
+// PR 5), so the read path dominates the request stream — the serving
+// profile of a read-mostly endpoint. Queries run against
 // lock-free snapshots and compiled query plans; the same seed yields
 // the same workload.
 func NewConcurrentQueryStream(seed int64, workers, perWorker int) *ConcurrentStream {
@@ -177,11 +176,10 @@ func (cs *ConcurrentStream) Run(m *core.Mediator) (int, error) {
 }
 
 // RunWithReaders executes the write streams like Run while `readers`
-// goroutines continuously evaluate cs.Query until the writers finish
-// — the B10 read-under-write experiment. Queries run against
-// lock-free database snapshots, so their throughput should stay at
-// idle-database levels regardless of the write stream. It returns the
-// number of update requests and of completed queries.
+// goroutines continuously evaluate cs.Query until the writers finish.
+// Queries run against lock-free database snapshots, so readers never
+// wait on the write stream. It returns the number of update requests
+// and of completed queries.
 func (cs *ConcurrentStream) RunWithReaders(m *core.Mediator, readers int) (int, int, error) {
 	stop := make(chan struct{})
 	var reads atomic.Int64

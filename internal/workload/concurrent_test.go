@@ -150,7 +150,7 @@ func TestConcurrentModifyStream(t *testing.T) {
 }
 
 // TestConcurrentStreamWithCacheOff is the same workload under the
-// whole-database lock (the control arm of B7).
+// whole-database lock (the paper's single-connection model).
 func TestConcurrentStreamWithCacheOff(t *testing.T) {
 	m, err := NewMediator(core.Options{DisablePlanCache: true})
 	if err != nil {

@@ -1,8 +1,8 @@
 // Package workload provides the paper's publication use case —
 // Figure 1 schema, Table 1 mapping, the listing data — and a
 // deterministic synthetic generator that scales the same shape up for
-// the benchmark suite (the paper's feasibility study uses a handful
-// of rows; the B-series experiments need 10²-10⁵).
+// the concurrency, differential and metamorphic tests (the paper's
+// feasibility study uses a handful of rows; those tests need more).
 package workload
 
 import (
@@ -354,7 +354,7 @@ WHERE { ex:author%d foaf:mbox ?m . }`, Prologue, author, author))
 // ModifyHeavyStream produces an update stream dominated by MODIFY:
 // 30% author inserts, 55% mailbox-rotating BGP MODIFYs, 10% delete
 // MODIFYs, 5% publication inserts — the richest per-request workload
-// the compiled MODIFY pipeline serves (the B7 MODIFY-mix experiment).
+// the compiled MODIFY pipeline serves.
 func (g *Generator) ModifyHeavyStream(n, startID int) []string {
 	var out []string
 	pubID := startID

@@ -103,7 +103,7 @@ func TestStreamExecutesOnNativeStore(t *testing.T) {
 
 func TestStreamEquivalenceMediatorVsNative(t *testing.T) {
 	// The deterministic stream drives both systems into equivalent
-	// states (B1's validity precondition).
+	// states (the differential comparison's validity precondition).
 	m, err := NewMediator(core.Options{})
 	if err != nil {
 		t.Fatal(err)

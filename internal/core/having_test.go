@@ -36,57 +36,7 @@ func solutionSet(sols sparql.Solutions) []string {
 func TestHavingEngineParity(t *testing.T) {
 	m := eventMediator(t, Options{})
 	baseline := eventMediator(t, Options{DisablePlanCache: true})
-	for _, tc := range []struct {
-		name string
-		q    string
-		rows int
-		// fallback marks shapes that must refuse SQL lowering and be
-		// answered by the native evaluator (empty QueryResult.SQL).
-		fallback bool
-	}{
-		{"count threshold keeps all groups",
-			`SELECT ?l (COUNT(*) AS ?n) WHERE { ?e ev:year ?y ; ev:live ?l . } GROUP BY ?l HAVING (COUNT(*) >= 2)`,
-			2, false},
-		{"hidden accumulator: SUM constrained but not projected",
-			`SELECT ?l (COUNT(*) AS ?n) WHERE { ?e ev:year ?y ; ev:live ?l . } GROUP BY ?l HAVING (SUM(?y) > 4010)`,
-			1, false},
-		{"decimal threshold on hidden SUM",
-			`SELECT ?l (COUNT(*) AS ?n) WHERE { ?e ev:year ?y ; ev:live ?l . } GROUP BY ?l HAVING (SUM(?y) > 4010.5)`,
-			1, false},
-		{"conjunction over projected and hidden aggregates",
-			`SELECT ?l (SUM(?y) AS ?s) WHERE { ?e ev:year ?y ; ev:live ?l . } GROUP BY ?l HAVING (COUNT(*) >= 2 && SUM(?y) <= 4010)`,
-			1, false},
-		{"two constraint groups",
-			`SELECT ?l (COUNT(*) AS ?n) WHERE { ?e ev:year ?y ; ev:rank ?r ; ev:live ?l . } GROUP BY ?l HAVING (AVG(?y) >= 2000) (MIN(?r) < 2)`,
-			1, false},
-		{"inequality on AVG float formatting",
-			`SELECT ?l (COUNT(*) AS ?n) WHERE { ?e ev:year ?y ; ev:live ?l . } GROUP BY ?l HAVING (AVG(?y) != 2004)`,
-			1, false},
-		{"empty input: synthetic group dropped",
-			`SELECT (COUNT(*) AS ?n) WHERE { ?e ev:year ?y . FILTER (?y > 3000) } HAVING (COUNT(*) > 0)`,
-			0, false},
-		{"empty input: synthetic group kept",
-			`SELECT (COUNT(*) AS ?n) WHERE { ?e ev:year ?y . FILTER (?y > 3000) } HAVING (COUNT(*) = 0)`,
-			1, false},
-		// MIN over a VARCHAR attribute is outside the aggregate lowering
-		// subset (non-COUNT aggregates need numeric storage), so string
-		// HAVING comparisons run on the native evaluator.
-		{"string comparison on MIN falls back to native",
-			`SELECT ?l (MIN(?na) AS ?mn) WHERE { ?e ev:name ?na ; ev:live ?l . } GROUP BY ?l HAVING (MIN(?na) > "alpha")`,
-			1, true},
-		// Mixed numeric aggregate vs string literal: neither side's rule
-		// matches, the comparison is false, every group drops — in both
-		// engines, by the shared lexical comparison rule.
-		{"mixed-form comparison drops all groups",
-			`SELECT ?l (COUNT(*) AS ?n) WHERE { ?e ev:year ?y ; ev:live ?l . } GROUP BY ?l HAVING (SUM(?y) > "foo")`,
-			0, false},
-		// ev:code carries a custom datatype, which the lowering refuses
-		// (its SPARQL comparison rules are not plain string order in
-		// general); the native evaluator answers.
-		{"custom-datatype argument falls back to native",
-			`SELECT ?l (COUNT(*) AS ?n) WHERE { ?e ev:code ?c ; ev:live ?l . } GROUP BY ?l HAVING (MIN(?c) > "C1")`,
-			1, true},
-	} {
+	for _, tc := range havingParityCases {
 		src := eventPrologue + tc.q
 		got, err := m.Query(src)
 		if err != nil {
@@ -123,6 +73,60 @@ func TestHavingEngineParity(t *testing.T) {
 			return nil
 		})
 	}
+}
+
+// havingParityCases are the HAVING battery over eventMediator's
+// fixture; TestSpecSelectMatchesParsedText reuses the lowered ones.
+var havingParityCases = []struct {
+	name string
+	q    string
+	rows int
+	// fallback marks shapes that must refuse SQL lowering and be
+	// answered by the native evaluator (empty QueryResult.SQL).
+	fallback bool
+}{
+	{"count threshold keeps all groups",
+		`SELECT ?l (COUNT(*) AS ?n) WHERE { ?e ev:year ?y ; ev:live ?l . } GROUP BY ?l HAVING (COUNT(*) >= 2)`,
+		2, false},
+	{"hidden accumulator: SUM constrained but not projected",
+		`SELECT ?l (COUNT(*) AS ?n) WHERE { ?e ev:year ?y ; ev:live ?l . } GROUP BY ?l HAVING (SUM(?y) > 4010)`,
+		1, false},
+	{"decimal threshold on hidden SUM",
+		`SELECT ?l (COUNT(*) AS ?n) WHERE { ?e ev:year ?y ; ev:live ?l . } GROUP BY ?l HAVING (SUM(?y) > 4010.5)`,
+		1, false},
+	{"conjunction over projected and hidden aggregates",
+		`SELECT ?l (SUM(?y) AS ?s) WHERE { ?e ev:year ?y ; ev:live ?l . } GROUP BY ?l HAVING (COUNT(*) >= 2 && SUM(?y) <= 4010)`,
+		1, false},
+	{"two constraint groups",
+		`SELECT ?l (COUNT(*) AS ?n) WHERE { ?e ev:year ?y ; ev:rank ?r ; ev:live ?l . } GROUP BY ?l HAVING (AVG(?y) >= 2000) (MIN(?r) < 2)`,
+		1, false},
+	{"inequality on AVG float formatting",
+		`SELECT ?l (COUNT(*) AS ?n) WHERE { ?e ev:year ?y ; ev:live ?l . } GROUP BY ?l HAVING (AVG(?y) != 2004)`,
+		1, false},
+	{"empty input: synthetic group dropped",
+		`SELECT (COUNT(*) AS ?n) WHERE { ?e ev:year ?y . FILTER (?y > 3000) } HAVING (COUNT(*) > 0)`,
+		0, false},
+	{"empty input: synthetic group kept",
+		`SELECT (COUNT(*) AS ?n) WHERE { ?e ev:year ?y . FILTER (?y > 3000) } HAVING (COUNT(*) = 0)`,
+		1, false},
+	// MIN over a VARCHAR attribute is outside the aggregate lowering
+	// subset (non-COUNT aggregates need numeric storage), so string
+	// HAVING comparisons run on the native evaluator.
+	{"string comparison on MIN falls back to native",
+		`SELECT ?l (MIN(?na) AS ?mn) WHERE { ?e ev:name ?na ; ev:live ?l . } GROUP BY ?l HAVING (MIN(?na) > "alpha")`,
+		1, true},
+	// Mixed numeric aggregate vs string literal: neither side's rule
+	// matches, the comparison is false, every group drops — in both
+	// engines, by the shared lexical comparison rule.
+	{"mixed-form comparison drops all groups",
+		`SELECT ?l (COUNT(*) AS ?n) WHERE { ?e ev:year ?y ; ev:live ?l . } GROUP BY ?l HAVING (SUM(?y) > "foo")`,
+		0, false},
+	// ev:code carries a custom datatype, which the lowering refuses
+	// (its SPARQL comparison rules are not plain string order in
+	// general); the native evaluator answers.
+	{"custom-datatype argument falls back to native",
+		`SELECT ?l (COUNT(*) AS ?n) WHERE { ?e ev:code ?c ; ev:live ?l . } GROUP BY ?l HAVING (MIN(?c) > "C1")`,
+		1, true},
 }
 
 // TestHavingParseErrors pins the parser-level contract: HAVING needs

@@ -6,6 +6,7 @@ import (
 	"ontoaccess/internal/rdb"
 	"ontoaccess/internal/rdf"
 	"ontoaccess/internal/sparql"
+	"ontoaccess/internal/sqlgen"
 	"ontoaccess/internal/update"
 )
 
@@ -28,14 +29,18 @@ func (m *Mediator) execModify(tx *rdb.Tx, op update.Modify) (*OpResult, error) {
 	q := &sparql.Query{Form: sparql.FormSelect, Star: true, Where: op.Where, Limit: -1, Offset: -1}
 
 	// Step 5: translate the SELECT to SQL. BGP-only patterns go
-	// through the paper's translateSelect; anything richer evaluates
-	// over the virtual view (same relational data, no materialized
-	// triples).
+	// through the paper's translateSelect, lowered straight to the
+	// executable AST (the SQL text is feedback only); anything richer
+	// evaluates over the virtual view (same relational data, no
+	// materialized triples).
 	var sols sparql.Solutions
-	if st, err := m.TranslateSelect(tx, op.Where, nil); err == nil {
-		res.SQL = append(res.SQL, st.SQL)
-		sols, err = st.Run(tx)
+	if st, spec, err := m.translateSelect(tx, op.Where, nil, nil); err == nil {
+		sel, err := specSelect(spec)
 		if err != nil {
+			return res, err
+		}
+		res.SQL = append(res.SQL, sqlgen.Select(*spec))
+		if sols, err = st.runParsed(tx, sel); err != nil {
 			return res, err
 		}
 	} else {

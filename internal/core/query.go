@@ -617,19 +617,10 @@ func splitAlias(qualified string) (alias, col string) {
 	return qualified[:i], qualified[i+1:]
 }
 
-// Run executes the translation and decodes the result set into SPARQL
-// solutions.
-func (st *SelectTranslation) Run(tx *rdb.Tx) (sparql.Solutions, error) {
-	stmt, err := sqlparser.ParseStatement(st.SQL)
-	if err != nil {
-		return nil, err
-	}
-	return st.runParsed(tx, stmt)
-}
-
-// runParsed executes an already-parsed statement of the translation —
-// compiled MODIFY plans parse the bound SELECT once per argument
-// vector and re-execute the parsed form.
+// runParsed executes the translation's SELECT, already lowered to the
+// executable AST by specSelect, and decodes the result set into SPARQL
+// solutions — MODIFY WHERE clauses and UNION branches, which need every
+// solution before the first is used.
 func (st *SelectTranslation) runParsed(tx *rdb.Tx, stmt sqlparser.Statement) (sparql.Solutions, error) {
 	res, err := sqlexec.Exec(tx, stmt)
 	if err != nil {
@@ -725,8 +716,10 @@ type QueryResult struct {
 	Graph *rdf.Graph
 	// Bool is set for ASK.
 	Bool bool
-	// SQL records the translated SELECT when the BGP fast path was
-	// used; empty means the query ran over the virtual RDF view.
+	// SQL records the translated SELECT when a plan (cached, or
+	// compiled for this request) served the query. It is reporting
+	// output, never parsed back; empty means the query ran over the
+	// virtual RDF view.
 	SQL string
 }
 
@@ -737,11 +730,12 @@ type QueryResult struct {
 // ORDER BY / LIMIT / OFFSET lowered onto it) executed directly by the
 // streaming index-aware executor over the pinned snapshot — and
 // repeated query strings skip straight to the bound plan through the
-// parse memo. Richer queries (OPTIONAL, UNION, non-comparison FILTER
-// shapes), and every query when Options.DisablePlanCache is set, take
-// the uncompiled path: the text-SQL fast path for translatable
-// SELECTs, then evaluation over the virtual RDF view, exactly the
-// paper's read path.
+// parse memo. Rich SELECTs (OPTIONAL, one UNION, aggregates, FILTER
+// disjunctions) compile as zero-slot structural plans keyed by source
+// text. Everything else, and every query when Options.DisablePlanCache
+// is set, takes the uncompiled path: a structural plan compiled for
+// the request alone when the SELECT translates, evaluation over the
+// virtual RDF view otherwise — the paper's read path.
 func (m *Mediator) Query(src string) (*QueryResult, error) {
 	return m.QueryOn(src, rdb.ReadTarget{})
 }
@@ -788,49 +782,30 @@ func (c *resultCollector) Graph(g *rdf.Graph) error {
 }
 
 // QueryExecStats reports how many Query and QueryStream calls were
-// served by a bound compiled plan versus the uncompiled fallback (text
-// fast path or virtual-view evaluation) — the read-path effectiveness
-// counter /healthz exposes.
+// served by a cached bound plan versus the uncompiled fallback (a
+// structural plan compiled for the request, or virtual-view
+// evaluation) — the read-path effectiveness counter /healthz exposes.
 func (m *Mediator) QueryExecStats() (compiled, fallback uint64) {
 	return m.queryCompiled.Load(), m.queryFallback.Load()
 }
 
-// queryUncompiled is the paper-faithful read path: translate SELECTs —
-// including comparison FILTERs and solution modifiers since the
-// compiled pipeline learned them — to SQL text, parse and execute it;
-// everything else (and any translation failure) evaluates over the
-// virtual RDF view. It executes the exact SQL the compiled path lowers
-// structurally, serving as the parity baseline for the plan pipeline.
-// The result reaches the sink only once evaluation has succeeded; sql
-// is the translated SELECT when the text fast path served the query.
+// queryUncompiled is the paper-faithful read path. A translatable
+// SELECT compiles, for this request alone, into the structural plan
+// the RICHQ cache route would build and runs through the same bound
+// runner; everything else — and a plan that fails before reaching the
+// sink — evaluates over the virtual RDF view. Translation and
+// execution share one pinned snapshot. sql is the translated SELECT
+// when a structural plan served the query.
 func (m *Mediator) queryUncompiled(q *sparql.Query, sink StreamSink, target rdb.ReadTarget) (sql string, err error) {
 	err = m.viewOn(target, func(tx *rdb.Tx) error {
-		// Fast path: SELECT over a translatable pattern — aggregating,
-		// UNION-splitting, or plain, in that order of specificity.
-		if q.Form == sparql.FormSelect && q.Where != nil {
-			var res selResult
-			ok := false
-			switch {
-			case q.Aggs != nil:
-				res, sql, ok = m.runAggregateSelect(tx, q)
-			case len(q.Where.Unions) == 1:
-				res, sql, ok = m.runUnionSelect(tx, q)
-			case len(q.Where.Unions) == 0:
-				proj := q.Vars
-				if q.Star {
-					proj = q.Where.Vars()
-				}
-				if st, spec, terr := m.translateSelect(tx, q.Where, proj, nil); terr == nil {
-					if merr := applyQueryModifiers(st, q, spec); merr == nil {
-						st.SQL = sqlgen.Select(*spec)
-						if sols, rerr := st.Run(tx); rerr == nil {
-							res, sql, ok = selResult{vars: st.Vars, sols: sols}, st.SQL, true
-						}
+		if richQueryEligible(q) {
+			if plan, cerr := m.compileRichQueryPlan(tx, q); cerr == nil {
+				if bq, berr := plan.bind(m, nil); berr == nil {
+					if delivered, rerr := m.runBound(tx, plan, bq, sink); delivered || rerr == nil {
+						sql = bq.sql
+						return rerr
 					}
 				}
-			}
-			if ok {
-				return emitSolutions(sink, res.vars, res.sols)
 			}
 		}
 		// General path: evaluate over the virtual view.

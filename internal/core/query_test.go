@@ -33,7 +33,7 @@ SELECT ?x ?mbox WHERE {
 		t.Fatal(err)
 	}
 	if res.SQL == "" {
-		t.Error("BGP query should use the SQL fast path")
+		t.Error("BGP query should translate to SQL")
 	}
 	if !strings.Contains(res.SQL, "FROM author") {
 		t.Errorf("SQL = %s", res.SQL)

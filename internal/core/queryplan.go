@@ -33,13 +33,14 @@ import (
 // constants in parameter slots (filter.go), and a SELECT's solution
 // modifiers lower onto the spec: DISTINCT and ORDER BY keys are
 // structural, LIMIT and OFFSET values are parameter slots — "LIMIT 3"
-// and "LIMIT 30" share one plan. Shapes the compiler cannot prove
-// equivalent — OPTIONAL / UNION patterns, non-comparison FILTERs,
-// variable predicates, unmapped vocabulary, modifiers on ASK or
-// CONSTRUCT — take the uncompiled path: first the text-SQL fast path,
-// then evaluation over the virtual RDF view, exactly the paper's
-// behaviour. That path also remains the parity baseline the
-// differential harness checks the compiled pipeline against.
+// and "LIMIT 30" share one plan. Rich SELECTs — OPTIONAL / UNION
+// patterns, aggregates, FILTER disjunctions — compile as zero-slot
+// structural plans. Shapes neither compiler can prove equivalent —
+// non-comparison FILTERs, variable predicates, unmapped vocabulary,
+// modifiers on ASK or CONSTRUCT — take the uncompiled path, which
+// evaluates over the virtual RDF view, exactly the paper's behaviour.
+// The SQL text sqlgen renders is reporting output only (feedback,
+// QueryResult.SQL); no read path parses it back.
 
 // normQuery is a query with its WHERE triples, FILTER constants,
 // LIMIT/OFFSET values (and CONSTRUCT template) parameterized. The
@@ -179,22 +180,29 @@ func (p *QueryPlan) Key() string { return p.key }
 // Slots returns the number of parameter slots.
 func (p *QueryPlan) Slots() int { return p.slots }
 
-// ReadTables returns the tables the compiled SELECT reads.
+// ReadTables returns the tables the compiled SELECT (every UNION
+// branch's, for a UNION plan) reads, each once.
 func (p *QueryPlan) ReadTables() []string {
-	if len(p.union) > 0 {
-		var out []string
-		seen := map[string]bool{}
-		for _, br := range p.union {
-			for _, t := range append([]string{br.spec.From}, joinTables(br.spec.Joins)...) {
-				if !seen[t] {
-					seen[t] = true
-					out = append(out, t)
-				}
+	var out []string
+	seen := map[string]bool{}
+	for _, t := range p.templates() {
+		for _, tbl := range append([]string{t.spec.From}, joinTables(t.spec.Joins)...) {
+			if !seen[tbl] {
+				seen[tbl] = true
+				out = append(out, tbl)
 			}
 		}
-		return out
 	}
-	return append([]string{p.sel.spec.From}, joinTables(p.sel.spec.Joins)...)
+	return out
+}
+
+// templates returns the plan's SELECT templates: one per UNION branch,
+// or the single SELECT.
+func (p *QueryPlan) templates() []selectTemplate {
+	if len(p.union) > 0 {
+		return p.union
+	}
+	return []selectTemplate{p.sel}
 }
 
 func joinTables(joins []sqlgen.JoinSpec) []string {
@@ -210,8 +218,10 @@ func (p *QueryPlan) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s plan: %d slot(s), reads %s\n",
 		p.form, p.slots, strings.Join(p.ReadTables(), ", "))
-	fmt.Fprintf(&b, "  SELECT template over %s (%d join(s), %d condition(s))\n",
-		p.sel.spec.From, len(p.sel.spec.Joins), len(p.sel.spec.Where))
+	for _, t := range p.templates() {
+		fmt.Fprintf(&b, "  SELECT template over %s (%d join(s), %d condition(s))\n",
+			t.spec.From, len(t.spec.Joins), len(t.spec.Where))
+	}
 	for _, np := range p.tmpl {
 		fmt.Fprintf(&b, "  TEMPLATE %s %s %s\n",
 			describePatTerm(np.s), describePatTerm(np.p), describePatTerm(np.o))
@@ -227,7 +237,16 @@ func (p *QueryPlan) Explain() string {
 // a rich structural plan instead.
 func (m *Mediator) compileQueryPlan(key string, slots int, q *sparql.Query, nq *normQuery) (*QueryPlan, error) {
 	if nq == nil {
-		return m.compileRichQueryPlan(key, q)
+		var p *QueryPlan
+		err := m.db.View(func(tx *rdb.Tx) (err error) {
+			p, err = m.compileRichQueryPlan(tx, q)
+			return err
+		})
+		if err != nil {
+			return nil, errUnplannable
+		}
+		p.key = key
+		return p, nil
 	}
 	p := &QueryPlan{key: key, form: q.Form, slots: slots, tmpl: nq.tmpl,
 		limSlot: nq.limSlot, offSlot: nq.offSlot}
@@ -263,6 +282,20 @@ func (m *Mediator) compileQueryPlan(key string, slots int, q *sparql.Query, nq *
 	return p, nil
 }
 
+// queryShapeKey chooses the plan-cache key of a parsed query: its
+// normalized shape and argument vector, or — for a rich shape
+// normalization rejects — richKey(src) with no arguments and a nil
+// normQuery. ok is false when neither plan kind applies.
+func queryShapeKey(src string, q *sparql.Query) (key string, args []string, nq *normQuery, ok bool) {
+	if key, args, nq, ok = normalizeQuery(q); ok {
+		return key, args, nq, true
+	}
+	if !richQueryEligible(q) {
+		return "", nil, nil, false
+	}
+	return richKey(src), nil, nil, true
+}
+
 // richKey is the plan-cache key for a rich structural shape. These
 // shapes carry no parameter slots — every literal is fixed — so the
 // source text itself is the shape, and prefixing it with a marker the
@@ -283,59 +316,45 @@ func richQueryEligible(q *sparql.Query) bool {
 	return len(w.Triples) > 0 || len(w.Unions) == 1
 }
 
-// compileRichQueryPlan compiles the rich SELECT surface — OPTIONAL
-// groups, one UNION construct, aggregate projections, FILTER
-// disjunctions — through the same comp=nil lowering the uncompiled
-// text fast path uses, so the two modes cannot diverge.
-func (m *Mediator) compileRichQueryPlan(key string, q *sparql.Query) (*QueryPlan, error) {
-	p := &QueryPlan{key: key, form: q.Form, richQ: q, limSlot: -1, offSlot: -1}
-	err := m.db.View(func(tx *rdb.Tx) error {
-		if branches, ok := unionBranchGroups(q); ok {
-			proj, ok := unionProjection(q)
-			if !ok {
-				return errUnplannable
-			}
-			for _, bg := range branches {
-				st, spec, terr := m.translateSelect(tx, bg, proj, nil)
-				if terr != nil {
-					return terr
-				}
-				p.union = append(p.union, selectTemplate{
-					spec: *spec, vars: st.Vars, bindings: st.bindings,
-				})
-			}
-			return nil
+// compileRichQueryPlan compiles an eligible SELECT (see
+// richQueryEligible) as a zero-slot structural plan over tx: OPTIONAL
+// groups, one UNION construct, aggregate projections and FILTER
+// disjunctions lower through the comp=nil translation. The RICHQ cache
+// route and the uncompiled route (which compiles per request, without
+// caching) both call it, so the two cannot diverge.
+func (m *Mediator) compileRichQueryPlan(tx *rdb.Tx, q *sparql.Query) (*QueryPlan, error) {
+	p := &QueryPlan{form: q.Form, richQ: q, limSlot: -1, offSlot: -1}
+	if branches, ok := unionBranchGroups(q); ok {
+		proj, ok := unionProjection(q)
+		if !ok {
+			return nil, errUnplannable
 		}
-		if len(q.Where.Unions) > 0 {
-			return errUnplannable
-		}
-		if q.Aggs != nil {
-			if len(q.Where.Optionals) > 0 {
-				return errUnplannable
+		for _, bg := range branches {
+			st, spec, err := m.translateSelect(tx, bg, proj, nil)
+			if err != nil {
+				return nil, err
 			}
-			st, spec, terr := m.translateSelect(tx, q.Where, aggNeededVars(q), nil)
-			if terr != nil {
-				return terr
-			}
-			if aerr := applyAggregates(st, q, spec); aerr != nil {
-				return aerr
-			}
-			p.sel = selectTemplate{spec: *spec, vars: st.Vars, bindings: st.bindings}
-			return nil
+			p.union = append(p.union, selectTemplate{spec: *spec, vars: st.Vars, bindings: st.bindings})
 		}
-		st, spec, terr := m.translateSelect(tx, q.Where, projectionFor(q), nil)
-		if terr != nil {
-			return terr
-		}
-		if merr := applyQueryModifiers(st, q, spec); merr != nil {
-			return merr
-		}
-		p.sel = selectTemplate{spec: *spec, vars: st.Vars, bindings: st.bindings}
-		return nil
-	})
-	if err != nil {
+		return p, nil
+	}
+	if len(q.Where.Unions) > 0 || q.Aggs != nil && len(q.Where.Optionals) > 0 {
 		return nil, errUnplannable
 	}
+	var st *SelectTranslation
+	var spec *sqlgen.SelectSpec
+	var err error
+	if q.Aggs != nil {
+		if st, spec, err = m.translateSelect(tx, q.Where, aggNeededVars(q), nil); err == nil {
+			err = applyAggregates(st, q, spec)
+		}
+	} else if st, spec, err = m.translateSelect(tx, q.Where, projectionFor(q), nil); err == nil {
+		err = applyQueryModifiers(st, q, spec)
+	}
+	if err != nil {
+		return nil, err
+	}
+	p.sel = selectTemplate{spec: *spec, vars: st.Vars, bindings: st.bindings}
 	return p, nil
 }
 
@@ -645,17 +664,12 @@ type cachedQuery struct {
 }
 
 // buildCachedQuery compiles and binds a parsed query; unplannable
-// shapes and stale bindings leave the plan unset. Shapes normalization
-// rejects may still compile as rich structural plans keyed on the
-// source text.
+// shapes and stale bindings leave the plan unset.
 func (m *Mediator) buildCachedQuery(src string, q *sparql.Query) *cachedQuery {
 	cq := &cachedQuery{q: q}
-	key, args, nq, ok := normalizeQuery(q)
+	key, args, nq, ok := queryShapeKey(src, q)
 	if !ok {
-		if !richQueryEligible(q) {
-			return cq
-		}
-		key, args, nq = richKey(src), nil, nil
+		return cq
 	}
 	plan, ok := m.queryPlanForShape(key, len(args), q, nq)
 	if !ok {
@@ -707,12 +721,9 @@ func (m *Mediator) QueryPlanFor(src string) (*QueryPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	key, args, nq, ok := normalizeQuery(q)
+	key, args, nq, ok := queryShapeKey(src, q)
 	if !ok {
-		if !richQueryEligible(q) {
-			return nil, errUnplannable
-		}
-		key, args, nq = richKey(src), nil, nil
+		return nil, errUnplannable
 	}
 	plan, ok := m.queryPlanForShape(key, len(args), q, nq)
 	if !ok {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ontoaccess/internal/rdb"
 	"ontoaccess/internal/rdb/sqlparser"
 	"ontoaccess/internal/sparql"
 	"ontoaccess/internal/sqlgen"
@@ -211,6 +212,18 @@ func TestQueryPlanIntrospection(t *testing.T) {
 		if p.Kind() != "SELECT" || p.Slots() != 0 || !strings.HasPrefix(p.Key(), "RICHQ") {
 			t.Errorf("%s: rich plan = kind %s, %d slots, key %q", rich, p.Kind(), p.Slots(), p.Key())
 		}
+		if strings.Contains(rich, "UNION") {
+			// Explain prints one template line per branch.
+			tables := p.ReadTables()
+			if len(tables) != 2 {
+				t.Errorf("%s: UNION reads %v, want both branch tables", rich, tables)
+			}
+			for _, tbl := range tables {
+				if !strings.Contains(p.Explain(), "SELECT template over "+tbl+" ") {
+					t.Errorf("%s: explain lacks the %s branch:\n%s", rich, tbl, p.Explain())
+				}
+			}
+		}
 	}
 }
 
@@ -297,42 +310,108 @@ func TestQueryExecStats(t *testing.T) {
 	}
 }
 
-// TestSpecSelectMatchesParsedText is the structural-parity anchor for
-// the no-round-trip path: lowering a bound spec through specSelect
-// must produce exactly the AST the parser builds from the rendered
-// text. Runs over every compiled parity case.
+// TestSpecSelectMatchesParsedText is the structural-parity anchor of
+// the SQL text: no read path parses it back, so lowering a bound spec
+// through specSelect must produce exactly the AST the parser builds
+// from the rendered text — what the mediator executes is what it
+// reports. Runs over every structural plan shape: the parameterized
+// parity cases, each UNION branch, aggregates with GROUP BY / HAVING,
+// OPTIONAL attribute reads and foreign-key hops, OR and arithmetic
+// filters, and the uncompiled MODIFY WHERE.
 func TestSpecSelectMatchesParsedText(t *testing.T) {
 	m := paperMediator(t, Options{})
 	mustExec(t, m, listing15)
+	events := eventMediator(t, Options{})
+	type anchorCase struct {
+		name, src string
+		m         *Mediator
+		templates int
+	}
+	var cases []anchorCase
 	for _, tc := range queryParityCases {
-		q, err := sparql.ParseQuery(paperPrologue + tc.q)
+		cases = append(cases, anchorCase{tc.name, paperPrologue + tc.q, m, 1})
+	}
+	for _, tc := range []anchorCase{
+		{"union", `SELECT ?n WHERE { { ?t foaf:name ?n . } UNION { ?x foaf:family_name ?n . } }`, m, 2},
+		{"union with outer pattern", `SELECT ?x ?v WHERE { ?x foaf:family_name "Hert" . { ?x foaf:mbox ?v . } UNION { ?x ont:team ?v . } } ORDER BY ?v`, m, 2},
+		{"optional attribute", `SELECT ?x ?m WHERE { ?x foaf:family_name "Hert" . OPTIONAL { ?x foaf:mbox ?m . } }`, m, 1},
+		{"optional fk hop", `SELECT ?x ?tn WHERE { ?x foaf:family_name ?l . OPTIONAL { ?x ont:team ?t . ?t foaf:name ?tn . } }`, m, 1},
+		{"or filter", `SELECT ?x WHERE { ?x foaf:family_name ?l . FILTER (?l = "A" || ?l = "Hert") }`, m, 1},
+		{"count star", `SELECT (COUNT(*) AS ?n) WHERE { ?x foaf:family_name ?l . }`, m, 1},
+	} {
+		tc.src = paperPrologue + tc.src
+		cases = append(cases, tc)
+	}
+	for _, tc := range []anchorCase{
+		{"arithmetic filter", `SELECT ?n WHERE { ?e ev:name ?n ; ev:year ?y ; ev:rank ?r . FILTER ((?y + ?r) * 2 = 4012) }`, events, 1},
+		{"arithmetic or filter", `SELECT ?n WHERE { ?e ev:name ?n ; ev:year ?y ; ev:rank ?r . FILTER (?y + 1 > 2010 || ?r > 2000) }`, events, 1},
+	} {
+		tc.src = eventPrologue + tc.src
+		cases = append(cases, tc)
+	}
+	for _, tc := range havingParityCases {
+		if !tc.fallback {
+			cases = append(cases, anchorCase{"having: " + tc.name, eventPrologue + tc.q, events, 1})
+		}
+	}
+	for _, tc := range cases {
+		q, err := sparql.ParseQuery(tc.src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		key, args, nq, ok := normalizeQuery(q)
+		key, args, nq, ok := queryShapeKey(tc.src, q)
 		if !ok {
-			t.Fatalf("%s: not normalizable", tc.name)
+			t.Fatalf("%s: no plan shape", tc.name)
 		}
-		plan, ok := m.queryPlanForShape(key, len(args), q, nq)
+		plan, ok := tc.m.queryPlanForShape(key, len(args), q, nq)
 		if !ok {
 			t.Fatalf("%s: not plannable", tc.name)
 		}
-		spec, err := plan.sel.bindSpec(m, args)
+		if n := len(plan.templates()); n != tc.templates {
+			t.Errorf("%s: %d SELECT template(s), want %d", tc.name, n, tc.templates)
+		}
+		for i, tmpl := range plan.templates() {
+			spec, err := tmpl.bindSpec(tc.m, args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertLoweringMatchesText(t, fmt.Sprintf("%s (template %d)", tc.name, i), spec)
+		}
+	}
+	// The uncompiled MODIFY WHERE lowers its translation the same way.
+	op := mustParseModify(t, paperPrologue+`
+MODIFY
+DELETE { ?x foaf:mbox ?m . }
+INSERT { ?x foaf:mbox <mailto:new@example.org> . }
+WHERE { ?x foaf:family_name "Hert" ; ont:team ?t ; foaf:mbox ?m . ?t foaf:name ?tn . }`)
+	if err := m.DB().View(func(tx *rdb.Tx) error {
+		_, spec, err := m.translateSelect(tx, op.Where, nil, nil)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		lowered, err := specSelect(&spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parsed, err := sqlparser.ParseStatement(sqlgen.Select(spec))
-		if err != nil {
-			t.Fatalf("%s: rendered SQL does not parse: %v", tc.name, err)
-		}
-		if !reflect.DeepEqual(lowered, parsed.(sqlparser.Select)) {
-			t.Errorf("%s: lowered AST diverges from parsed text.\nlowered: %#v\nparsed:  %#v",
-				tc.name, lowered, parsed)
-		}
+		assertLoweringMatchesText(t, "uncompiled MODIFY WHERE", *spec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// assertLoweringMatchesText checks one fully bound spec: specSelect's
+// AST must equal the parse of sqlgen's rendering.
+func assertLoweringMatchesText(t *testing.T, name string, spec sqlgen.SelectSpec) {
+	t.Helper()
+	lowered, err := specSelect(&spec)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	text := sqlgen.Select(spec)
+	parsed, err := sqlparser.ParseStatement(text)
+	if err != nil {
+		t.Fatalf("%s: rendered SQL does not parse: %v\n%s", name, err, text)
+	}
+	if !reflect.DeepEqual(lowered, parsed.(sqlparser.Select)) {
+		t.Errorf("%s: lowered AST diverges from parsed text %s\nlowered: %#v\nparsed:  %#v",
+			name, text, lowered, parsed)
 	}
 }
 
@@ -382,7 +461,7 @@ func TestQueryDisablePlanCacheMatchesSeedBehaviour(t *testing.T) {
 		t.Fatalf("res = %v, %v", res, err)
 	}
 	if res.SQL == "" {
-		t.Error("uncompiled BGP query should still use the text-SQL fast path")
+		t.Error("uncompiled BGP query should still run as a per-request structural plan")
 	}
 	qs, ps := m.QueryPlanCacheStats(), m.QueryParseCacheStats()
 	if qs.Size != 0 || qs.Misses != 0 || ps.Size != 0 || ps.Misses != 0 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"ontoaccess/internal/rdb"
 	"ontoaccess/internal/rdf"
@@ -37,8 +36,8 @@ import (
 //     native evaluator's aggregateSolutions, which keeps the lexical
 //     forms byte-identical on integer data.
 //
-// Anything outside these shapes falls back to the uncompiled path and
-// ultimately the virtual RDF view, which stays authoritative.
+// Anything outside these shapes evaluates over the virtual RDF view,
+// which stays authoritative.
 
 // lowerOptional lowers one OPTIONAL group onto the translator, after
 // the outer BGP passes have pinned and bound everything else.
@@ -277,42 +276,6 @@ func unionProjection(q *sparql.Query) ([]string, bool) {
 	return proj, true
 }
 
-// selResult is a decoded SELECT outcome shared by the rich fast paths.
-type selResult struct {
-	vars []string
-	sols sparql.Solutions
-}
-
-// runUnionSelect is the uncompiled UNION fast path: translate every
-// branch, execute, concatenate, tail. ok is false whenever any part is
-// untranslatable; the caller falls back to the virtual view.
-func (m *Mediator) runUnionSelect(tx *rdb.Tx, q *sparql.Query) (selResult, string, bool) {
-	branches, ok := unionBranchGroups(q)
-	if !ok {
-		return selResult{}, "", false
-	}
-	proj, ok := unionProjection(q)
-	if !ok {
-		return selResult{}, "", false
-	}
-	var all sparql.Solutions
-	var sqls []string
-	for _, bg := range branches {
-		st, spec, err := m.translateSelect(tx, bg, proj, nil)
-		if err != nil {
-			return selResult{}, "", false
-		}
-		st.SQL = sqlgen.Select(*spec)
-		sols, rerr := st.Run(tx)
-		if rerr != nil {
-			return selResult{}, "", false
-		}
-		all = append(all, sols...)
-		sqls = append(sqls, st.SQL)
-	}
-	return selResult{vars: proj, sols: unionTail(all, q)}, strings.Join(sqls, " UNION "), true
-}
-
 // ---- aggregates -----------------------------------------------------
 
 // aggNeededVars lists the variables the underlying translation must
@@ -465,26 +428,4 @@ func lowerHavingCond(st *SelectTranslation, hc sparql.HavingCond) (sqlgen.Having
 		return none, fmt.Errorf("core: HAVING constant %s is not translatable", t)
 	}
 	return h, nil
-}
-
-// runAggregateSelect is the uncompiled aggregate fast path. ok is
-// false whenever the shape cannot be lowered; the caller falls back to
-// the virtual view, whose native aggregation is authoritative.
-func (m *Mediator) runAggregateSelect(tx *rdb.Tx, q *sparql.Query) (selResult, string, bool) {
-	if len(q.Where.Unions) > 0 || len(q.Where.Optionals) > 0 {
-		return selResult{}, "", false
-	}
-	st, spec, err := m.translateSelect(tx, q.Where, aggNeededVars(q), nil)
-	if err != nil {
-		return selResult{}, "", false
-	}
-	if err := applyAggregates(st, q, spec); err != nil {
-		return selResult{}, "", false
-	}
-	st.SQL = sqlgen.Select(*spec)
-	sols, rerr := st.Run(tx)
-	if rerr != nil {
-		return selResult{}, "", false
-	}
-	return selResult{vars: st.Vars, sols: sols}, st.SQL, true
 }

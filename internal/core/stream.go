@@ -43,14 +43,17 @@ type StreamSink interface {
 // compiled UNION plans materialize their branches for the
 // solution-level tail, then emit. The uncompiled path — shapes that do
 // not compile, and every query when Options.DisablePlanCache is set —
-// evaluates and then emits into the sink.
+// runs a translatable SELECT as a structural plan compiled for the
+// request, through the same runner; the virtual view evaluates and
+// then emits into the sink.
 //
 // Error contract: a compiled-path failure before anything reaches the
-// sink falls back silently to the uncompiled path, whose failure is
-// authoritative. Once the sink has been called, an execution or sink
-// error aborts the stream and is returned as-is — the sink has seen a
-// valid prefix and the caller owns the truncation semantics (the HTTP
-// endpoint pins them; see DESIGN.md §10).
+// sink falls back silently to the uncompiled path (and a per-request
+// plan's to the virtual view), whose failure is authoritative. Once
+// the sink has been called, an execution or sink error aborts the
+// stream and is returned as-is — the sink has seen a valid prefix and
+// the caller owns the truncation semantics (the HTTP endpoint pins
+// them; see DESIGN.md §10).
 func (m *Mediator) QueryStream(src string, sink StreamSink) error {
 	return m.QueryStreamOn(src, sink, rdb.ReadTarget{})
 }
@@ -86,7 +89,12 @@ func (m *Mediator) runQuery(src string, sink StreamSink, target rdb.ReadTarget) 
 		}
 	}
 	if cq.bound != nil {
-		if handled, err := m.streamCompiled(cq, sink, target); handled {
+		delivered := false
+		err := m.viewOn(target, func(tx *rdb.Tx) (err error) {
+			delivered, err = m.runBound(tx, cq.plan, cq.bound, sink)
+			return err
+		})
+		if delivered || err == nil {
 			m.queryCompiled.Add(1)
 			return cq.bound.sql, err
 		}
@@ -100,83 +108,73 @@ func (m *Mediator) runQuery(src string, sink StreamSink, target rdb.ReadTarget) 
 // free again once the cursor has returned.
 var bindingPool = sync.Pool{New: func() any { return make(sparql.Binding) }}
 
-// streamCompiled runs a bound plan over one pinned snapshot into the
-// sink. handled is false when execution failed before anything reached
-// the sink — the uncompiled path is then authoritative. SELECT defers
-// Head until the first surviving row (or successful completion), so
-// head-of-stream failures still fall back invisibly.
-func (m *Mediator) streamCompiled(cq *cachedQuery, sink StreamSink, target rdb.ReadTarget) (handled bool, err error) {
-	plan, bq := cq.plan, cq.bound
-	delivered := false
-	verr := m.viewOn(target, func(tx *rdb.Tx) error {
-		if len(plan.union) > 0 {
-			sols, err := plan.unionSolutions(m, tx, bq)
-			if err != nil {
-				return err
-			}
-			delivered = true
-			return emitSolutions(sink, plan.union[0].vars, sols)
+// runBound runs a bound plan over tx's pinned snapshot into the sink —
+// the one runner for cached plans and for the structural plans the
+// uncompiled path compiles per request. delivered reports whether the
+// sink was called: a failure before that leaves the caller free to
+// fall back. SELECT defers Head until the first surviving row (or
+// successful completion), so head-of-stream failures still fall back
+// invisibly.
+func (m *Mediator) runBound(tx *rdb.Tx, plan *QueryPlan, bq *boundQuery, sink StreamSink) (delivered bool, err error) {
+	if len(plan.union) > 0 {
+		sols, err := plan.unionSolutions(m, tx, bq)
+		if err != nil {
+			return false, err
 		}
-		noHead := func([]string) error { return nil }
-		b := bindingPool.Get().(sparql.Binding)
-		defer bindingPool.Put(b)
-		switch plan.form {
-		case sparql.FormAsk:
-			// The plan carries LIMIT 1: the first row is the witness.
-			found := false
-			if err := sqlexec.SelectFunc(tx, bq.sel, noHead, func([]rdb.Value) (bool, error) {
-				found = true
-				return false, nil
-			}); err != nil {
-				return err
-			}
-			delivered = true
-			return sink.Ask(found)
-		case sparql.FormConstruct:
-			g := rdf.NewGraph()
-			if err := sqlexec.SelectFunc(tx, bq.sel, noHead, func(row []rdb.Value) (bool, error) {
-				ok, err := m.decodeRow(tx, plan.sel.bindings, row, b)
-				if err != nil || !ok {
-					return err == nil, err
-				}
-				for _, tp := range bq.tmpl {
-					if t, ok := tp.Instantiate(b); ok {
-						g.Add(t)
-					}
-				}
-				return true, nil
-			}); err != nil {
-				return err
-			}
-			delivered = true
-			return sink.Graph(g)
+		return true, emitSolutions(sink, plan.union[0].vars, sols)
+	}
+	noHead := func([]string) error { return nil }
+	b := bindingPool.Get().(sparql.Binding)
+	defer bindingPool.Put(b)
+	switch plan.form {
+	case sparql.FormAsk:
+		// The plan carries LIMIT 1: the first row is the witness.
+		found := false
+		if err := sqlexec.SelectFunc(tx, bq.sel, noHead, func([]rdb.Value) (bool, error) {
+			found = true
+			return false, nil
+		}); err != nil {
+			return false, err
 		}
-		err := sqlexec.SelectFunc(tx, bq.sel, noHead, func(row []rdb.Value) (bool, error) {
+		return true, sink.Ask(found)
+	case sparql.FormConstruct:
+		g := rdf.NewGraph()
+		if err := sqlexec.SelectFunc(tx, bq.sel, noHead, func(row []rdb.Value) (bool, error) {
 			ok, err := m.decodeRow(tx, plan.sel.bindings, row, b)
 			if err != nil || !ok {
 				return err == nil, err
 			}
-			if !delivered {
-				delivered = true
-				if err := sink.Head(plan.sel.vars); err != nil {
-					return false, err
+			for _, tp := range bq.tmpl {
+				if t, ok := tp.Instantiate(b); ok {
+					g.Add(t)
 				}
 			}
-			if err := sink.Solution(b); err != nil {
+			return true, nil
+		}); err != nil {
+			return false, err
+		}
+		return true, sink.Graph(g)
+	}
+	err = sqlexec.SelectFunc(tx, bq.sel, noHead, func(row []rdb.Value) (bool, error) {
+		ok, err := m.decodeRow(tx, plan.sel.bindings, row, b)
+		if err != nil || !ok {
+			return err == nil, err
+		}
+		if !delivered {
+			delivered = true
+			if err := sink.Head(plan.sel.vars); err != nil {
 				return false, err
 			}
-			return true, nil
-		})
-		if err != nil || delivered {
-			return err
 		}
-		delivered = true
-		return sink.Head(plan.sel.vars)
+		if err := sink.Solution(b); err != nil {
+			return false, err
+		}
+		return true, nil
 	})
-	if verr != nil && !delivered {
-		return false, nil
+	if err != nil || delivered {
+		return delivered, err
 	}
-	return true, verr
+	return true, sink.Head(plan.sel.vars)
 }
 
 // emitSolutions feeds materialized SELECT solutions through a sink.

@@ -149,6 +149,20 @@ func TestQueryStreamErrorContract(t *testing.T) {
 	if _, fallback := m.QueryExecStats(); fallback != fallbackBefore {
 		t.Errorf("fallback count moved %d -> %d after a post-delivery sink error", fallbackBefore, fallback)
 	}
+	// The uncompiled route runs its per-request plan through the same
+	// runner: the sink's error comes back, the view never re-runs the
+	// query, and the request counts as one fallback.
+	_, fallbackBefore = baseline.QueryExecStats()
+	sink = &collectSink{failAt: 2}
+	if err := baseline.QueryStream(paperPrologue+`SELECT ?x ?t WHERE { ?x foaf:title ?t . }`, sink); !errors.Is(err, errSinkFull) {
+		t.Fatalf("uncompiled QueryStream err = %v, want the sink's %v", err, errSinkFull)
+	}
+	if len(sink.titles) != 1 {
+		t.Errorf("uncompiled: sink saw %d solutions before failing, want 1", len(sink.titles))
+	}
+	if _, fallback := baseline.QueryExecStats(); fallback != fallbackBefore+1 {
+		t.Errorf("uncompiled: fallback count %d -> %d, want exactly one more", fallbackBefore, fallback)
+	}
 
 	// A plan that goes stale at bind: the shape compiles with two
 	// distinct constant subjects joined on their team, and arguments

@@ -37,6 +37,9 @@ SELECT * WHERE { ?x rdf:type foaf:Person ; foaf:family_name "Hert" . }`,
 		`SELECT (COUNT(?x AS ?n) WHERE { ?x <http://b/p> ?y . }`,
 		`SELECT (SUM(*) AS ?s) WHERE { ?x <http://b/p> ?y . }`,
 		`SELECT ?x (COUNT(*) AS ?n) WHERE { ?x <http://b/p> ?y . } GROUP BY`,
+		// \u / \U escapes: valid code points, and ones the lexer rejects
+		`SELECT ?x WHERE { ?x <http://b/p> "caf\u00e9 \U0001F600" . }`,
+		`SELECT ?x WHERE { ?x <http://b/p> "\uD800x" . FILTER (?x != "\UFFFFFFFF") }`,
 		`SELECT`, `ASK {`, "\x00", `SELECT ?x WHERE`, `PREFIX : <u> SELECT ?x WHERE { :a :b ?x }`,
 	}
 	for _, s := range seeds {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokKind enumerates SPARQL token kinds.
@@ -440,6 +441,9 @@ func (lx *Lexer) lexString(t Token) (Token, error) {
 						return t, lx.errorf("invalid hex digit %q", h)
 					}
 					v = v*16 + d
+				}
+				if !utf8.ValidRune(v) {
+					return t, lx.errorf("escape \\%c denotes invalid code point %#x", esc, v)
 				}
 				b.WriteRune(v)
 			default:

@@ -179,6 +179,37 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestLexUnicodeEscapes pins \u / \U handling in string literals:
+// escapes decode to their code point, and escapes naming no Unicode
+// scalar value (surrogates, beyond U+10FFFF, overflowing \U) are lexer
+// errors rather than U+FFFD.
+func TestLexUnicodeEscapes(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{`"caf\u00e9"`, "café"},
+		{`"\U0001F600"`, "\U0001F600"},
+		{`'x\u0041y'`, "xAy"},
+	} {
+		tok, err := NewLexer(tc.src).Next()
+		if err != nil || tok.Kind != TokString || tok.Val != tc.want {
+			t.Errorf("lex %s = %q (kind %v), %v; want %q", tc.src, tok.Val, tok.Kind, err, tc.want)
+		}
+	}
+	for _, src := range []string{
+		`"\uD800x"`,    // lone high surrogate
+		`"\uDFFF"`,     // lone low surrogate
+		`"\U00110000"`, // beyond U+10FFFF
+		`"\UFFFFFFFF"`, // overflows a rune
+		`"\U7FFFFFFF"`, // positive, still beyond U+10FFFF
+		`"""\uD834"""`, // long strings share the check
+		`'\U0000D800'`, // surrogate through \U
+	} {
+		tok, err := NewLexer(src).Next()
+		if err == nil || !strings.Contains(err.Error(), "invalid code point") {
+			t.Errorf("lex %s = %q, %v; want an invalid code point error", src, tok.Val, err)
+		}
+	}
+}
+
 func TestParseErrorPositions(t *testing.T) {
 	_, err := ParseQuery("SELECT *\nWHERE { ?s ?p }")
 	if err == nil {

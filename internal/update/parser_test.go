@@ -206,6 +206,9 @@ func TestParseErrors(t *testing.T) {
 		{"select not update", "SELECT * WHERE { ?s ?p ?o }"},
 		{"missing where", "DELETE { ?s ?p ?o . }"},
 		{"unterminated block", "INSERT DATA { <http://e/s> <http://e/p> 1 ."},
+		// A surrogate names no Unicode scalar value; it must not be
+		// stored as U+FFFD.
+		{"surrogate escape", `INSERT DATA { <http://e/s> <http://e/p> "\uD800x" . }`},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {

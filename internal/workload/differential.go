@@ -33,8 +33,8 @@ type DifferentialStream struct {
 // QueryStream is the read-side companion of DifferentialStream: a
 // deterministic, seeded random SPARQL query stream over the same
 // entity universe, executed by the differential harness through the
-// compiled query pipeline, the uncompiled text-SQL/virtual-view path,
-// and natively against the triple-store baseline — with zero
+// compiled query pipeline, the uncompiled path (a structural plan
+// compiled per request, else the virtual view), and natively against the triple-store baseline — with zero
 // divergence on solutions, ASK booleans and CONSTRUCT graphs. The mix
 // covers every planner regime: constant-subject point lookups, typed
 // lastname lookups, author-team joins, foreign-key object pins,

@@ -15,8 +15,8 @@ import (
 // TestDifferentialQueryStreams drives a seeded random MODIFY stream to
 // a final state, then executes a seeded random query stream three ways
 // — the compiled query pipeline (plan cache + structured streaming
-// executor), the uncompiled baseline (text SQL fast path + virtual
-// view), and native SPARQL evaluation over the triple-store twin —
+// executor), the uncompiled baseline (per-request structural plans +
+// virtual view), and native SPARQL evaluation over the triple-store twin —
 // asserting zero divergence on SELECT solutions (as multisets: the
 // virtual and native paths do not share row order), ASK booleans and
 // CONSTRUCT graphs.

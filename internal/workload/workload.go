@@ -289,23 +289,10 @@ INSERT DATA {
 		authorID)
 }
 
-// EmailDelete builds a Listing 17-shaped DELETE DATA for author i.
-func (g *Generator) EmailDelete(i int) string {
-	return fmt.Sprintf(`%s
-DELETE DATA { ex:author%d foaf:mbox <mailto:a%d@example.org> . }`, Prologue, i, i)
-}
-
-// EmailModify builds a Listing 11-shaped MODIFY for author i.
-func (g *Generator) EmailModify(i int) string {
-	return fmt.Sprintf(`%s
-MODIFY
-DELETE { ?x foaf:mbox ?m . }
-INSERT { ?x foaf:mbox <mailto:new%d@example.org> . }
-WHERE { ?x foaf:mbox ?m . FILTER (STR(?m) = "mailto:a%d@example.org") }`, Prologue, i, i)
-}
-
-// EmailModifyBGP is EmailModify with a pure BGP WHERE (translatable
-// to a single SELECT, the paper's Algorithm 2 path).
+// EmailModifyBGP builds a Listing 11-shaped MODIFY that rewrites
+// author i's mailbox. Its WHERE is a pure BGP pinned to the constant
+// subject, so it translates to a single SELECT (the paper's
+// Algorithm 2 path).
 func (g *Generator) EmailModifyBGP(i int) string {
 	return fmt.Sprintf(`%s
 MODIFY

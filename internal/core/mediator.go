@@ -84,8 +84,8 @@ type Mediator struct {
 	// and qplans compiled QueryPlans, keyed on request shape; parses
 	// memoizes raw update strings and qparses raw query strings to
 	// parsed-and-bound requests. topoPos ranks tables parents-first for
-	// plan-time statement sorting; nil disables planning (cyclic
-	// schemas).
+	// statement sorting (sortByFKOrder); nil for cyclic schemas, which
+	// disables planning and makes sorting fail.
 	plans   *lruCache[*UpdatePlan]
 	mplans  *lruCache[*ModifyPlan]
 	qplans  *lruCache[*QueryPlan]
@@ -418,9 +418,9 @@ func (m *Mediator) executeUnplannedOp(op update.Operation) (*OpResult, error) {
 func (m *Mediator) executeOpInTx(tx *rdb.Tx, op update.Operation) (*OpResult, error) {
 	switch o := op.(type) {
 	case update.InsertData:
-		return m.execInsertData(tx, o)
+		return m.execData(tx, o.Kind(), o.Triples)
 	case update.DeleteData:
-		return m.execDeleteData(tx, o)
+		return m.execData(tx, o.Kind(), o.Triples)
 	case update.Modify:
 		return m.execModify(tx, o)
 	case update.Clear:

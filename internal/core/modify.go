@@ -56,10 +56,7 @@ func (m *Mediator) execModify(tx *rdb.Tx, op update.Modify) (*OpResult, error) {
 	// DATA operations.
 	err := m.applyModifyBindings(sols, op.Delete, op.Insert, res,
 		func(kind string, triples []rdf.Triple) (*OpResult, error) {
-			if kind == "DELETE DATA" {
-				return m.execDeleteData(tx, update.DeleteData{Triples: triples})
-			}
-			return m.execInsertData(tx, update.InsertData{Triples: triples})
+			return m.execData(tx, kind, triples)
 		})
 	return res, err
 }

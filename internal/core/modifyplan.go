@@ -593,10 +593,7 @@ func (m *Mediator) execCompiledDataOpInner(tx *rdb.Tx, kind string, triples []rd
 			}
 		}
 	}
-	if kind == "INSERT DATA" {
-		return m.execInsertData(tx, update.InsertData{Triples: triples})
-	}
-	return m.execDeleteData(tx, update.DeleteData{Triples: triples})
+	return m.execData(tx, kind, triples)
 }
 
 // ---- mediator integration ------------------------------------------

@@ -30,7 +30,9 @@ import (
 // The data-dependent parts of Algorithm 1 cannot be compiled away and
 // stay in the executor: the INSERT-vs-UPDATE existence probe, the
 // DELETE DATA covers-all-remaining analysis, and every storage-level
-// constraint check.
+// constraint check. The uncompiled translation (execData) partitions
+// each group itself and then generates, sorts and runs statements
+// through the same executor code (emitterFor, runPlanStmts).
 
 // errUnplannable marks an operation whose shape the compiler does not
 // support; the caller falls back to the uncompiled path, which either
@@ -265,10 +267,7 @@ type UpdatePlan struct {
 	// Bound executions narrow those tables' locks to the shards their
 	// primary keys hash to; the rest stay whole-table.
 	shardable map[string]bool
-	// topoPos ranks tables parents-first for statement sorting
-	// (Algorithm 1 step five), precomputed from the schema.
-	topoPos map[string]int
-	groups  []*groupPlan
+	groups    []*groupPlan
 }
 
 // Kind returns the operation kind the plan compiles.
@@ -354,10 +353,10 @@ func txSchema(tx *rdb.Tx) schemaFn {
 // shapes that are invalid per se also return errUnplannable so the
 // uncompiled path produces the authoritative violation feedback.
 func (m *Mediator) compileDataPlan(kind, key string, slots int, nts []normTriple, lookupSchema schemaFn) (*UpdatePlan, error) {
-	p := &UpdatePlan{key: key, kind: kind, slots: slots, topoPos: m.topoPos}
-	if p.topoPos == nil {
+	if m.topoPos == nil {
 		return nil, errUnplannable
 	}
+	p := &UpdatePlan{key: key, kind: kind, slots: slots}
 	byURI := make(map[string]*groupPlan)
 	var order []string
 	for _, nt := range nts {
@@ -455,7 +454,7 @@ func (m *Mediator) constSubjectKey(g *groupPlan, uri string) (rdb.Value, error) 
 }
 
 // compileTriple folds one triple into its group plan, mirroring
-// partitionGroup.
+// partitionGroup's checks.
 func (m *Mediator) compileTriple(g *groupPlan, nt normTriple, lookupSchema schemaFn) error {
 	prop := nt.p.Value
 	if prop == rdf.RDFType {
@@ -518,10 +517,8 @@ func (m *Mediator) compileTriple(g *groupPlan, nt normTriple, lookupSchema schem
 	// The relational model stores one value per attribute; shapes that
 	// mention an attribute twice need value comparison, which is
 	// data-dependent — leave them to the uncompiled path.
-	for _, a := range g.attrs {
-		if a.name == am.Name {
-			return errUnplannable
-		}
+	if g.attrIndex(am.Name) >= 0 {
+		return errUnplannable
 	}
 	g.attrs = append(g.attrs, attrPlan{name: am.Name, col: col, am: am, prop: prop, val: *src})
 	return nil
@@ -579,17 +576,21 @@ func (g *groupPlan) finishAttrOrder() {
 	})
 }
 
-// suppliesAttr reports whether the shape supplies the named
-// attribute (the `supplied` predicate for firstMissingMandatory and
-// coversRemaining).
-func (g *groupPlan) suppliesAttr(name string) bool {
-	for _, a := range g.attrs {
-		if a.name == name {
-			return true
+// attrIndex returns the position of the named attribute in attrs, or
+// -1 when the group does not supply it.
+func (g *groupPlan) attrIndex(name string) int {
+	for i := range g.attrs {
+		if g.attrs[i].name == name {
+			return i
 		}
 	}
-	return false
+	return -1
 }
+
+// suppliesAttr reports whether the group supplies the named attribute
+// (the `supplied` predicate for firstMissingMandatory and
+// coversAllRemaining).
+func (g *groupPlan) suppliesAttr(name string) bool { return g.attrIndex(name) >= 0 }
 
 // ---- execution -----------------------------------------------------
 
@@ -665,33 +666,24 @@ func (p *UpdatePlan) bindGroups(m *Mediator, args []string) ([]boundGroup, error
 	return bound, nil
 }
 
-// planStmt is one instantiated statement awaiting sorted execution.
+// planStmt is one generated statement awaiting sorted execution: the
+// SQL text Algorithm 1 reports as feedback, and apply, the direct
+// storage operation that executes it.
 type planStmt struct {
 	sql     string
 	table   string
 	kind    stmtKind
 	subject string
-	seq     int
 	apply   func(tx *rdb.Tx) (int, error)
 }
 
-// sortPlanStmts applies Algorithm 1 step five using the precomputed
-// table ranks (the shared sorter in sort.go).
-func (p *UpdatePlan) sortPlanStmts(stmts []planStmt, disable bool) []planStmt {
-	if disable || len(stmts) < 2 {
-		return stmts
+// runPlanStmts sorts the generated statements (Algorithm 1 step five)
+// and executes them (step six), recording SQL and rows affected and
+// enriching constraint errors with subject context.
+func (m *Mediator) runPlanStmts(tx *rdb.Tx, stmts []planStmt, res *OpResult) error {
+	if err := m.sortByFKOrder(tx, stmts); err != nil {
+		return err
 	}
-	sortByFKOrder(stmts, p.topoPos,
-		func(s *planStmt) stmtKind { return s.kind },
-		func(s *planStmt) string { return s.table },
-		func(s *planStmt) int { return s.seq })
-	return stmts
-}
-
-// run executes sorted statements, recording SQL and rows affected and
-// enriching constraint errors with subject context, like
-// executeStatements does.
-func runPlanStmts(tx *rdb.Tx, stmts []planStmt, res *OpResult) error {
 	for _, st := range stmts {
 		res.SQL = append(res.SQL, st.sql)
 		n, err := st.apply(tx)
@@ -712,241 +704,248 @@ func runPlanStmts(tx *rdb.Tx, stmts []planStmt, res *OpResult) error {
 // execution.
 func (p *UpdatePlan) execBound(m *Mediator, tx *rdb.Tx, bound []boundGroup) (*OpResult, error) {
 	res := &OpResult{Operation: p.kind}
+	emit := emitterFor(p.kind)
 	var stmts []planStmt
 	var err error
-	if p.kind == "INSERT DATA" {
-		stmts, err = p.planInsert(m, tx, bound)
-	} else {
-		stmts, err = p.planDelete(m, tx, bound)
+	for bi := range bound {
+		if stmts, err = emit(tx, &bound[bi], stmts); err != nil {
+			return res, err
+		}
 	}
-	if err != nil {
-		return res, err
-	}
-	stmts = p.sortPlanStmts(stmts, m.opts.DisableSort)
-	return res, runPlanStmts(tx, stmts, res)
+	return res, m.runPlanStmts(tx, stmts, res)
 }
 
-// planInsert mirrors execInsertData: probe existence per group on the
-// pre-operation state, then emit INSERT or UPDATE plus idempotent
-// link-row inserts.
-func (p *UpdatePlan) planInsert(m *Mediator, tx *rdb.Tx, bound []boundGroup) ([]planStmt, error) {
-	var stmts []planStmt
-	seq := 0
-	for bi := range bound {
-		bg := &bound[bi]
-		g := bg.g
-		rowID, _, exists, err := tx.LookupPK(g.tm.Name, []rdb.Value{bg.pk})
+// emitterFor returns the per-group statement generator (Algorithm 1
+// step four) of a data operation kind. Compiled plans and the
+// uncompiled translation (execData) both generate through it.
+func emitterFor(kind string) func(*rdb.Tx, *boundGroup, []planStmt) ([]planStmt, error) {
+	if kind == "INSERT DATA" {
+		return emitInsert
+	}
+	return emitDelete
+}
+
+// emitInsert probes the group's entity on the pre-operation state and
+// appends an INSERT or UPDATE plus idempotent link-row inserts.
+func emitInsert(tx *rdb.Tx, bg *boundGroup, stmts []planStmt) ([]planStmt, error) {
+	g := bg.g
+	rowID, _, exists, err := tx.LookupPK(g.tm.Name, []rdb.Value{bg.pk})
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case exists && len(g.attrs) > 0:
+		set := make([]sqlgen.Assign, 0, len(g.attrs))
+		setMap := make(map[string]rdb.Value, len(g.attrs))
+		for _, ai := range g.sortedAttrs {
+			set = append(set, sqlgen.Assign{Column: g.attrs[ai].name, Value: bg.vals[ai]})
+			setMap[g.attrs[ai].name] = bg.vals[ai]
+		}
+		table, subject := g.tm.Name, bg.uri
+		stmts = append(stmts, planStmt{
+			sql:   sqlgen.Update(table, set, []sqlgen.Cond{{Column: g.pkName, Value: bg.pk}}),
+			table: table, kind: kindUpdate, subject: subject,
+			apply: func(tx *rdb.Tx) (int, error) {
+				return 1, tx.UpdateByID(table, rowID, setMap)
+			},
+		})
+	case !exists:
+		// Check step: every NotNull attribute without a default must be
+		// supplied (paper Section 5.1 step three).
+		if am := g.missingMandatory; am != nil {
+			return nil, mandatoryViolation(g.tm.Name, bg.uri, am)
+		}
+		cols := make([]string, 0, len(g.attrs)+1)
+		vals := make([]rdb.Value, 0, len(g.attrs)+1)
+		cols = append(cols, g.pkName)
+		vals = append(vals, bg.pk)
+		insMap := make(map[string]rdb.Value, len(g.attrs)+1)
+		insMap[g.pkName] = bg.pk
+		for ai := range g.attrs {
+			// A property mapped onto the primary key column (pk doubling
+			// as FK) must not override the URI-derived key.
+			if strings.EqualFold(g.attrs[ai].name, g.pkName) {
+				continue
+			}
+			cols = append(cols, g.attrs[ai].name)
+			vals = append(vals, bg.vals[ai])
+			insMap[g.attrs[ai].name] = bg.vals[ai]
+		}
+		table, subject := g.tm.Name, bg.uri
+		stmts = append(stmts, planStmt{
+			sql:   sqlgen.Insert(table, cols, vals),
+			table: table, kind: kindInsert, subject: subject,
+			apply: func(tx *rdb.Tx) (int, error) {
+				return 1, tx.Insert(table, insMap)
+			},
+		})
+	}
+	for li := range g.links {
+		l := &g.links[li]
+		eq := map[string]rdb.Value{
+			l.lt.SubjectAttr.Name: bg.pk,
+			l.lt.ObjectAttr.Name:  bg.objs[li],
+		}
+		ids, err := tx.Match(l.lt.Name, eq)
 		if err != nil {
 			return nil, err
 		}
-		switch {
-		case exists && len(g.attrs) > 0:
-			set := make([]sqlgen.Assign, 0, len(g.attrs))
-			setMap := make(map[string]rdb.Value, len(g.attrs))
-			for _, ai := range g.sortedAttrs {
-				set = append(set, sqlgen.Assign{Column: g.attrs[ai].name, Value: bg.vals[ai]})
-				setMap[g.attrs[ai].name] = bg.vals[ai]
-			}
-			table, subject := g.tm.Name, bg.uri
-			stmts = append(stmts, planStmt{
-				sql:   sqlgen.Update(table, set, []sqlgen.Cond{{Column: g.pkName, Value: bg.pk}}),
-				table: table, kind: kindUpdate, subject: subject, seq: seq,
-				apply: func(tx *rdb.Tx) (int, error) {
-					return 1, tx.UpdateByID(table, rowID, setMap)
-				},
-			})
-			seq++
-		case !exists:
-			if am := g.missingMandatory; am != nil {
-				return nil, mandatoryViolation(g.tm.Name, bg.uri, am)
-			}
-			cols := make([]string, 0, len(g.attrs)+1)
-			vals := make([]rdb.Value, 0, len(g.attrs)+1)
-			cols = append(cols, g.pkName)
-			vals = append(vals, bg.pk)
-			insMap := make(map[string]rdb.Value, len(g.attrs)+1)
-			insMap[g.pkName] = bg.pk
-			for ai := range g.attrs {
-				// A property mapped onto the primary key column (pk
-				// doubling as FK) must not override the URI-derived
-				// key — the uncompiled path skips it the same way.
-				if strings.EqualFold(g.attrs[ai].name, g.pkName) {
-					continue
-				}
-				cols = append(cols, g.attrs[ai].name)
-				vals = append(vals, bg.vals[ai])
-				insMap[g.attrs[ai].name] = bg.vals[ai]
-			}
-			table, subject := g.tm.Name, bg.uri
-			stmts = append(stmts, planStmt{
-				sql:   sqlgen.Insert(table, cols, vals),
-				table: table, kind: kindInsert, subject: subject, seq: seq,
-				apply: func(tx *rdb.Tx) (int, error) {
-					return 1, tx.Insert(table, insMap)
-				},
-			})
-			seq++
+		if len(ids) > 0 {
+			continue // RDF set semantics: the relationship exists
 		}
-		for li := range g.links {
-			l := &g.links[li]
-			eq := map[string]rdb.Value{
-				l.lt.SubjectAttr.Name: bg.pk,
-				l.lt.ObjectAttr.Name:  bg.objs[li],
-			}
-			ids, err := tx.Match(l.lt.Name, eq)
-			if err != nil {
-				return nil, err
-			}
-			if len(ids) > 0 {
-				continue // RDF set semantics: the relationship exists
-			}
-			table, subject := l.lt.Name, bg.uri
-			insMap := map[string]rdb.Value{
-				l.lt.SubjectAttr.Name: bg.pk,
-				l.lt.ObjectAttr.Name:  bg.objs[li],
-			}
-			stmts = append(stmts, planStmt{
-				sql: sqlgen.Insert(table,
-					[]string{l.lt.SubjectAttr.Name, l.lt.ObjectAttr.Name},
-					[]rdb.Value{bg.pk, bg.objs[li]}),
-				table: table, kind: kindInsert, subject: subject, seq: seq,
-				apply: func(tx *rdb.Tx) (int, error) {
-					return 1, tx.Insert(table, insMap)
-				},
-			})
-			seq++
-		}
+		table, subject := l.lt.Name, bg.uri
+		stmts = append(stmts, planStmt{
+			sql: sqlgen.Insert(table,
+				[]string{l.lt.SubjectAttr.Name, l.lt.ObjectAttr.Name},
+				[]rdb.Value{bg.pk, bg.objs[li]}),
+			table: table, kind: kindInsert, subject: subject,
+			apply: func(tx *rdb.Tx) (int, error) {
+				return 1, tx.Insert(table, eq)
+			},
+		})
 	}
 	return stmts, nil
 }
 
-// planDelete mirrors execDeleteData: analyze each group against the
-// stored tuple, then emit link deletes plus a row DELETE or a
-// NULL-ing UPDATE.
-func (p *UpdatePlan) planDelete(m *Mediator, tx *rdb.Tx, bound []boundGroup) ([]planStmt, error) {
-	var stmts []planStmt
-	seq := 0
-	for bi := range bound {
-		bg := &bound[bi]
-		g := bg.g
-		rowID, row, exists, err := tx.LookupPK(g.tm.Name, []rdb.Value{bg.pk})
+// emitDelete analyzes the group against its stored tuple (DELETE DATA
+// removes known triples only) and appends link deletes plus, when the
+// group covers all the entity's remaining data, a row DELETE, or else
+// an UPDATE setting the mentioned attributes to NULL with the
+// requested values as conditions (Listing 18).
+func emitDelete(tx *rdb.Tx, bg *boundGroup, stmts []planStmt) ([]planStmt, error) {
+	g := bg.g
+	rowID, row, exists, err := tx.LookupPK(g.tm.Name, []rdb.Value{bg.pk})
+	if err != nil {
+		return nil, err
+	}
+	if !exists {
+		return nil, &feedback.Violation{
+			Constraint: "Mapping", Subject: bg.uri, Table: g.tm.Name,
+			Hint: "the entity does not exist; DELETE DATA removes known triples only",
+		}
+	}
+	for _, ai := range g.sortedAttrs {
+		a := &g.attrs[ai]
+		ci := g.schema.ColumnIndex(a.name)
+		if !rdb.Equal(row[ci], bg.vals[ai]) {
+			return nil, &feedback.Violation{
+				Constraint: "Mapping", Subject: bg.uri, Property: a.prop,
+				Table: g.tm.Name, Column: a.name, Value: bg.vals[ai].Text(),
+				Hint: "the triple to delete is not present in the data",
+			}
+		}
+	}
+	for li := range g.links {
+		l := &g.links[li]
+		eq := map[string]rdb.Value{
+			l.lt.SubjectAttr.Name: bg.pk,
+			l.lt.ObjectAttr.Name:  bg.objs[li],
+		}
+		ids, err := tx.Match(l.lt.Name, eq)
 		if err != nil {
 			return nil, err
 		}
-		if !exists {
+		if len(ids) == 0 {
 			return nil, &feedback.Violation{
-				Constraint: "Mapping", Subject: bg.uri, Table: g.tm.Name,
-				Hint: "the entity does not exist; DELETE DATA removes known triples only",
+				Constraint: "Mapping", Subject: bg.uri, Property: l.prop,
+				Table: l.lt.Name, Value: bg.objs[li].Text(),
+				Hint: "the relationship to delete is not present in the data",
 			}
 		}
-		for _, ai := range g.sortedAttrs {
-			a := &g.attrs[ai]
-			ci := g.schema.ColumnIndex(a.name)
-			if !rdb.Equal(row[ci], bg.vals[ai]) {
-				return nil, &feedback.Violation{
-					Constraint: "Mapping", Subject: bg.uri, Property: a.prop,
-					Table: g.tm.Name, Column: a.name, Value: bg.vals[ai].Text(),
-					Hint: "the triple to delete is not present in the data",
+		table, subject := l.lt.Name, bg.uri
+		stmts = append(stmts, planStmt{
+			sql: sqlgen.Delete(table, []sqlgen.Cond{
+				{Column: l.lt.SubjectAttr.Name, Value: bg.pk},
+				{Column: l.lt.ObjectAttr.Name, Value: bg.objs[li]},
+			}),
+			table: table, kind: kindDelete, subject: subject,
+			apply: func(tx *rdb.Tx) (int, error) {
+				ids, err := tx.Match(table, eq)
+				if err != nil {
+					return 0, err
 				}
-			}
-		}
-		for li := range g.links {
-			l := &g.links[li]
-			eq := map[string]rdb.Value{
-				l.lt.SubjectAttr.Name: bg.pk,
-				l.lt.ObjectAttr.Name:  bg.objs[li],
-			}
-			ids, err := tx.Match(l.lt.Name, eq)
-			if err != nil {
-				return nil, err
-			}
-			if len(ids) == 0 {
-				return nil, &feedback.Violation{
-					Constraint: "Mapping", Subject: bg.uri, Property: l.prop,
-					Table: l.lt.Name, Value: bg.objs[li].Text(),
-					Hint: "the relationship to delete is not present in the data",
-				}
-			}
-			table, subject := l.lt.Name, bg.uri
-			stmts = append(stmts, planStmt{
-				sql: sqlgen.Delete(table, []sqlgen.Cond{
-					{Column: l.lt.SubjectAttr.Name, Value: bg.pk},
-					{Column: l.lt.ObjectAttr.Name, Value: bg.objs[li]},
-				}),
-				table: table, kind: kindDelete, subject: subject, seq: seq,
-				apply: func(tx *rdb.Tx) (int, error) {
-					ids, err := tx.Match(table, eq)
-					if err != nil {
+				for _, id := range ids {
+					if err := tx.DeleteByID(table, id); err != nil {
 						return 0, err
 					}
-					for _, id := range ids {
-						if err := tx.DeleteByID(table, id); err != nil {
-							return 0, err
-						}
-					}
-					return len(ids), nil
-				},
-			})
-			seq++
-		}
-
-		if len(g.attrs) == 0 && !g.hasType {
-			continue // only link triples for this subject
-		}
-
-		covers := planCoversAllRemaining(g, row)
-		switch {
-		case covers:
-			table, subject := g.tm.Name, bg.uri
-			stmts = append(stmts, planStmt{
-				sql:   sqlgen.Delete(table, []sqlgen.Cond{{Column: g.pkName, Value: bg.pk}}),
-				table: table, kind: kindDelete, subject: subject, seq: seq,
-				apply: func(tx *rdb.Tx) (int, error) {
-					return 1, tx.DeleteByID(table, rowID)
-				},
-			})
-			seq++
-		case g.hasType:
-			return nil, &feedback.Violation{
-				Constraint: "Mapping", Subject: bg.uri, Table: g.tm.Name,
-				Hint: "removing the rdf:type triple deletes the entity; the request must also cover all its remaining data",
-			}
-		default:
-			set := make([]sqlgen.Assign, 0, len(g.attrs))
-			conds := []sqlgen.Cond{{Column: g.pkName, Value: bg.pk}}
-			setMap := make(map[string]rdb.Value, len(g.attrs))
-			for _, ai := range g.sortedAttrs {
-				a := &g.attrs[ai]
-				if a.am != nil && a.am.HasConstraint(r3m.ConstraintNotNull) {
-					return nil, &feedback.Violation{
-						Constraint: "NotNull", Subject: bg.uri, Property: a.prop,
-						Table: g.tm.Name, Column: a.name,
-						Hint: "this mandatory property can only be removed by deleting the whole entity",
-					}
 				}
-				set = append(set, sqlgen.Assign{Column: a.name, Value: rdb.Null})
-				conds = append(conds, sqlgen.Cond{Column: a.name, Value: bg.vals[ai]})
-				setMap[a.name] = rdb.Null
-			}
-			table, subject := g.tm.Name, bg.uri
-			stmts = append(stmts, planStmt{
-				sql:   sqlgen.Update(table, set, conds),
-				table: table, kind: kindUpdate, subject: subject, seq: seq,
-				apply: func(tx *rdb.Tx) (int, error) {
-					return 1, tx.UpdateByID(table, rowID, setMap)
-				},
-			})
-			seq++
+				return len(ids), nil
+			},
+		})
+	}
+
+	if len(g.attrs) == 0 && !g.hasType {
+		return stmts, nil // only link triples for this subject
+	}
+
+	table, subject := g.tm.Name, bg.uri
+	switch {
+	case coversAllRemaining(g, row):
+		stmts = append(stmts, planStmt{
+			sql:   sqlgen.Delete(table, []sqlgen.Cond{{Column: g.pkName, Value: bg.pk}}),
+			table: table, kind: kindDelete, subject: subject,
+			apply: func(tx *rdb.Tx) (int, error) {
+				return 1, tx.DeleteByID(table, rowID)
+			},
+		})
+	case g.hasType:
+		return nil, &feedback.Violation{
+			Constraint: "Mapping", Subject: bg.uri, Table: g.tm.Name,
+			Hint: "removing the rdf:type triple deletes the entity; the request must also cover all its remaining data",
 		}
+	default:
+		// Partial delete: NULL out the mentioned attributes, with the
+		// paper's NOT NULL protection applied at check time.
+		set := make([]sqlgen.Assign, 0, len(g.attrs))
+		conds := []sqlgen.Cond{{Column: g.pkName, Value: bg.pk}}
+		setMap := make(map[string]rdb.Value, len(g.attrs))
+		for _, ai := range g.sortedAttrs {
+			a := &g.attrs[ai]
+			if a.am != nil && a.am.HasConstraint(r3m.ConstraintNotNull) {
+				return nil, &feedback.Violation{
+					Constraint: "NotNull", Subject: bg.uri, Property: a.prop,
+					Table: g.tm.Name, Column: a.name,
+					Hint: "this mandatory property can only be removed by deleting the whole entity",
+				}
+			}
+			set = append(set, sqlgen.Assign{Column: a.name, Value: rdb.Null})
+			conds = append(conds, sqlgen.Cond{Column: a.name, Value: bg.vals[ai]})
+			setMap[a.name] = rdb.Null
+		}
+		stmts = append(stmts, planStmt{
+			sql:   sqlgen.Update(table, set, conds),
+			table: table, kind: kindUpdate, subject: subject,
+			apply: func(tx *rdb.Tx) (int, error) {
+				return 1, tx.UpdateByID(table, rowID, setMap)
+			},
+		})
 	}
 	return stmts, nil
 }
 
-// planCoversAllRemaining applies the shared DELETE-vs-UPDATE decision
-// (coversRemaining) to a compiled group.
-func planCoversAllRemaining(g *groupPlan, row []rdb.Value) bool {
-	return coversRemaining(g.tm, g.schema, g.pkName, row, g.suppliesAttr,
-		len(g.attrs) > 0, g.hasType)
+// coversAllRemaining reports whether the group mentions every
+// non-NULL mapped attribute of the stored row — the paper's condition
+// for translating DELETE DATA to a row DELETE rather than a NULL-ing
+// UPDATE. The caller has already dropped link-only groups.
+func coversAllRemaining(g *groupPlan, row []rdb.Value) bool {
+	for _, am := range g.tm.Attributes {
+		if strings.EqualFold(am.Name, g.pkName) {
+			continue
+		}
+		ci := g.schema.ColumnIndex(am.Name)
+		if ci < 0 || row[ci].IsNull() {
+			continue
+		}
+		if am.Property.IsZero() {
+			// Unmapped attribute values are invisible in the RDF view
+			// and do not block deletion.
+			continue
+		}
+		if !g.suppliesAttr(am.Name) {
+			return false
+		}
+	}
+	return true
 }
 
 // ---- mediator integration ------------------------------------------

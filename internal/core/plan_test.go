@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ontoaccess/internal/feedback"
+	"ontoaccess/internal/ntriples"
 	"ontoaccess/internal/r3m"
 	"ontoaccess/internal/rdb"
 	"ontoaccess/internal/rdb/sqlexec"
@@ -20,12 +21,44 @@ func twoMediators(t *testing.T) (planned, unplanned *Mediator) {
 	return paperMediator(t, Options{}), paperMediator(t, Options{DisablePlanCache: true})
 }
 
+// branchRoute builds a third mediator whose writes land on a fresh
+// branch "b" (branch writes take the uncompiled translation), and
+// returns its execute function and the mediator.
+func branchRoute(t *testing.T) (func(string) (*Result, error), *Mediator) {
+	t.Helper()
+	m := paperMediator(t, Options{})
+	if err := m.DB().CreateBranch("b"); err != nil {
+		t.Fatal(err)
+	}
+	return func(src string) (*Result, error) {
+		return m.ExecuteStringOn(src, rdb.ReadTarget{Branch: "b"})
+	}, m
+}
+
+// assertBranchExportMatches requires the branch's RDF view to equal
+// the unplanned mediator's.
+func assertBranchExportMatches(t *testing.T, branched, unplanned *Mediator) {
+	t.Helper()
+	bg, err := branched.ExportOn(rdb.ReadTarget{Branch: "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ug, err := unplanned.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, u := ntriples.Format(bg), ntriples.Format(ug); b != u {
+		t.Errorf("branch data diverges from unplanned:\n%s\nvs\n%s", b, u)
+	}
+}
+
 // TestPlannedMatchesUnplannedSQL drives the same request sequence
-// through the compiled and uncompiled paths and requires identical
-// generated SQL, rows affected, and final row counts — the parity
-// contract of the plan pipeline.
+// through the compiled and uncompiled paths, and as branch writes,
+// and requires identical generated SQL, rows affected, and final data
+// — the parity contract of the plan pipeline.
 func TestPlannedMatchesUnplannedSQL(t *testing.T) {
 	planned, unplanned := twoMediators(t)
+	onBranch, branched := branchRoute(t)
 	requests := []string{
 		seedTeam5,
 		listing9, // INSERT (Listing 10 shape)
@@ -50,40 +83,53 @@ INSERT DATA {
 		paperPrologue + `DELETE DATA { ex:team4 foaf:name "DB" ; ont:teamCode "DBTG" . }`,
 	}
 	for i, req := range requests {
-		pres, perr := planned.ExecuteString(req)
 		ures, uerr := unplanned.ExecuteString(req)
-		if (perr == nil) != (uerr == nil) {
-			t.Fatalf("request %d: planned err %v vs unplanned err %v", i, perr, uerr)
-		}
-		if !reflect.DeepEqual(pres.SQL(), ures.SQL()) {
-			t.Errorf("request %d SQL diverges:\nplanned:   %v\nunplanned: %v", i, pres.SQL(), ures.SQL())
-		}
-		var prows, urows int
-		for _, op := range pres.Ops {
-			prows += op.RowsAffected
-		}
-		for _, op := range ures.Ops {
-			urows += op.RowsAffected
-		}
-		if prows != urows {
-			t.Errorf("request %d rows affected: planned %d vs unplanned %d", i, prows, urows)
+		for _, route := range []struct {
+			name string
+			exec func(string) (*Result, error)
+		}{{"planned", planned.ExecuteString}, {"branch", onBranch}} {
+			pres, perr := route.exec(req)
+			if (perr == nil) != (uerr == nil) {
+				t.Fatalf("request %d: %s err %v vs unplanned err %v", i, route.name, perr, uerr)
+			}
+			if !reflect.DeepEqual(pres.SQL(), ures.SQL()) {
+				t.Errorf("request %d SQL diverges:\n%s:   %v\nunplanned: %v", i, route.name, pres.SQL(), ures.SQL())
+			}
+			var prows, urows int
+			for _, op := range pres.Ops {
+				prows += op.RowsAffected
+			}
+			for _, op := range ures.Ops {
+				urows += op.RowsAffected
+			}
+			if prows != urows {
+				t.Errorf("request %d rows affected: %s %d vs unplanned %d", i, route.name, prows, urows)
+			}
 		}
 	}
 	if p, u := planned.DB().TotalRows(), unplanned.DB().TotalRows(); p != u {
 		t.Errorf("final row counts diverge: planned %d vs unplanned %d", p, u)
 	}
+	assertBranchExportMatches(t, branched, unplanned)
 	if s := planned.PlanCacheStats(); s.Misses == 0 {
 		t.Errorf("plan cache unused: %+v", s)
 	}
 }
 
 // TestPlannedMatchesUnplannedViolations checks that invalid requests
-// produce the same violation feedback on both paths.
+// produce the same violation feedback on both paths and as branch
+// writes.
 func TestPlannedMatchesUnplannedViolations(t *testing.T) {
 	planned, unplanned := twoMediators(t)
+	onBranch, branched := branchRoute(t)
 	for _, m := range []*Mediator{planned, unplanned} {
 		mustExec(t, m, seedTeam5)
 		mustExec(t, m, listing9)
+	}
+	for _, req := range []string{seedTeam5, listing9} {
+		if _, err := onBranch(req); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cases := []string{
 		// Missing mandatory lastname on a fresh entity.
@@ -103,22 +149,28 @@ func TestPlannedMatchesUnplannedViolations(t *testing.T) {
 INSERT DATA { ex:pub13 dc:title "T" ; ont:pubYear "not-a-year" . }`,
 	}
 	for i, req := range cases {
-		_, perr := planned.ExecuteString(req)
 		_, uerr := unplanned.ExecuteString(req)
-		if perr == nil || uerr == nil {
-			t.Fatalf("case %d: expected errors, got planned=%v unplanned=%v", i, perr, uerr)
-		}
-		var pv, uv *feedback.Violation
-		if !errors.As(perr, &pv) || !errors.As(uerr, &uv) {
-			t.Fatalf("case %d: non-violation errors: planned=%v unplanned=%v", i, perr, uerr)
-		}
-		if pv.Constraint != uv.Constraint || pv.Column != uv.Column || pv.Table != uv.Table {
-			t.Errorf("case %d: violations diverge:\nplanned:   %+v\nunplanned: %+v", i, pv, uv)
+		for _, route := range []struct {
+			name string
+			exec func(string) (*Result, error)
+		}{{"planned", planned.ExecuteString}, {"branch", onBranch}} {
+			_, perr := route.exec(req)
+			if perr == nil || uerr == nil {
+				t.Fatalf("case %d: expected errors, got %s=%v unplanned=%v", i, route.name, perr, uerr)
+			}
+			var pv, uv *feedback.Violation
+			if !errors.As(perr, &pv) || !errors.As(uerr, &uv) {
+				t.Fatalf("case %d: non-violation errors: %s=%v unplanned=%v", i, route.name, perr, uerr)
+			}
+			if pv.Constraint != uv.Constraint || pv.Column != uv.Column || pv.Table != uv.Table {
+				t.Errorf("case %d: violations diverge:\n%s:   %+v\nunplanned: %+v", i, route.name, pv, uv)
+			}
 		}
 	}
 	if p, u := planned.DB().TotalRows(), unplanned.DB().TotalRows(); p != u {
 		t.Errorf("row counts diverge after rollbacks: planned %d vs unplanned %d", p, u)
 	}
+	assertBranchExportMatches(t, branched, unplanned)
 }
 
 // TestPlanCacheHitMissEviction exercises the LRU behaviour directly.

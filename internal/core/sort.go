@@ -6,10 +6,19 @@ import (
 	"ontoaccess/internal/rdb"
 )
 
-// sortStatements implements Algorithm 1 step five: order the
-// generated statements so that, under the database's immediate
-// constraint checking, referential integrity holds at every point of
-// the transaction. The order is:
+// stmtKind classifies generated statements for sorting.
+type stmtKind int
+
+const (
+	kindInsert stmtKind = iota
+	kindUpdate
+	kindDelete
+)
+
+// sortByFKOrder implements Algorithm 1 step five: order the generated
+// statements so that, under the database's immediate constraint
+// checking, referential integrity holds at every point of the
+// transaction. The order is:
 //
 //  1. INSERTs in parents-first topological order of the foreign-key
 //     graph (a referencing row only lands after its referenced rows);
@@ -20,37 +29,22 @@ import (
 // output is deterministic. With Options.DisableSort the statements
 // run in generation order: the paper's ablation, which demonstrates
 // the failure mode Section 5.1 describes.
-func (m *Mediator) sortStatements(tx *rdb.Tx, stmts []plannedStmt) ([]plannedStmt, error) {
+//
+// Table ranks come from m.topoPos, computed from the schema in New. A
+// schema whose foreign keys form a cycle has no parents-first order
+// (m.topoPos is nil): sorting two or more statements then fails with
+// the transaction's cycle error.
+func (m *Mediator) sortByFKOrder(tx *rdb.Tx, stmts []planStmt) error {
 	if m.opts.DisableSort || len(stmts) < 2 {
-		return stmts, nil
+		return nil
 	}
-	order, err := tx.TopologicalTableOrder()
-	if err != nil {
-		return nil, err
+	if m.topoPos == nil {
+		_, err := tx.TopologicalTableOrder()
+		return err
 	}
-	pos := make(map[string]int, len(order))
-	for i, name := range order {
-		pos[lowerASCII(name)] = i
-	}
-	sorted := make([]plannedStmt, len(stmts))
-	copy(sorted, stmts)
-	sortByFKOrder(sorted, pos,
-		func(s *plannedStmt) stmtKind { return s.kind },
-		func(s *plannedStmt) string { return s.table },
-		func(s *plannedStmt) int { return s.seq })
-	return sorted, nil
-}
-
-// sortByFKOrder is the single implementation of the Algorithm 1
-// step-five ordering, shared by the uncompiled path (table ranks
-// derived from the transaction) and the compiled-plan executor
-// (ranks precomputed at compile time). Keeping one sorter keeps the
-// two paths' statement order in lockstep, which the parity tests
-// rely on.
-func sortByFKOrder[S any](stmts []S, pos map[string]int, kindOf func(*S) stmtKind, tableOf func(*S) string, seqOf func(*S) int) {
-	rank := func(s *S) (major, minor int) {
-		tp := pos[lowerASCII(tableOf(s))]
-		switch kindOf(s) {
+	rank := func(s *planStmt) (major, minor int) {
+		tp := m.topoPos[lowerASCII(s.table)]
+		switch s.kind {
 		case kindInsert:
 			return 0, tp
 		case kindUpdate:
@@ -65,11 +59,9 @@ func sortByFKOrder[S any](stmts []S, pos map[string]int, kindOf func(*S) stmtKin
 		if mi != mj {
 			return mi < mj
 		}
-		if ni != nj {
-			return ni < nj
-		}
-		return seqOf(&stmts[i]) < seqOf(&stmts[j])
+		return ni < nj
 	})
+	return nil
 }
 
 func lowerASCII(s string) string {

@@ -119,15 +119,6 @@ func SelectFunc(tx *rdb.Tx, st sqlparser.Select, head func(cols []string) error,
 	return p.runStream(tx, head, row)
 }
 
-// ExecSQL parses one statement and executes it in the transaction.
-func ExecSQL(tx *rdb.Tx, sql string) (Result, error) {
-	stmt, err := sqlparser.ParseStatement(sql)
-	if err != nil {
-		return Result{}, err
-	}
-	return Exec(tx, stmt)
-}
-
 // Query runs a single SELECT inside a read-only view and returns its
 // result set.
 func Query(db *rdb.Database, sql string) (*ResultSet, error) {

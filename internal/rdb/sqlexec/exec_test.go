@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ontoaccess/internal/rdb"
+	"ontoaccess/internal/rdb/sqlparser"
 )
 
 // paperDDL is the Figure 1 schema expressed in SQL.
@@ -372,8 +373,12 @@ func BenchmarkInsertSQLStatement(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		err := db.Update(func(tx *rdb.Tx) error {
-			_, err := ExecSQL(tx, `INSERT INTO author (id, title, firstname, lastname, email, team) `+
-				`VALUES (`+itoa(i)+`, 'Mr', 'M', 'H', 'h@e', 5)`)
+			stmt, err := sqlparser.ParseStatement(`INSERT INTO author (id, title, firstname, lastname, email, team) ` +
+				`VALUES (` + itoa(i) + `, 'Mr', 'M', 'H', 'h@e', 5)`)
+			if err != nil {
+				return err
+			}
+			_, err = Exec(tx, stmt)
 			return err
 		})
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ontoaccess/internal/rdb"
+	"ontoaccess/internal/rdb/sqlparser"
 )
 
 func TestLikeOperator(t *testing.T) {
@@ -114,7 +115,11 @@ func TestQueryRejectsNonSelect(t *testing.T) {
 func TestExecRejectsDDL(t *testing.T) {
 	db := paperDB(t)
 	err := db.Update(func(tx *rdb.Tx) error {
-		_, err := ExecSQL(tx, `DROP TABLE team`)
+		stmt, err := sqlparser.ParseStatement(`DROP TABLE team`)
+		if err != nil {
+			return err
+		}
+		_, err = Exec(tx, stmt)
 		return err
 	})
 	if err == nil {

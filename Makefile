@@ -61,13 +61,14 @@ crash-recovery:
 metamorphic:
 	$(GO) test -run 'TestMetamorphic' -v ./internal/workload
 
-# 60s of native fuzzing across the parser/normalizer targets, the
+# 70s of native fuzzing across the parser/normalizer targets, the
 # statistics invariant and the sharded publish protocol — regressions
 # land in testdata/fuzz/ as seeds.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParseUpdate -fuzztime 10s -run '^$$' ./internal/update
 	$(GO) test -fuzz FuzzParseQuery -fuzztime 10s -run '^$$' ./internal/sparql
 	$(GO) test -fuzz FuzzParseSelect -fuzztime 10s -run '^$$' ./internal/rdb/sqlparser
+	$(GO) test -fuzz FuzzParseTurtle -fuzztime 10s -run '^$$' ./internal/turtle
 	$(GO) test -fuzz FuzzNormalizeShape -fuzztime 10s -run '^$$' ./internal/core
 	$(GO) test -fuzz FuzzStatsInvariant -fuzztime 10s -run '^$$' ./internal/rdb
 	$(GO) test -fuzz FuzzShardedPublish -fuzztime 10s -run '^$$' ./internal/rdb

@@ -52,7 +52,7 @@ func Read(r io.Reader) (*rdf.Graph, error) {
 func ParseString(src string) (*rdf.Graph, error) {
 	for i, line := range strings.Split(src, "\n") {
 		trimmed := strings.TrimSpace(line)
-		if strings.HasPrefix(trimmed, "@") || strings.HasPrefix(trimmed, "PREFIX") || strings.HasPrefix(trimmed, "BASE") {
+		if strings.HasPrefix(trimmed, "@") || hasPrefixFold(trimmed, "PREFIX") || hasPrefixFold(trimmed, "BASE") {
 			return nil, fmt.Errorf("ntriples: line %d: directives are not allowed in N-Triples", i+1)
 		}
 	}
@@ -61,4 +61,10 @@ func ParseString(src string) (*rdf.Graph, error) {
 		return nil, fmt.Errorf("ntriples: %w", err)
 	}
 	return g, nil
+}
+
+// hasPrefixFold is strings.HasPrefix ignoring case, as Turtle matches
+// its SPARQL-style directives.
+func hasPrefixFold(s, prefix string) bool {
+	return len(s) >= len(prefix) && strings.EqualFold(s[:len(prefix)], prefix)
 }

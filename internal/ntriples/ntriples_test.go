@@ -63,8 +63,10 @@ func TestRejectDirectives(t *testing.T) {
 	if _, err := ParseString("@prefix ex: <http://e/> .\nex:s ex:p ex:o ."); err == nil {
 		t.Error("directives must be rejected")
 	}
-	if _, err := ParseString("PREFIX ex: <http://e/>"); err == nil {
-		t.Error("SPARQL-style prefix must be rejected")
+	for _, src := range []string{"PREFIX ex: <http://e/>", "prefix ex: <http://e/>", "Base <http://e/>"} {
+		if _, err := ParseString(src); err == nil {
+			t.Errorf("SPARQL-style directive %q must be rejected", src)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"ontoaccess/internal/rdb"
+	"ontoaccess/internal/rdf"
 )
 
 // compiledPattern is a parsed URI pattern: an alternating sequence of
@@ -34,8 +35,10 @@ func compilePattern(prefix, pattern string) (*compiledPattern, error) {
 	if pattern == "" {
 		return nil, fmt.Errorf("empty URI pattern")
 	}
+	// The paper: the prefix is overridden "if the pattern itself forms a
+	// valid URI (i.e., if it starts with http://, mailto:, etc.)".
 	full := pattern
-	if !isAbsoluteIRI(pattern) {
+	if !rdf.IsAbsoluteIRI(pattern) {
 		full = prefix + pattern
 	}
 	cp := &compiledPattern{}
@@ -183,21 +186,4 @@ func (cp *compiledPattern) buildKey(attr string, key rdb.Value) (string, bool) {
 	b.WriteString(text)
 	b.WriteString(cp.tail)
 	return b.String(), true
-}
-
-// isAbsoluteIRI reports whether s begins with a URI scheme (the
-// paper: "overrides it if the pattern itself forms a valid URI (i.e.,
-// if it starts with http://, mailto:, etc.)").
-func isAbsoluteIRI(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c == ':' {
-			return i > 0
-		}
-		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' ||
-			i > 0 && (c >= '0' && c <= '9' || c == '+' || c == '-' || c == '.')) {
-			return false
-		}
-	}
-	return false
 }

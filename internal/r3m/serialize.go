@@ -62,7 +62,7 @@ func (m *Mapping) Graph() *rdf.Graph {
 			case ConstraintForeignKey:
 				g.Add(rdf.NewTriple(cnode, typ, ClassForeignKey))
 				refTerm := rdf.Literal(c.References)
-				if isAbsoluteIRI(c.References) {
+				if rdf.IsAbsoluteIRI(c.References) {
 					refTerm = rdf.IRI(c.References)
 				}
 				g.Add(rdf.NewTriple(cnode, PropReferences, refTerm))

@@ -23,6 +23,19 @@ func TestLexerErrorPaths(t *testing.T) {
 	}
 }
 
+// TestLexerNamesWholeRune: identifiers stay ASCII, and the error for a
+// non-ASCII letter names the whole rune at its rune-counted column.
+func TestLexerNamesWholeRune(t *testing.T) {
+	_, err := ParseStatement(`SELECT naïve FROM t`)
+	if err == nil || !strings.Contains(err.Error(), "col 10: unexpected character 'ï'") {
+		t.Errorf("error %v, want unexpected character 'ï' at col 10", err)
+	}
+	_, err = ParseStatement(`SELECT 'é', ï FROM t`)
+	if err == nil || !strings.Contains(err.Error(), "col 13:") {
+		t.Errorf("error %v, want it at col 13 (runes, not bytes)", err)
+	}
+}
+
 // TestParserErrorPaths exercises statement-level failures with
 // position information.
 func TestParserErrorPaths(t *testing.T) {

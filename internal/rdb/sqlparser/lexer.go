@@ -10,6 +10,8 @@ package sqlparser
 import (
 	"fmt"
 	"strings"
+
+	"ontoaccess/internal/lex"
 )
 
 type tokKind int
@@ -37,37 +39,43 @@ const (
 	tSlash
 )
 
+var tokNames = [...]string{
+	tEOF: "end of input", tIdent: "identifier", tKeyword: "keyword",
+	tString: "string", tNumber: "number", tComma: "','", tDot: "'.'",
+	tSemicolon: "';'", tLParen: "'('", tRParen: "')'", tStar: "'*'",
+	tEq: "'='", tNe: "'<>'", tLt: "'<'", tLe: "'<='", tGt: "'>'", tGe: "'>='",
+	tPlus: "'+'", tMinus: "'-'", tSlash: "'/'",
+}
+
 func (k tokKind) String() string {
-	names := map[tokKind]string{
-		tEOF: "end of input", tIdent: "identifier", tKeyword: "keyword",
-		tString: "string", tNumber: "number", tComma: "','", tDot: "'.'",
-		tSemicolon: "';'", tLParen: "'('", tRParen: "')'", tStar: "'*'",
-		tEq: "'='", tNe: "'<>'", tLt: "'<'", tLe: "'<='", tGt: "'>'", tGe: "'>='",
-		tPlus: "'+'", tMinus: "'-'", tSlash: "'/'",
-	}
-	if n, ok := names[k]; ok {
-		return n
+	if k >= 0 && int(k) < len(tokNames) {
+		return tokNames[k]
 	}
 	return fmt.Sprintf("token(%d)", int(k))
 }
 
-var sqlKeywords = map[string]bool{
-	"CREATE": true, "TABLE": true, "DROP": true, "PRIMARY": true, "KEY": true,
-	"FOREIGN": true, "REFERENCES": true, "NOT": true, "NULL": true,
-	"UNIQUE": true, "DEFAULT": true, "AUTO_INCREMENT": true, "INTEGER": true, "INT": true,
-	"VARCHAR": true, "TEXT": true, "DOUBLE": true, "FLOAT": true,
-	"BOOLEAN": true, "BOOL": true,
-	"INSERT": true, "INTO": true, "VALUES": true,
-	"UPDATE": true, "SET": true,
-	"DELETE": true, "FROM": true, "WHERE": true,
-	"SELECT": true, "DISTINCT": true, "AS": true,
-	"JOIN": true, "INNER": true, "LEFT": true, "ON": true,
-	"ORDER": true, "BY": true, "ASC": true, "DESC": true,
-	"LIMIT": true, "OFFSET": true,
-	"AND": true, "OR": true, "IS": true, "LIKE": true, "IN": true,
-	"TRUE": true, "FALSE": true, "BEGIN": true, "COMMIT": true, "ROLLBACK": true,
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-	"OUTER": true, "GROUP": true, "HAVING": true,
+var keywords = lex.Keywords[struct{}]{
+	"CREATE": {}, "TABLE": {}, "DROP": {}, "PRIMARY": {}, "KEY": {},
+	"FOREIGN": {}, "REFERENCES": {}, "NOT": {}, "NULL": {},
+	"UNIQUE": {}, "DEFAULT": {}, "AUTO_INCREMENT": {}, "INTEGER": {}, "INT": {},
+	"VARCHAR": {}, "TEXT": {}, "DOUBLE": {}, "FLOAT": {},
+	"BOOLEAN": {}, "BOOL": {},
+	"INSERT": {}, "INTO": {}, "VALUES": {},
+	"UPDATE": {}, "SET": {},
+	"DELETE": {}, "FROM": {}, "WHERE": {},
+	"SELECT": {}, "DISTINCT": {}, "AS": {},
+	"JOIN": {}, "INNER": {}, "LEFT": {}, "ON": {},
+	"ORDER": {}, "BY": {}, "ASC": {}, "DESC": {},
+	"LIMIT": {}, "OFFSET": {},
+	"AND": {}, "OR": {}, "IS": {}, "LIKE": {}, "IN": {},
+	"TRUE": {}, "FALSE": {}, "BEGIN": {}, "COMMIT": {}, "ROLLBACK": {},
+	"COUNT": {}, "SUM": {}, "AVG": {}, "MIN": {}, "MAX": {},
+	"OUTER": {}, "GROUP": {}, "HAVING": {},
+}
+
+var punct = [256]tokKind{
+	',': tComma, '.': tDot, ';': tSemicolon, '(': tLParen, ')': tRParen,
+	'*': tStar, '=': tEq, '+': tPlus, '-': tMinus, '/': tSlash,
 }
 
 type token struct {
@@ -77,230 +85,105 @@ type token struct {
 	col  int
 }
 
-type lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
-}
+type lexer struct{ lex.Scanner }
 
-func newLexer(src string) *lexer { return &lexer{src: src, line: 1, col: 1} }
-
-func (lx *lexer) errorf(format string, args ...any) error {
-	return fmt.Errorf("sql: line %d col %d: %s", lx.line, lx.col, fmt.Sprintf(format, args...))
-}
-
-func (lx *lexer) peek() byte {
-	if lx.pos >= len(lx.src) {
-		return 0
-	}
-	return lx.src[lx.pos]
-}
-
-func (lx *lexer) peekAt(off int) byte {
-	if lx.pos+off >= len(lx.src) {
-		return 0
-	}
-	return lx.src[lx.pos+off]
-}
-
-func (lx *lexer) advance() byte {
-	c := lx.src[lx.pos]
-	lx.pos++
-	if c == '\n' {
-		lx.line++
-		lx.col = 1
-	} else {
-		lx.col++
-	}
-	return c
-}
-
-func (lx *lexer) skipSpace() {
-	for lx.pos < len(lx.src) {
-		c := lx.peek()
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			lx.advance()
-		case c == '-' && lx.peekAt(1) == '-':
-			for lx.pos < len(lx.src) && lx.peek() != '\n' {
-				lx.advance()
-			}
-		default:
-			return
-		}
-	}
-}
+func newLexer(src string) *lexer { return &lexer{lex.New("sql", src)} }
 
 func (lx *lexer) next() (token, error) {
-	lx.skipSpace()
-	t := token{line: lx.line, col: lx.col}
-	if lx.pos >= len(lx.src) {
-		t.kind = tEOF
+	lx.SkipSpace("--")
+	t := token{line: lx.Line(), col: lx.Col()}
+	if lx.EOF() {
 		return t, nil
 	}
-	c := lx.peek()
-	switch {
+	switch c := lx.Peek(); {
 	case c == '\'':
-		lx.advance()
-		var b strings.Builder
-		for {
-			if lx.pos >= len(lx.src) {
-				return t, lx.errorf("unterminated string literal")
-			}
-			ch := lx.advance()
-			if ch == '\'' {
-				if lx.peek() == '\'' { // '' escape
-					lx.advance()
-					b.WriteByte('\'')
-					continue
-				}
-				break
-			}
-			b.WriteByte(ch)
+		return lx.stringLit(t)
+	case lex.IsDigit(rune(c)) || c == '.' && lex.IsDigit(rune(lx.PeekAt(1))):
+		_, text, ok := lx.Number()
+		if !ok {
+			return t, lx.Errorf("malformed number")
 		}
-		t.kind = tString
-		t.val = b.String()
-		return t, nil
-	case c >= '0' && c <= '9' || c == '.' && lx.peekAt(1) >= '0' && lx.peekAt(1) <= '9':
-		var b strings.Builder
-		sawDot := false
-		for lx.pos < len(lx.src) {
-			ch := lx.peek()
-			if ch >= '0' && ch <= '9' {
-				b.WriteByte(lx.advance())
-			} else if ch == '.' && !sawDot && lx.peekAt(1) >= '0' && lx.peekAt(1) <= '9' {
-				sawDot = true
-				b.WriteByte(lx.advance())
-			} else if ch == 'e' || ch == 'E' {
-				b.WriteByte(lx.advance())
-				if n := lx.peek(); n == '+' || n == '-' {
-					b.WriteByte(lx.advance())
-				}
-				if p := lx.peek(); p < '0' || p > '9' {
-					return t, lx.errorf("malformed number")
-				}
-				sawDot = true // exponent implies float
-			} else {
-				break
-			}
-		}
-		t.kind = tNumber
-		t.val = b.String()
-		return t, nil
-	case c == ',':
-		lx.advance()
-		t.kind = tComma
-		return t, nil
-	case c == '.':
-		lx.advance()
-		t.kind = tDot
-		return t, nil
-	case c == ';':
-		lx.advance()
-		t.kind = tSemicolon
-		return t, nil
-	case c == '(':
-		lx.advance()
-		t.kind = tLParen
-		return t, nil
-	case c == ')':
-		lx.advance()
-		t.kind = tRParen
-		return t, nil
-	case c == '*':
-		lx.advance()
-		t.kind = tStar
-		return t, nil
-	case c == '=':
-		lx.advance()
-		t.kind = tEq
-		return t, nil
+		t.kind, t.val = tNumber, text
 	case c == '<':
-		lx.advance()
-		switch lx.peek() {
+		lx.Advance()
+		t.kind = tLt
+		switch lx.Peek() {
 		case '=':
-			lx.advance()
+			lx.Advance()
 			t.kind = tLe
 		case '>':
-			lx.advance()
+			lx.Advance()
 			t.kind = tNe
-		default:
-			t.kind = tLt
 		}
-		return t, nil
 	case c == '>':
-		lx.advance()
-		if lx.peek() == '=' {
-			lx.advance()
+		lx.Advance()
+		t.kind = tGt
+		if lx.Peek() == '=' {
+			lx.Advance()
 			t.kind = tGe
-		} else {
-			t.kind = tGt
 		}
-		return t, nil
 	case c == '!':
-		lx.advance()
-		if lx.peek() != '=' {
-			return t, lx.errorf("expected '!='")
+		lx.Advance()
+		if lx.Peek() != '=' {
+			return t, lx.Errorf("expected '!='")
 		}
-		lx.advance()
+		lx.Advance()
 		t.kind = tNe
-		return t, nil
-	case c == '+':
-		lx.advance()
-		t.kind = tPlus
-		return t, nil
-	case c == '-':
-		lx.advance()
-		t.kind = tMinus
-		return t, nil
-	case c == '/':
-		lx.advance()
-		t.kind = tSlash
-		return t, nil
-	case isIdentStart(c) || c == '"':
-		quoted := c == '"'
-		if quoted {
-			lx.advance()
+	case c == '"':
+		// A quoted identifier is never a keyword; an unclosed one runs
+		// to the end of input.
+		lx.Advance()
+		t.kind, t.val = tIdent, lx.Span(func(r rune) bool { return r != '"' })
+		if lx.Peek() == '"' {
+			lx.Advance()
 		}
-		var b strings.Builder
-		for lx.pos < len(lx.src) {
-			ch := lx.peek()
-			if quoted {
-				if ch == '"' {
-					lx.advance()
-					break
-				}
-				b.WriteByte(lx.advance())
-				continue
-			}
-			if isIdentPart(ch) {
-				b.WriteByte(lx.advance())
-			} else {
-				break
-			}
+		if t.val == "" {
+			return t, lx.Errorf("empty identifier")
 		}
-		word := b.String()
-		if word == "" {
-			return t, lx.errorf("empty identifier")
+	case isIdentStart(rune(c)):
+		word := lx.Span(isIdentPart)
+		t.kind, t.val = tIdent, word
+		if up, _, ok := keywords.Lookup(word); ok {
+			t.kind, t.val = tKeyword, up
 		}
-		if !quoted && sqlKeywords[strings.ToUpper(word)] {
-			t.kind = tKeyword
-			t.val = strings.ToUpper(word)
-		} else {
-			t.kind = tIdent
-			t.val = word
-		}
-		return t, nil
+	case punct[c] != tEOF:
+		lx.Advance()
+		t.kind = punct[c]
 	default:
-		return t, lx.errorf("unexpected character %q", c)
+		return t, lx.Errorf("unexpected character %q", lx.PeekRune(0))
+	}
+	return t, nil
+}
+
+// stringLit scans a single-quoted literal, in which a doubled quote
+// stands for one.
+func (lx *lexer) stringLit(t token) (token, error) {
+	lx.Advance()
+	var b strings.Builder
+	for {
+		run := lx.Span(func(r rune) bool { return r != '\'' })
+		if lx.EOF() {
+			return t, lx.Errorf("unterminated string literal")
+		}
+		lx.Advance()
+		if lx.Peek() != '\'' {
+			t.kind, t.val = tString, run
+			if b.Len() > 0 {
+				b.WriteString(run)
+				t.val = b.String()
+			}
+			return t, nil
+		}
+		lx.Advance()
+		b.WriteString(run)
+		b.WriteByte('\'')
 	}
 }
 
-func isIdentStart(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_'
+func isIdentStart(r rune) bool {
+	return r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r == '_'
 }
 
-func isIdentPart(c byte) bool {
-	return isIdentStart(c) || c >= '0' && c <= '9'
+func isIdentPart(r rune) bool {
+	return isIdentStart(r) || lex.IsDigit(r)
 }

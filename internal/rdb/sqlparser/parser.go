@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"ontoaccess/internal/lex"
 	"ontoaccess/internal/rdb"
 )
 
@@ -73,7 +74,7 @@ func (p *Parser) advance() error {
 }
 
 func (p *Parser) errorf(format string, args ...any) error {
-	return fmt.Errorf("sql: line %d col %d: %s", p.tok.line, p.tok.col, fmt.Sprintf(format, args...))
+	return lex.Errorf("sql", p.tok.line, p.tok.col, format, args...)
 }
 
 func (p *Parser) isKeyword(kw string) bool {

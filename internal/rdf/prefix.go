@@ -125,3 +125,35 @@ func isSafeLocalName(s string) bool {
 	}
 	return true
 }
+
+// ResolveIRI resolves the IRI reference ref against base. Only the
+// forms that occur in practice are implemented: an absolute reference,
+// or any reference without a base, passes through; a fragment
+// reference replaces the base's fragment; anything else is appended to
+// the base.
+func ResolveIRI(base, ref string) string {
+	if base == "" || IsAbsoluteIRI(ref) {
+		return ref
+	}
+	if strings.HasPrefix(ref, "#") {
+		if i := strings.IndexByte(base, '#'); i >= 0 {
+			return base[:i] + ref
+		}
+	}
+	return base + ref
+}
+
+// IsAbsoluteIRI reports whether s begins with a URI scheme such as
+// "http:" or "mailto:".
+func IsAbsoluteIRI(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c == ':' {
+			return i > 0
+		}
+		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || i > 0 && (c >= '0' && c <= '9' || c == '+' || c == '-' || c == '.')) {
+			return false
+		}
+	}
+	return false
+}

@@ -98,3 +98,20 @@ func TestIsSafeLocalName(t *testing.T) {
 		}
 	}
 }
+
+func TestResolveIRI(t *testing.T) {
+	for _, tc := range []struct{ base, ref, want string }{
+		{"", "a", "a"},
+		{"http://x/", "http://y/b", "http://y/b"},
+		{"http://x/", "mailto:a@b", "mailto:a@b"},
+		{"http://x/db/", "author1", "http://x/db/author1"},
+		{"http://x/a#", "#b", "http://x/a#b"},
+		{"http://x/a#frag", "#b", "http://x/a#b"},
+		{"http://x/a", "#b", "http://x/a#b"},
+		{"http://x/", "1:a", "http://x/1:a"}, // a scheme starts with a letter
+	} {
+		if got := ResolveIRI(tc.base, tc.ref); got != tc.want {
+			t.Errorf("ResolveIRI(%q, %q) = %q, want %q", tc.base, tc.ref, got, tc.want)
+		}
+	}
+}

@@ -202,7 +202,7 @@ func (t Term) IsNumeric() bool {
 func (t Term) String() string {
 	switch t.Kind {
 	case KindIRI:
-		return "<" + t.Value + ">"
+		return IRIRef(t.Value)
 	case KindBlank:
 		return "_:" + t.Value
 	case KindLiteral:
@@ -214,14 +214,32 @@ func (t Term) String() string {
 			b.WriteByte('@')
 			b.WriteString(t.Lang)
 		} else if t.Datatype != "" && t.Datatype != XSDString {
-			b.WriteString("^^<")
-			b.WriteString(t.Datatype)
-			b.WriteByte('>')
+			b.WriteString("^^")
+			b.WriteString(IRIRef(t.Datatype))
 		}
 		return b.String()
 	default:
 		return "?!invalid"
 	}
+}
+
+// IRIRef renders iri as an IRI reference, "<…>", in N-Triples, Turtle
+// and SPARQL syntax. The characters the IRIREF production excludes
+// (controls, space and <>"{}|^`\) are written as \u escapes, so a
+// parser reads back the same IRI.
+func IRIRef(iri string) string {
+	var b strings.Builder
+	b.Grow(len(iri) + 2)
+	b.WriteByte('<')
+	for i := 0; i < len(iri); i++ {
+		if c := iri[i]; c <= ' ' || strings.IndexByte("<>\"{}|^`\\", c) >= 0 {
+			fmt.Fprintf(&b, `\u%04X`, c)
+		} else {
+			b.WriteByte(c)
+		}
+	}
+	b.WriteByte('>')
+	return b.String()
 }
 
 // EscapeLiteral escapes a literal lexical form for N-Triples/Turtle
@@ -230,9 +248,10 @@ func EscapeLiteral(s string) string {
 	if !strings.ContainsAny(s, "\"\\\n\r\t") {
 		return s
 	}
+	// Bytes, not runes: an invalid UTF-8 byte must pass through as is.
 	var b strings.Builder
-	for _, r := range s {
-		switch r {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
 		case '"':
 			b.WriteString(`\"`)
 		case '\\':
@@ -244,7 +263,7 @@ func EscapeLiteral(s string) string {
 		case '\t':
 			b.WriteString(`\t`)
 		default:
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()

@@ -219,3 +219,16 @@ func TestIntegerLiteralRoundTrip(t *testing.T) {
 		t.Error("lexical form mismatch")
 	}
 }
+
+func TestIRIRefEscapesExcludedCharacters(t *testing.T) {
+	for _, tc := range []struct{ iri, want string }{
+		{"http://x/a", "<http://x/a>"},
+		{"http://x/é", "<http://x/é>"},
+		{"http://x/a b>", `<http://x/a\u0020b\u003E>`},
+		{"\"{}|^`\\\n", `<\u0022\u007B\u007D\u007C\u005E\u0060\u005C\u000A>`},
+	} {
+		if got := IRIRef(tc.iri); got != tc.want {
+			t.Errorf("IRIRef(%q) = %s, want %s", tc.iri, got, tc.want)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package sparql
 import (
 	"fmt"
 
+	"ontoaccess/internal/lex"
 	"ontoaccess/internal/rdf"
 )
 
@@ -58,7 +59,7 @@ func (p *Parser) Advance() error {
 
 // Errorf builds a position-annotated syntax error.
 func (p *Parser) Errorf(format string, args ...any) error {
-	return fmt.Errorf("sparql: line %d col %d: %s", p.tok.Line, p.tok.Col, fmt.Sprintf(format, args...))
+	return lex.Errorf("sparql", p.tok.Line, p.tok.Col, format, args...)
 }
 
 // Expect consumes a token of the given kind or fails.
@@ -102,7 +103,7 @@ func (p *Parser) ParsePrologue() error {
 			if err != nil {
 				return err
 			}
-			p.Prefixes.Set(pn.Val[:len(pn.Val)-1], p.resolveIRI(iri.Val))
+			p.Prefixes.Set(pn.Val[:len(pn.Val)-1], rdf.ResolveIRI(p.base, iri.Val))
 		case p.IsKeyword("BASE"):
 			if err := p.Advance(); err != nil {
 				return err
@@ -111,31 +112,11 @@ func (p *Parser) ParsePrologue() error {
 			if err != nil {
 				return err
 			}
-			p.base = p.resolveIRI(iri.Val)
+			p.base = rdf.ResolveIRI(p.base, iri.Val)
 		default:
 			return nil
 		}
 	}
-}
-
-func (p *Parser) resolveIRI(ref string) string {
-	if p.base == "" || isAbsolute(ref) {
-		return ref
-	}
-	return p.base + ref
-}
-
-func isAbsolute(ref string) bool {
-	for i := 0; i < len(ref); i++ {
-		c := ref[i]
-		if c == ':' {
-			return i > 0
-		}
-		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || i > 0 && (c >= '0' && c <= '9' || c == '+' || c == '-' || c == '.')) {
-			return false
-		}
-	}
-	return false
 }
 
 func (p *Parser) parseQuery() (*Query, error) {
@@ -708,7 +689,7 @@ func (p *Parser) parsePatternTerm(pos termPos) (PatternTerm, error) {
 		v := p.tok.Val
 		return VarTerm(v), p.Advance()
 	case TokIRIRef:
-		iri := p.resolveIRI(p.tok.Val)
+		iri := rdf.ResolveIRI(p.base, p.tok.Val)
 		return ConstTerm(rdf.IRI(iri)), p.Advance()
 	case TokPName:
 		iri, err := p.Prefixes.Expand(p.tok.Val)
@@ -773,7 +754,7 @@ func (p *Parser) parseLiteralTerm() (PatternTerm, error) {
 		}
 		switch p.tok.Kind {
 		case TokIRIRef:
-			dt := p.resolveIRI(p.tok.Val)
+			dt := rdf.ResolveIRI(p.base, p.tok.Val)
 			return ConstTerm(rdf.TypedLiteral(lex, dt)), p.Advance()
 		case TokPName:
 			dt, err := p.Prefixes.Expand(p.tok.Val)
@@ -937,14 +918,6 @@ func (p *Parser) parseUnary() (Expr, error) {
 	return p.parsePrimary()
 }
 
-// builtinArity gives the argument count range of each supported
-// built-in: [min, max].
-var builtinArity = map[string][2]int{
-	"BOUND": {1, 1}, "STR": {1, 1}, "LANG": {1, 1}, "DATATYPE": {1, 1},
-	"ISIRI": {1, 1}, "ISURI": {1, 1}, "ISLITERAL": {1, 1}, "ISBLANK": {1, 1},
-	"SAMETERM": {2, 2}, "LANGMATCHES": {2, 2}, "REGEX": {2, 3},
-}
-
 func (p *Parser) parsePrimary() (Expr, error) {
 	switch p.tok.Kind {
 	case TokLParen:
@@ -978,7 +951,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		t := rdf.TypedLiteral(p.tok.Val, rdf.XSDDouble)
 		return ExprConst{Term: t}, p.Advance()
 	case TokIRIRef:
-		t := rdf.IRI(p.resolveIRI(p.tok.Val))
+		t := rdf.IRI(rdf.ResolveIRI(p.base, p.tok.Val))
 		return ExprConst{Term: t}, p.Advance()
 	case TokPName:
 		iri, err := p.Prefixes.Expand(p.tok.Val)
@@ -992,8 +965,8 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			t := rdf.BooleanLiteral(name == "TRUE")
 			return ExprConst{Term: t}, p.Advance()
 		}
-		arity, ok := builtinArity[name]
-		if !ok {
+		arity := keywords[name]
+		if arity[1] == 0 {
 			return nil, p.Errorf("unexpected keyword %q in expression", name)
 		}
 		if err := p.Advance(); err != nil {

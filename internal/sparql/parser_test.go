@@ -179,29 +179,36 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// TestLexUnicodeEscapes pins \u / \U handling in string literals:
-// escapes decode to their code point, and escapes naming no Unicode
-// scalar value (surrogates, beyond U+10FFFF, overflowing \U) are lexer
-// errors rather than U+FFFD.
+// TestLexUnicodeEscapes pins \u / \U handling in string literals and
+// IRIs (SPARQL 1.1 section 19.2): escapes decode to their code point,
+// and escapes naming no Unicode scalar value (surrogates, beyond
+// U+10FFFF, overflowing \U) are lexer errors rather than U+FFFD.
 func TestLexUnicodeEscapes(t *testing.T) {
-	for _, tc := range []struct{ src, want string }{
-		{`"caf\u00e9"`, "café"},
-		{`"\U0001F600"`, "\U0001F600"},
-		{`'x\u0041y'`, "xAy"},
+	for _, tc := range []struct {
+		src  string
+		kind TokKind
+		want string
+	}{
+		{`"caf\u00e9"`, TokString, "café"},
+		{`"\U0001F600"`, TokString, "\U0001F600"},
+		{`'x\u0041y'`, TokString, "xAy"},
+		{`<http://x/caf\u00E9>`, TokIRIRef, "http://x/café"},
+		{`<http://x/\U0001F600>`, TokIRIRef, "http://x/\U0001F600"},
 	} {
 		tok, err := NewLexer(tc.src).Next()
-		if err != nil || tok.Kind != TokString || tok.Val != tc.want {
+		if err != nil || tok.Kind != tc.kind || tok.Val != tc.want {
 			t.Errorf("lex %s = %q (kind %v), %v; want %q", tc.src, tok.Val, tok.Kind, err, tc.want)
 		}
 	}
 	for _, src := range []string{
-		`"\uD800x"`,    // lone high surrogate
-		`"\uDFFF"`,     // lone low surrogate
-		`"\U00110000"`, // beyond U+10FFFF
-		`"\UFFFFFFFF"`, // overflows a rune
-		`"\U7FFFFFFF"`, // positive, still beyond U+10FFFF
-		`"""\uD834"""`, // long strings share the check
-		`'\U0000D800'`, // surrogate through \U
+		`"\uD800x"`,         // lone high surrogate
+		`"\uDFFF"`,          // lone low surrogate
+		`"\U00110000"`,      // beyond U+10FFFF
+		`"\UFFFFFFFF"`,      // overflows a rune
+		`"\U7FFFFFFF"`,      // positive, still beyond U+10FFFF
+		`"""\uD834"""`,      // long strings share the check
+		`'\U0000D800'`,      // surrogate through \U
+		`<http://x/\uD800>`, // IRIs share the check
 	} {
 		tok, err := NewLexer(src).Next()
 		if err == nil || !strings.Contains(err.Error(), "invalid code point") {
@@ -304,5 +311,41 @@ func TestDollarVariables(t *testing.T) {
 	}
 	if q.Vars[0] != "x" {
 		t.Errorf("dollar var = %v", q.Vars)
+	}
+}
+
+// TestParseNonASCIINames: variables, prefixes, local names and blank
+// node labels take Unicode letters and digits, and columns count runes.
+func TestParseNonASCIINames(t *testing.T) {
+	q, err := ParseQuery(`PREFIX é: <http://x/> PREFIX ex: <http://e/>
+SELECT ?café WHERE { _:bé ex:naïve ?café . ?café é:日本 ?straße }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(q.Vars) != 1 || q.Vars[0] != "café" {
+		t.Errorf("Vars = %v", q.Vars)
+	}
+	tp := q.Where.Triples[0]
+	if tp.S.Term != rdf.Blank("bé") || tp.P.Term != rdf.IRI("http://e/naïve") {
+		t.Errorf("first pattern = %v %v", tp.S, tp.P)
+	}
+	if p := q.Where.Triples[1].P.Term; p != rdf.IRI("http://x/日本") {
+		t.Errorf("é: name expanded to %v", p)
+	}
+	_, err = ParseQuery("SELECT ?café WHERE { ?café }")
+	if err == nil || !strings.Contains(err.Error(), "col 28") {
+		t.Errorf("error %v, want it at col 28 (runes, not bytes)", err)
+	}
+}
+
+// TestParseBaseResolution: a fragment reference replaces the base's
+// fragment, as in Turtle.
+func TestParseBaseResolution(t *testing.T) {
+	q, err := ParseQuery(`BASE <http://x/a#> SELECT * WHERE { <#b> ?p ?o }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := q.Where.Triples[0].S.Term; s != rdf.IRI("http://x/a#b") {
+		t.Errorf("<#b> resolved to %v, want http://x/a#b", s)
 	}
 }

@@ -16,8 +16,8 @@ package turtle
 import (
 	"fmt"
 	"strings"
-	"unicode"
-	"unicode/utf8"
+
+	"ontoaccess/internal/lex"
 )
 
 // tokenKind enumerates lexical token types.
@@ -29,7 +29,7 @@ const (
 	tokPName     // prefix:local or :local or prefix:
 	tokBlankNode // _:label
 	tokString    // lexical form already unescaped
-	tokInteger
+	tokInteger   // tokInteger, tokDecimal and tokDouble follow lex.NumKind's order
 	tokDecimal
 	tokDouble
 	tokLangTag // @en (value without '@')
@@ -49,18 +49,19 @@ const (
 	tokAnon // []
 )
 
+var tokNames = [...]string{
+	tokEOF: "end of input", tokIRIRef: "IRI", tokPName: "prefixed name",
+	tokBlankNode: "blank node", tokString: "string", tokInteger: "integer",
+	tokDecimal: "decimal", tokDouble: "double", tokLangTag: "language tag",
+	tokDot: "'.'", tokSemicolon: "';'", tokComma: "','",
+	tokLBracket: "'['", tokRBracket: "']'", tokLParen: "'('", tokRParen: "')'",
+	tokCaretCaret: "'^^'", tokA: "'a'", tokPrefixDecl: "@prefix",
+	tokBaseDecl: "@base", tokTrue: "'true'", tokFalse: "'false'", tokAnon: "'[]'",
+}
+
 func (k tokenKind) String() string {
-	names := map[tokenKind]string{
-		tokEOF: "end of input", tokIRIRef: "IRI", tokPName: "prefixed name",
-		tokBlankNode: "blank node", tokString: "string", tokInteger: "integer",
-		tokDecimal: "decimal", tokDouble: "double", tokLangTag: "language tag",
-		tokDot: "'.'", tokSemicolon: "';'", tokComma: "','",
-		tokLBracket: "'['", tokRBracket: "']'", tokLParen: "'('", tokRParen: "')'",
-		tokCaretCaret: "'^^'", tokA: "'a'", tokPrefixDecl: "@prefix",
-		tokBaseDecl: "@base", tokTrue: "'true'", tokFalse: "'false'", tokAnon: "'[]'",
-	}
-	if n, ok := names[k]; ok {
-		return n
+	if k >= 0 && int(k) < len(tokNames) {
+		return tokNames[k]
 	}
 	return fmt.Sprintf("token(%d)", int(k))
 }
@@ -71,427 +72,117 @@ type token struct {
 	val  string
 	line int
 	col  int
+	at   bool // a directive written in its '@' form, which a '.' must end
 }
+
+var (
+	// keywords are the SPARQL-style directives, matched in any case;
+	// words are the bare words Turtle matches exactly.
+	keywords = lex.Keywords[tokenKind]{"PREFIX": tokPrefixDecl, "BASE": tokBaseDecl}
+	words    = map[string]tokenKind{"a": tokA, "true": tokTrue, "false": tokFalse}
+
+	punct = [256]tokenKind{
+		'.': tokDot, ';': tokSemicolon, ',': tokComma, ']': tokRBracket,
+		'(': tokLParen, ')': tokRParen,
+	}
+)
 
 // lexer scans Turtle input into tokens.
-type lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
-}
+type lexer struct{ lex.Scanner }
 
 func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1, col: 1}
-}
-
-// errorf builds a position-annotated lexical error.
-func (lx *lexer) errorf(format string, args ...any) error {
-	return fmt.Errorf("turtle: line %d col %d: %s", lx.line, lx.col, fmt.Sprintf(format, args...))
-}
-
-func (lx *lexer) peek() byte {
-	if lx.pos >= len(lx.src) {
-		return 0
-	}
-	return lx.src[lx.pos]
-}
-
-func (lx *lexer) peekAt(off int) byte {
-	if lx.pos+off >= len(lx.src) {
-		return 0
-	}
-	return lx.src[lx.pos+off]
-}
-
-func (lx *lexer) advance() byte {
-	c := lx.src[lx.pos]
-	lx.pos++
-	if c == '\n' {
-		lx.line++
-		lx.col = 1
-	} else {
-		lx.col++
-	}
-	return c
-}
-
-func (lx *lexer) skipWhitespaceAndComments() {
-	for lx.pos < len(lx.src) {
-		c := lx.peek()
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			lx.advance()
-		case c == '#':
-			for lx.pos < len(lx.src) && lx.peek() != '\n' {
-				lx.advance()
-			}
-		default:
-			return
-		}
-	}
+	return &lexer{lex.New("turtle", src)}
 }
 
 // next returns the next token.
 func (lx *lexer) next() (token, error) {
-	lx.skipWhitespaceAndComments()
-	start := token{line: lx.line, col: lx.col}
-	if lx.pos >= len(lx.src) {
-		start.kind = tokEOF
-		return start, nil
+	lx.SkipSpace("#")
+	t := token{line: lx.Line(), col: lx.Col()}
+	if lx.EOF() {
+		return t, nil
 	}
-	c := lx.peek()
-	switch {
+	var err error
+	switch c := lx.Peek(); {
 	case c == '<':
-		return lx.lexIRIRef(start)
+		t.kind = tokIRIRef
+		t.val, err = lx.IRIRef()
 	case c == '"' || c == '\'':
-		return lx.lexString(start)
-	case c == '_' && lx.peekAt(1) == ':':
-		return lx.lexBlankNode(start)
+		t.kind = tokString
+		t.val, err = lx.RDFString()
+	case c == '_' && lx.PeekAt(1) == ':':
+		lx.Skip(2)
+		t.kind, t.val = tokBlankNode, lx.Span(lex.IsNameChar)
+		if t.val == "" {
+			return t, lx.Errorf("empty blank node label")
+		}
 	case c == '@':
-		return lx.lexAtKeyword(start)
-	case c == '.':
-		// A dot may start a decimal like ".5"; Turtle requires a digit
-		// after the dot for that, otherwise it is a statement terminator.
-		if isDigit(lx.peekAt(1)) {
-			return lx.lexNumber(start)
+		lx.Advance()
+		switch word := lx.Span(lex.IsLangChar); word {
+		case "prefix":
+			t.kind, t.at = tokPrefixDecl, true
+		case "base":
+			t.kind, t.at = tokBaseDecl, true
+		case "":
+			return t, lx.Errorf("empty @ keyword")
+		default:
+			t.kind, t.val = tokLangTag, word
 		}
-		lx.advance()
-		start.kind = tokDot
-		return start, nil
-	case c == ';':
-		lx.advance()
-		start.kind = tokSemicolon
-		return start, nil
-	case c == ',':
-		lx.advance()
-		start.kind = tokComma
-		return start, nil
 	case c == '[':
-		lx.advance()
-		// Recognize ANON "[]" (possibly with internal whitespace).
-		save := *lx
-		lx.skipWhitespaceAndComments()
-		if lx.peek() == ']' {
-			lx.advance()
-			start.kind = tokAnon
-			return start, nil
-		}
-		*lx = save
-		start.kind = tokLBracket
-		return start, nil
-	case c == ']':
-		lx.advance()
-		start.kind = tokRBracket
-		return start, nil
-	case c == '(':
-		lx.advance()
-		start.kind = tokLParen
-		return start, nil
-	case c == ')':
-		lx.advance()
-		start.kind = tokRParen
-		return start, nil
-	case c == '^':
-		if lx.peekAt(1) != '^' {
-			return start, lx.errorf("expected '^^', found single '^'")
-		}
-		lx.advance()
-		lx.advance()
-		start.kind = tokCaretCaret
-		return start, nil
-	case c == '+' || c == '-' || isDigit(c):
-		return lx.lexNumber(start)
-	default:
-		return lx.lexNameOrKeyword(start)
-	}
-}
-
-func (lx *lexer) lexIRIRef(start token) (token, error) {
-	lx.advance() // consume '<'
-	var b strings.Builder
-	for {
-		if lx.pos >= len(lx.src) {
-			return start, lx.errorf("unterminated IRI")
-		}
-		c := lx.advance()
-		switch c {
-		case '>':
-			start.kind = tokIRIRef
-			start.val = b.String()
-			return start, nil
-		case '\n', ' ':
-			return start, lx.errorf("invalid character %q in IRI", c)
-		case '\\':
-			if lx.pos >= len(lx.src) {
-				return start, lx.errorf("unterminated escape in IRI")
-			}
-			esc := lx.advance()
-			switch esc {
-			case 'u', 'U':
-				r, err := lx.lexUnicodeEscape(esc)
-				if err != nil {
-					return start, err
-				}
-				b.WriteRune(r)
-			default:
-				return start, lx.errorf("invalid IRI escape '\\%c'", esc)
-			}
-		default:
-			b.WriteByte(c)
-		}
-	}
-}
-
-func (lx *lexer) lexUnicodeEscape(kind byte) (rune, error) {
-	n := 4
-	if kind == 'U' {
-		n = 8
-	}
-	var v rune
-	for i := 0; i < n; i++ {
-		if lx.pos >= len(lx.src) {
-			return 0, lx.errorf("unterminated \\%c escape", kind)
-		}
-		c := lx.advance()
-		var d rune
-		switch {
-		case c >= '0' && c <= '9':
-			d = rune(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = rune(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			d = rune(c-'A') + 10
-		default:
-			return 0, lx.errorf("invalid hex digit %q in \\%c escape", c, kind)
-		}
-		v = v*16 + d
-	}
-	if !utf8.ValidRune(v) {
-		return 0, lx.errorf("escape \\%c denotes invalid code point %#x", kind, v)
-	}
-	return v, nil
-}
-
-func (lx *lexer) lexString(start token) (token, error) {
-	quote := lx.advance()
-	long := false
-	if lx.peek() == quote && lx.peekAt(1) == quote {
-		lx.advance()
-		lx.advance()
-		long = true
-	}
-	var b strings.Builder
-	for {
-		if lx.pos >= len(lx.src) {
-			return start, lx.errorf("unterminated string literal")
-		}
-		c := lx.advance()
-		if c == quote {
-			if !long {
-				break
-			}
-			if lx.peek() == quote && lx.peekAt(1) == quote {
-				lx.advance()
-				lx.advance()
-				break
-			}
-			b.WriteByte(c)
-			continue
-		}
-		if !long && (c == '\n' || c == '\r') {
-			return start, lx.errorf("newline in short string literal")
-		}
-		if c == '\\' {
-			if lx.pos >= len(lx.src) {
-				return start, lx.errorf("unterminated escape in string")
-			}
-			esc := lx.advance()
-			switch esc {
-			case 't':
-				b.WriteByte('\t')
-			case 'b':
-				b.WriteByte('\b')
-			case 'n':
-				b.WriteByte('\n')
-			case 'r':
-				b.WriteByte('\r')
-			case 'f':
-				b.WriteByte('\f')
-			case '"':
-				b.WriteByte('"')
-			case '\'':
-				b.WriteByte('\'')
-			case '\\':
-				b.WriteByte('\\')
-			case 'u', 'U':
-				r, err := lx.lexUnicodeEscape(esc)
-				if err != nil {
-					return start, err
-				}
-				b.WriteRune(r)
-			default:
-				return start, lx.errorf("invalid string escape '\\%c'", esc)
-			}
-			continue
-		}
-		b.WriteByte(c)
-	}
-	start.kind = tokString
-	start.val = b.String()
-	return start, nil
-}
-
-func (lx *lexer) lexBlankNode(start token) (token, error) {
-	lx.advance() // '_'
-	lx.advance() // ':'
-	var b strings.Builder
-	for lx.pos < len(lx.src) && isPNChar(rune(lx.peek())) {
-		b.WriteByte(lx.advance())
-	}
-	if b.Len() == 0 {
-		return start, lx.errorf("empty blank node label")
-	}
-	start.kind = tokBlankNode
-	start.val = b.String()
-	return start, nil
-}
-
-func (lx *lexer) lexAtKeyword(start token) (token, error) {
-	lx.advance() // '@'
-	var b strings.Builder
-	for lx.pos < len(lx.src) {
-		c := lx.peek()
-		if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '-' || isDigit(c) {
-			b.WriteByte(lx.advance())
-		} else {
+		// ANON "[]" may hold whitespace and comments.
+		lx.Advance()
+		save := lx.Scanner
+		lx.SkipSpace("#")
+		if lx.Peek() == ']' {
+			lx.Advance()
+			t.kind = tokAnon
 			break
 		}
-	}
-	word := b.String()
-	switch word {
-	case "prefix":
-		start.kind = tokPrefixDecl
-	case "base":
-		start.kind = tokBaseDecl
+		lx.Scanner = save
+		t.kind = tokLBracket
+	case c == '^':
+		if lx.PeekAt(1) != '^' {
+			return t, lx.Errorf("expected '^^', found single '^'")
+		}
+		lx.Skip(2)
+		t.kind = tokCaretCaret
+	case c == '+' || c == '-' || lex.IsDigit(rune(c)) || c == '.' && lex.IsDigit(rune(lx.PeekAt(1))):
+		kind, text, ok := lx.Number()
+		switch {
+		case !ok && kind == lex.Double:
+			return t, lx.Errorf("malformed double literal %q", text)
+		case !ok:
+			return t, lx.Errorf("malformed numeric literal %q", text)
+		}
+		t.kind, t.val = tokInteger+tokenKind(kind), text
+	case punct[c] != tokEOF:
+		lx.Advance()
+		t.kind = punct[c]
 	default:
-		// Language tag: letters then optional -subtags.
-		if word == "" {
-			return start, lx.errorf("empty @ keyword")
-		}
-		start.kind = tokLangTag
-		start.val = word
+		return lx.word(t)
 	}
-	return start, nil
+	return t, err
 }
 
-func (lx *lexer) lexNumber(start token) (token, error) {
-	var b strings.Builder
-	if lx.peek() == '+' || lx.peek() == '-' {
-		b.WriteByte(lx.advance())
-	}
-	digits := 0
-	for isDigit(lx.peek()) {
-		b.WriteByte(lx.advance())
-		digits++
-	}
-	kind := tokInteger
-	if lx.peek() == '.' && isDigit(lx.peekAt(1)) {
-		kind = tokDecimal
-		b.WriteByte(lx.advance())
-		for isDigit(lx.peek()) {
-			b.WriteByte(lx.advance())
-			digits++
-		}
-	}
-	if c := lx.peek(); c == 'e' || c == 'E' {
-		kind = tokDouble
-		b.WriteByte(lx.advance())
-		if c := lx.peek(); c == '+' || c == '-' {
-			b.WriteByte(lx.advance())
-		}
-		if !isDigit(lx.peek()) {
-			return start, lx.errorf("malformed double literal %q", b.String())
-		}
-		for isDigit(lx.peek()) {
-			b.WriteByte(lx.advance())
-		}
-	}
-	if digits == 0 {
-		return start, lx.errorf("malformed numeric literal %q", b.String())
-	}
-	start.kind = kind
-	start.val = b.String()
-	return start, nil
-}
-
-// lexNameOrKeyword scans prefixed names and the bare keywords a /
-// true / false / PREFIX / BASE.
-func (lx *lexer) lexNameOrKeyword(start token) (token, error) {
-	var b strings.Builder
-	sawColon := false
-	for lx.pos < len(lx.src) {
-		c := lx.peek()
-		r := rune(c)
-		if c == ':' {
-			sawColon = true
-			b.WriteByte(lx.advance())
-			continue
-		}
-		if isPNChar(r) || c == '.' && isPNChar(rune(lx.peekAt(1))) || c == '%' {
-			if c == '%' {
-				// Percent-encoded characters in local names (PN local escape);
-				// keep verbatim — they also appear inside R3M URI patterns.
-				b.WriteByte(lx.advance())
-				continue
-			}
-			b.WriteByte(lx.advance())
-			continue
-		}
-		break
-	}
-	word := b.String()
+// word scans a prefixed name or one of the bare words a / true / false
+// / PREFIX / BASE.
+func (lx *lexer) word(t token) (token, error) {
+	// '%' keeps percent-encoded characters of local names verbatim;
+	// they also appear inside R3M URI patterns.
+	word := lx.Name(":%")
 	if word == "" {
-		return start, lx.errorf("unexpected character %q", lx.peek())
+		return t, lx.Errorf("unexpected character %q", lx.PeekRune(0))
 	}
-	if !sawColon {
-		switch word {
-		case "a":
-			start.kind = tokA
-			return start, nil
-		case "true":
-			start.kind = tokTrue
-			return start, nil
-		case "false":
-			start.kind = tokFalse
-			return start, nil
-		case "PREFIX", "prefix":
-			start.kind = tokPrefixDecl
-			return start, nil
-		case "BASE", "base":
-			start.kind = tokBaseDecl
-			return start, nil
-		}
-		return start, lx.errorf("bare word %q is not valid Turtle (missing prefix?)", word)
+	if strings.Contains(word, ":") {
+		t.kind, t.val = tokPName, word
+		return t, nil
 	}
-	start.kind = tokPName
-	start.val = word
-	return start, nil
-}
-
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-
-// isPNChar reports whether r may appear in a prefixed-name part. This
-// is a slightly permissive version of the Turtle PN_CHARS production
-// that additionally admits all non-ASCII letters.
-func isPNChar(r rune) bool {
-	switch {
-	case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-		return true
-	case r == '_' || r == '-':
-		return true
-	case r > 127 && (unicode.IsLetter(r) || unicode.IsDigit(r)):
-		return true
+	if k, ok := words[word]; ok {
+		t.kind = k
+		return t, nil
 	}
-	return false
+	if _, k, ok := keywords.Lookup(word); ok {
+		t.kind = k
+		return t, nil
+	}
+	return t, lx.Errorf("bare word %q is not valid Turtle (missing prefix?)", word)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"ontoaccess/internal/lex"
 	"ontoaccess/internal/rdf"
 )
 
@@ -57,7 +58,7 @@ func (p *Parser) advance() error {
 }
 
 func (p *Parser) errorf(format string, args ...any) error {
-	return fmt.Errorf("turtle: line %d col %d: %s", p.tok.line, p.tok.col, fmt.Sprintf(format, args...))
+	return lex.Errorf("turtle", p.tok.line, p.tok.col, format, args...)
 }
 
 func (p *Parser) expect(kind tokenKind) (token, error) {
@@ -81,7 +82,7 @@ func (p *Parser) parseStatement() error {
 }
 
 func (p *Parser) parsePrefixDecl() error {
-	atForm := strings.HasPrefix(sourceAt(p.lx.src, p.tok), "@")
+	atForm := p.tok.at
 	if err := p.advance(); err != nil {
 		return err
 	}
@@ -89,15 +90,15 @@ func (p *Parser) parsePrefixDecl() error {
 	if err != nil {
 		return err
 	}
-	if !strings.HasSuffix(pn.val, ":") {
-		return p.errorf("prefix declaration must end with ':', got %q", pn.val)
+	prefix, ok := strings.CutSuffix(pn.val, ":")
+	if !ok || strings.Contains(prefix, ":") {
+		return p.errorf("prefix declaration must be a prefix name ending in ':', got %q", pn.val)
 	}
-	prefix := strings.TrimSuffix(pn.val, ":")
 	iri, err := p.expect(tokIRIRef)
 	if err != nil {
 		return err
 	}
-	p.prefixes.Set(prefix, p.resolveIRI(iri.val))
+	p.prefixes.Set(prefix, rdf.ResolveIRI(p.base, iri.val))
 	// '@prefix' requires a terminating dot; SPARQL-style PREFIX does not.
 	if p.tok.kind == tokDot {
 		return p.advance()
@@ -109,7 +110,7 @@ func (p *Parser) parsePrefixDecl() error {
 }
 
 func (p *Parser) parseBaseDecl() error {
-	atForm := strings.HasPrefix(sourceAt(p.lx.src, p.tok), "@")
+	atForm := p.tok.at
 	if err := p.advance(); err != nil {
 		return err
 	}
@@ -117,7 +118,7 @@ func (p *Parser) parseBaseDecl() error {
 	if err != nil {
 		return err
 	}
-	p.base = p.resolveIRI(iri.val)
+	p.base = rdf.ResolveIRI(p.base, iri.val)
 	if p.tok.kind == tokDot {
 		return p.advance()
 	}
@@ -125,27 +126,6 @@ func (p *Parser) parseBaseDecl() error {
 		return p.errorf("@base directive must be terminated by '.'")
 	}
 	return nil
-}
-
-// sourceAt returns the source text starting at the token position, to
-// distinguish '@prefix' from 'PREFIX'. Tokens record 1-based line/col;
-// we search backwards from a best-effort offset which is adequate
-// because we only test the first byte.
-func sourceAt(src string, t token) string {
-	// Walk to the requested line.
-	line := 1
-	i := 0
-	for i < len(src) && line < t.line {
-		if src[i] == '\n' {
-			line++
-		}
-		i++
-	}
-	i += t.col - 1
-	if i < 0 || i >= len(src) {
-		return ""
-	}
-	return src[i:]
 }
 
 func (p *Parser) parseTriples() error {
@@ -178,7 +158,7 @@ func (p *Parser) parseTriples() error {
 func (p *Parser) parseSubject() (rdf.Term, error) {
 	switch p.tok.kind {
 	case tokIRIRef:
-		iri := p.resolveIRI(p.tok.val)
+		iri := rdf.ResolveIRI(p.base, p.tok.val)
 		return rdf.IRI(iri), p.advance()
 	case tokPName:
 		iri, err := p.prefixes.Expand(p.tok.val)
@@ -229,7 +209,7 @@ func (p *Parser) parsePredicate() (rdf.Term, error) {
 	case tokA:
 		return rdf.IRI(rdf.RDFType), p.advance()
 	case tokIRIRef:
-		iri := p.resolveIRI(p.tok.val)
+		iri := rdf.ResolveIRI(p.base, p.tok.val)
 		return rdf.IRI(iri), p.advance()
 	case tokPName:
 		iri, err := p.prefixes.Expand(p.tok.val)
@@ -261,7 +241,7 @@ func (p *Parser) parseObjectList(subj, pred rdf.Term) error {
 func (p *Parser) parseObject() (rdf.Term, error) {
 	switch p.tok.kind {
 	case tokIRIRef:
-		iri := p.resolveIRI(p.tok.val)
+		iri := rdf.ResolveIRI(p.base, p.tok.val)
 		return rdf.IRI(iri), p.advance()
 	case tokPName:
 		iri, err := p.prefixes.Expand(p.tok.val)
@@ -316,7 +296,7 @@ func (p *Parser) parseLiteral() (rdf.Term, error) {
 		}
 		switch p.tok.kind {
 		case tokIRIRef:
-			dt := p.resolveIRI(p.tok.val)
+			dt := rdf.ResolveIRI(p.base, p.tok.val)
 			return rdf.TypedLiteral(lex, dt), p.advance()
 		case tokPName:
 			dt, err := p.prefixes.Expand(p.tok.val)
@@ -352,36 +332,4 @@ func (p *Parser) parseBlankNodePropertyList() (rdf.Term, error) {
 func (p *Parser) freshBlank() rdf.Term {
 	p.bnodeSeq++
 	return rdf.Blank(fmt.Sprintf("genid%d", p.bnodeSeq))
-}
-
-// resolveIRI resolves an IRI reference against the current base. Only
-// the resolution forms that occur in practice are implemented:
-// absolute IRIs pass through, anything else is concatenated onto the
-// base (or returned as-is when no base is set).
-func (p *Parser) resolveIRI(ref string) string {
-	if p.base == "" || isAbsoluteIRI(ref) {
-		return ref
-	}
-	if strings.HasPrefix(ref, "#") {
-		if i := strings.IndexByte(p.base, '#'); i >= 0 {
-			return p.base[:i] + ref
-		}
-		return p.base + ref
-	}
-	return p.base + ref
-}
-
-// isAbsoluteIRI reports whether the reference starts with a scheme
-// like "http:" or "mailto:".
-func isAbsoluteIRI(ref string) bool {
-	for i := 0; i < len(ref); i++ {
-		c := ref[i]
-		if c == ':' {
-			return i > 0
-		}
-		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || i > 0 && (c >= '0' && c <= '9' || c == '+' || c == '-' || c == '.')) {
-			return false
-		}
-	}
-	return false
 }

@@ -204,6 +204,47 @@ func TestParseBase(t *testing.T) {
 	}
 }
 
+// TestParseBaseFragment: a fragment reference replaces the base's
+// fragment instead of adding a second one.
+func TestParseBaseFragment(t *testing.T) {
+	g := mustParse(t, `@base <http://x/a#> . <#b> <http://x/p> <#c> .`)
+	if !g.Contains(rdf.NewTriple(rdf.IRI("http://x/a#b"), rdf.IRI("http://x/p"), rdf.IRI("http://x/a#c"))) {
+		t.Fatalf("fragment resolution failed: %v", g.Triples())
+	}
+}
+
+// TestParseDirectivesAnyCase: SPARQL-style PREFIX and BASE match in any
+// case (Turtle 1.1); the '@' forms and the bare words a / true / false
+// do not.
+func TestParseDirectivesAnyCase(t *testing.T) {
+	g := mustParse(t, `Prefix ex: <http://e/>
+base <http://b/>
+ex:s ex:p <o> .`)
+	if !g.Contains(rdf.NewTriple(rdf.IRI("http://e/s"), rdf.IRI("http://e/p"), rdf.IRI("http://b/o"))) {
+		t.Fatalf("got %v", g.Triples())
+	}
+	for _, src := range []string{`@PREFIX ex: <http://e/> .`, `<http://e/s> <http://e/p> TRUE .`, `<http://e/s> A <http://e/o> .`} {
+		if _, _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) succeeded, want error", src)
+		}
+	}
+}
+
+// TestParseNonASCIINames: prefixes, local names and blank node labels
+// take Unicode letters and digits, and columns count runes.
+func TestParseNonASCIINames(t *testing.T) {
+	g := mustParse(t, `PREFIX é: <http://x/>
+@prefix ex: <http://e/> .
+_:bé ex:naïve é:日本 .`)
+	if !g.Contains(rdf.NewTriple(rdf.Blank("bé"), rdf.IRI("http://e/naïve"), rdf.IRI("http://x/日本"))) {
+		t.Fatalf("got %v", g.Triples())
+	}
+	_, _, err := Parse(`<http://e/é> <http://e/p> ?`)
+	if err == nil || !strings.Contains(err.Error(), "col 27") {
+		t.Errorf("error %v, want it at col 27 (runes, not bytes)", err)
+	}
+}
+
 func TestParseComments(t *testing.T) {
 	g := mustParse(t, `
 # leading comment

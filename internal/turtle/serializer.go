@@ -31,9 +31,9 @@ func Write(w io.Writer, g *rdf.Graph, prefixes *rdf.PrefixMap) error {
 		for _, bind := range prefixes.Bindings() {
 			b.WriteString("@prefix ")
 			b.WriteString(bind[0])
-			b.WriteString(": <")
-			b.WriteString(bind[1])
-			b.WriteString("> .\n")
+			b.WriteString(": ")
+			b.WriteString(rdf.IRIRef(bind[1]))
+			b.WriteString(" .\n")
 		}
 		if prefixes.Len() > 0 {
 			b.WriteByte('\n')
@@ -124,7 +124,7 @@ func renderTerm(t rdf.Term, prefixes *rdf.PrefixMap) string {
 				return pn
 			}
 		}
-		return "<" + t.Value + ">"
+		return rdf.IRIRef(t.Value)
 	case rdf.KindBlank:
 		return "_:" + t.Value
 	case rdf.KindLiteral:
@@ -138,7 +138,7 @@ func renderTerm(t rdf.Term, prefixes *rdf.PrefixMap) string {
 		case t.Datatype == "" || t.Datatype == rdf.XSDString:
 			return `"` + rdf.EscapeLiteral(t.Value) + `"`
 		default:
-			dt := "<" + t.Datatype + ">"
+			dt := rdf.IRIRef(t.Datatype)
 			if prefixes != nil {
 				if pn, ok := prefixes.Compact(t.Datatype); ok {
 					dt = pn

@@ -27,6 +27,8 @@ DELETE { ?x foaf:title "Mr" . } WHERE { ?x foaf:title "Mr" . FILTER (STR(?x) = "
 		`INSERT DATA { <http://a/1> <http://b/p> "v\"esc\n" . }`,
 		`INSERT DATA { <http://a/1> <http://b/p> "2009"^^<http://www.w3.org/2001/XMLSchema#integer> . }`,
 		`INSERT DATA { <http://a/1> <http://b/p> "hi"@en . }`,
+		// IRIs holding escaped characters IRIREF excludes
+		`INSERT DATA { <http://a/\u003E> <http://b/p> "x"^^<http://t/\u0022\u0020> . }`,
 		`CLEAR`,
 		`INSERT DATA { _:b <http://b/p> "v" . }`,
 		`INSERT DATA { <http://a/1> <http://b/p> "v" } ; DELETE DATA { <http://a/1> <http://b/p> "v" }`,

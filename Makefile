@@ -26,11 +26,12 @@ race:
 	$(GO) test -race ./...
 
 # The allocation gates: per-request ceilings of the read and write
-# paths (core) and per-row ceilings of the streamed executor
-# (sqlexec). They are built `!race` — the race detector changes
-# allocation counts — so the race run above skips them.
+# paths (core), per-row ceilings of the streamed executor (sqlexec)
+# and of a JSON SELECT served over HTTP (endpoint). They are built
+# `!race` — the race detector changes allocation counts — so the race
+# run above skips them.
 allocs:
-	$(GO) test -run 'Allocs' ./internal/core ./internal/rdb/sqlexec
+	$(GO) test -run 'Allocs' ./internal/core ./internal/rdb/sqlexec ./internal/endpoint
 
 # Coverage gates: the translation core, the SQL executor (the
 # compiled read path's engine), the write-ahead log, the storage
@@ -61,15 +62,16 @@ crash-recovery:
 metamorphic:
 	$(GO) test -run 'TestMetamorphic' -v ./internal/workload
 
-# 70s of native fuzzing across the parser/normalizer targets, the
-# statistics invariant and the sharded publish protocol — regressions
-# land in testdata/fuzz/ as seeds.
+# 80s of native fuzzing across the parser/normalizer targets, the
+# row-cell encoders, the statistics invariant and the sharded publish
+# protocol — regressions land in testdata/fuzz/ as seeds.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParseUpdate -fuzztime 10s -run '^$$' ./internal/update
 	$(GO) test -fuzz FuzzParseQuery -fuzztime 10s -run '^$$' ./internal/sparql
 	$(GO) test -fuzz FuzzParseSelect -fuzztime 10s -run '^$$' ./internal/rdb/sqlparser
 	$(GO) test -fuzz FuzzParseTurtle -fuzztime 10s -run '^$$' ./internal/turtle
 	$(GO) test -fuzz FuzzNormalizeShape -fuzztime 10s -run '^$$' ./internal/core
+	$(GO) test -fuzz FuzzRowCellMatchesTerm -fuzztime 10s -run '^$$' ./internal/core
 	$(GO) test -fuzz FuzzStatsInvariant -fuzztime 10s -run '^$$' ./internal/rdb
 	$(GO) test -fuzz FuzzShardedPublish -fuzztime 10s -run '^$$' ./internal/rdb
 

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"strings"
 	"testing"
+	"unicode/utf8"
 
+	"ontoaccess/internal/r3m"
+	"ontoaccess/internal/rdb"
 	"ontoaccess/internal/rdf"
 	"ontoaccess/internal/sparql"
 	"ontoaccess/internal/update"
@@ -135,4 +140,74 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// FuzzRowCellMatchesTerm pins every cell encoder to the decoder it
+// replaces: for a URI pattern, value prefix or datatype and any
+// rdb.Value, the encoder's JSON and text renderings must equal
+// AppendTermBody and rdf.AppendTerm of the term decodeValue builds,
+// and a value the encoder declines must be one the decoder refuses.
+// IRI text that is not valid UTF-8 must get no encoder.
+func FuzzRowCellMatchesTerm(f *testing.F) {
+	m := paperMediator(f, Options{})
+	f.Add(uint8(0), "author", "", uint8(0), int64(6), 0.0, "", false)
+	f.Add(uint8(0), "kind/", "#it", uint8(2), int64(0), 0.0, "a b<c>\xff", false)
+	f.Add(uint8(0), "http://x.org/\u2028", "/\"q\"", uint8(2), int64(0), 0.0, "", false)
+	f.Add(uint8(1), "mailto:", "", uint8(2), int64(0), 0.0, "h\u2029<&>\x00@ex.org", false)
+	f.Add(uint8(1), "mailto:\xe2\x80", "", uint8(2), int64(0), 0.0, "\xa8", false)
+	f.Add(uint8(2), "http://www.w3.org/2001/XMLSchema#double", "", uint8(1), int64(0), 1e21, "", false)
+	f.Add(uint8(2), "http://example.org/dt#<b>", "", uint8(3), int64(0), 0.0, "", true)
+	f.Add(uint8(3), "", "", uint8(1), int64(0), -0.000001, "", false)
+	f.Fuzz(func(t *testing.T, shape uint8, prefix, tail string, kind uint8, i int64, fl float64, s string, bo bool) {
+		if strings.Contains(prefix+tail, "%") {
+			t.Skip("pattern text must not form placeholders")
+		}
+		var vb varBinding
+		switch shape % 4 {
+		case 0:
+			vb = varBinding{kind: bindSubject, col: "id", tm: &r3m.TableMap{Name: "fz", URIPattern: prefix + "%%id%%" + tail}}
+		case 1:
+			vb = varBinding{kind: bindColumn, am: &r3m.AttributeMap{IsObject: true, ValuePrefix: prefix + tail}}
+		case 2:
+			vb = varBinding{kind: bindColumn, am: &r3m.AttributeMap{Datatype: prefix + tail}}
+		default:
+			vb = varBinding{kind: bindAgg}
+		}
+		v := [...]rdb.Value{rdb.Int(i), rdb.Float(fl), rdb.String_(s), rdb.Bool(bo)}[kind%4]
+		enc := m.cellEncoder(nil, &vb)
+		invalid := !utf8.ValidString(prefix + tail) // the value prefix
+		if shape%4 == 0 {
+			invalid = !utf8.ValidString(prefix) || !utf8.ValidString(tail)
+		}
+		if shape%4 < 2 && invalid {
+			// JSON escapes invalid UTF-8 rune by rune: escaping the
+			// parts of such an IRI would not escape the whole.
+			if enc != nil {
+				t.Fatalf("an IRI encoder around invalid UTF-8 %q %q", prefix, tail)
+			}
+			return
+		}
+		if enc == nil {
+			if shape%4 != 0 {
+				t.Fatalf("no encoder for shape %d", shape%4)
+			}
+			return // the pattern does not compile to a single key placeholder
+		}
+		term, err := m.decodeValue(nil, &vb, v)
+		if !enc.Encodes(v) {
+			if err == nil {
+				t.Fatalf("encoder declines %#v, but the decoder builds %v", v, term)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("encoder renders %#v, but the decoder refuses it: %v", v, err)
+		}
+		if got, want := enc.AppendJSON(nil, v), sparql.AppendTermBody(nil, term); !bytes.Equal(got, want) {
+			t.Fatalf("JSON of %#v:\n got %q\nwant %q", v, got, want)
+		}
+		if got, want := enc.AppendText(nil, v), rdf.AppendTerm(nil, term); !bytes.Equal(got, want) {
+			t.Fatalf("text of %#v:\n got %q\nwant %q", v, got, want)
+		}
+	})
 }

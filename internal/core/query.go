@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 
 	"ontoaccess/internal/r3m"
@@ -627,38 +628,95 @@ func (st *SelectTranslation) runParsed(tx *rdb.Tx, stmt sqlparser.Statement) (sp
 		return nil, err
 	}
 	var sols sparql.Solutions
+	r := rowPool.Get().(*sparql.Row)
+	defer putRow(r)
+	r.Cells = slices.Grow(r.Cells[:0], len(st.bindings))[:len(st.bindings)]
 	for _, row := range res.Set.Rows {
-		b := make(sparql.Binding, len(st.bindings))
-		ok, err := st.m.decodeRow(tx, st.bindings, row, b)
+		ok, err := st.m.fillRow(tx, st.bindings, nil, row, r)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
+			b := make(sparql.Binding, len(st.bindings))
+			rowBinding(st.bindings, r, b)
 			sols = append(sols, b)
 		}
 	}
 	return sols, nil
 }
 
-// decodeRow decodes one result row into b, clearing it first. ok is
-// false when a non-nullable column is NULL: the row yields no solution.
-func (m *Mediator) decodeRow(tx *rdb.Tx, bindings []varBinding, row []rdb.Value, b sparql.Binding) (ok bool, err error) {
-	clear(b)
+// fillRow decodes one result row into the slot row r. ok is false when
+// a non-nullable column is NULL: the row yields no solution. A value
+// its column's encoder (encs, nil for none) renders stays raw; every
+// other value decodes to its term, so decode errors surface at the
+// same cell, in the same column order, with or without encoders.
+func (m *Mediator) fillRow(tx *rdb.Tx, bindings []varBinding, encs []*sparql.CellEncoder, row []rdb.Value, r *sparql.Row) (ok bool, err error) {
 	for i := range bindings {
-		vb, v := &bindings[i], row[i]
-		if v.IsNull() {
-			if vb.nullable {
-				continue // OPTIONAL/aggregate NULL: variable stays unbound
+		vb, v, c := &bindings[i], row[i], &r.Cells[i]
+		switch {
+		case v.IsNull():
+			if !vb.nullable {
+				return false, nil
 			}
-			return false, nil
+			c.State = sparql.CellUnbound // OPTIONAL/aggregate NULL
+		case encs != nil && encs[i] != nil && encs[i].Encodes(v):
+			c.State, c.Val = sparql.CellRaw, v
+		default:
+			term, err := m.decodeValue(tx, vb, v)
+			if err != nil {
+				return false, err
+			}
+			c.State, c.Term = sparql.CellTerm, term
 		}
-		term, err := m.decodeValue(tx, vb, v)
-		if err != nil {
-			return false, err
-		}
-		b[vb.name] = term
 	}
 	return true, nil
+}
+
+// cellEncoders compiles one cell encoder per binding: the rendering of
+// exactly the term decodeValue builds, as constant fragments around
+// the column's text. A nil entry leaves that column's cells to
+// decodeValue — a multi-placeholder or non-key URI pattern, a pattern
+// or prefix that is not valid UTF-8, or a missing referenced schema.
+func (m *Mediator) cellEncoders(tx *rdb.Tx, bindings []varBinding) []*sparql.CellEncoder {
+	encs := make([]*sparql.CellEncoder, len(bindings))
+	for i := range bindings {
+		encs[i] = m.cellEncoder(tx, &bindings[i])
+	}
+	return encs
+}
+
+// cellEncoder mirrors decodeValue's cases, resolving at compile time
+// what decodeValue resolves per cell (the referenced table's key).
+func (m *Mediator) cellEncoder(tx *rdb.Tx, vb *varBinding) *sparql.CellEncoder {
+	switch {
+	case vb.kind == bindAgg:
+		return sparql.LiteralEncoder("")
+	case vb.kind == bindSubject:
+		return m.keyEncoder(vb.tm, vb.col)
+	case vb.refTM != nil:
+		refSchema, err := tx.Schema(vb.refTM.Name)
+		if err != nil {
+			return nil
+		}
+		return m.keyEncoder(vb.refTM, refSchema.PrimaryKey[0])
+	case vb.am != nil && vb.am.IsObject:
+		return sparql.IRIEncoder(vb.am.ValuePrefix, "", false)
+	case vb.am != nil:
+		return sparql.LiteralEncoder(vb.am.Datatype)
+	default:
+		return sparql.LiteralEncoder("")
+	}
+}
+
+// keyEncoder renders the instance IRIs instanceIRI builds through
+// KeyURI: tm's single-placeholder pattern keyed by attr, with a
+// non-empty key.
+func (m *Mediator) keyEncoder(tm *r3m.TableMap, attr string) *sparql.CellEncoder {
+	head, tail, ok := m.mapping.KeyPattern(tm, attr)
+	if !ok {
+		return nil
+	}
+	return sparql.IRIEncoder(head, tail, true)
 }
 
 // decodeValue converts one result column back into an RDF term. It

@@ -169,6 +169,11 @@ type QueryPlan struct {
 	// exemplar query for the solution-level union tail.
 	union []selectTemplate
 	richQ *sparql.Query
+	// layout renders sel's slot rows and encs (aligned with
+	// sel.bindings) renders their raw cells; both are built once, at
+	// compile time, and shared by every execution.
+	layout *sparql.RowLayout
+	encs   []*sparql.CellEncoder
 }
 
 // Kind returns the query form the plan compiles.
@@ -256,7 +261,9 @@ func (m *Mediator) compileQueryPlan(key string, slots int, q *sparql.Query, nq *
 	var spec *sqlgen.SelectSpec
 	err := m.db.View(func(tx *rdb.Tx) error {
 		var terr error
-		st, spec, terr = m.translateSelect(tx, q.Where, proj, comp)
+		if st, spec, terr = m.translateSelect(tx, q.Where, proj, comp); terr == nil {
+			p.encs = m.cellEncoders(tx, st.bindings)
+		}
 		return terr
 	})
 	if err != nil {
@@ -279,6 +286,7 @@ func (m *Mediator) compileQueryPlan(key string, slots int, q *sparql.Query, nq *
 		spec: *spec, srcs: comp.srcs, checks: comp.checks, constURIs: comp.constURIs,
 		vars: st.Vars, bindings: st.bindings,
 	}
+	p.layout = sparql.NewRowLayout(st.Vars, p.encs)
 	return p, nil
 }
 
@@ -355,6 +363,8 @@ func (m *Mediator) compileRichQueryPlan(tx *rdb.Tx, q *sparql.Query) (*QueryPlan
 		return nil, err
 	}
 	p.sel = selectTemplate{spec: *spec, vars: st.Vars, bindings: st.bindings}
+	p.encs = m.cellEncoders(tx, st.bindings)
+	p.layout = sparql.NewRowLayout(st.Vars, p.encs)
 	return p, nil
 }
 

@@ -25,6 +25,19 @@ type StreamSink interface {
 	Graph(g *rdf.Graph) error
 }
 
+// RowSink is the StreamSink extension that takes SELECT solutions as
+// slot rows: Row replaces Solution, with the row's cells in Head's
+// variable order. Compiled plans hand it raw cells — column values
+// the plan's cell encoders render without building a term — and term
+// cells for the rest; the UNION and virtual-view paths hand it
+// term-backed rows. Like the Binding, a row is only valid for the
+// duration of the call. Sinks that implement only StreamSink receive
+// Bindings of fully decoded terms instead.
+type RowSink interface {
+	StreamSink
+	Row(r *sparql.Row) error
+}
+
 // QueryStream evaluates a SPARQL query and delivers the result
 // through sink instead of materializing a QueryResult. It is the one
 // read driver: Query runs it into a collecting sink, so result
@@ -34,8 +47,8 @@ type StreamSink interface {
 // cursor pins one MVCC snapshot for its whole lifetime (lock-free
 // readers never block writers, so a cursor held open across a
 // concurrent MODIFY stream is safe and sees a single consistent
-// version), each row decodes straight into a reused binding, and the
-// sink sees solutions as the executor produces them — O(1) result
+// version), each row fills a reused slot row, and the sink sees
+// solutions as the executor produces them — O(1) result
 // buffering regardless of result size. Plans whose solution tail must
 // see every row first (ORDER BY, aggregation, DISTINCT-after-sort)
 // materialize inside the cursor. Compiled ASK and CONSTRUCT plans run
@@ -103,10 +116,28 @@ func (m *Mediator) runQuery(src string, sink StreamSink, target rdb.ReadTarget) 
 	return m.queryUncompiled(cq.q, sink, target)
 }
 
-// bindingPool recycles the binding compiled cursors decode rows into.
-// A sink sees it only for the duration of a Solution call, so it is
-// free again once the cursor has returned.
-var bindingPool = sync.Pool{New: func() any { return make(sparql.Binding) }}
+// rowPool recycles the slot rows compiled cursors fill, and
+// bindingPool the bindings the Binding adapters hand on. A sink sees
+// either only for the duration of one call, so it is free again once
+// the cursor has returned.
+var (
+	rowPool     = sync.Pool{New: func() any { return new(sparql.Row) }}
+	bindingPool = sync.Pool{New: func() any { return make(sparql.Binding) }}
+)
+
+// putRow returns a slot row to rowPool, dropping its references to
+// the snapshot's strings.
+func putRow(r *sparql.Row) {
+	clear(r.Cells)
+	rowPool.Put(r)
+}
+
+// rowConsumer is what a SELECT cursor feeds: a RowSink, or an adapter
+// that turns decoded rows into Bindings.
+type rowConsumer interface {
+	Head(vars []string) error
+	Row(r *sparql.Row) error
+}
 
 // runBound runs a bound plan over tx's pinned snapshot into the sink —
 // the one runner for cached plans and for the structural plans the
@@ -123,13 +154,11 @@ func (m *Mediator) runBound(tx *rdb.Tx, plan *QueryPlan, bq *boundQuery, sink St
 		}
 		return true, emitSolutions(sink, plan.union[0].vars, sols)
 	}
-	noHead := func([]string) error { return nil }
-	b := bindingPool.Get().(sparql.Binding)
-	defer bindingPool.Put(b)
 	switch plan.form {
 	case sparql.FormAsk:
 		// The plan carries LIMIT 1: the first row is the witness.
 		found := false
+		noHead := func([]string) error { return nil }
 		if err := sqlexec.SelectFunc(tx, bq.sel, noHead, func([]rdb.Value) (bool, error) {
 			found = true
 			return false, nil
@@ -138,35 +167,42 @@ func (m *Mediator) runBound(tx *rdb.Tx, plan *QueryPlan, bq *boundQuery, sink St
 		}
 		return true, sink.Ask(found)
 	case sparql.FormConstruct:
-		g := rdf.NewGraph()
-		if err := sqlexec.SelectFunc(tx, bq.sel, noHead, func(row []rdb.Value) (bool, error) {
-			ok, err := m.decodeRow(tx, plan.sel.bindings, row, b)
-			if err != nil || !ok {
-				return err == nil, err
-			}
-			for _, tp := range bq.tmpl {
-				if t, ok := tp.Instantiate(b); ok {
-					g.Add(t)
-				}
-			}
-			return true, nil
-		}); err != nil {
+		cr := &constructRows{bindings: plan.sel.bindings, tmpl: bq.tmpl, g: rdf.NewGraph(), b: bindingPool.Get().(sparql.Binding)}
+		defer bindingPool.Put(cr.b)
+		if _, err := m.selectRows(tx, plan, bq, cr, nil); err != nil {
 			return false, err
 		}
-		return true, sink.Graph(g)
+		return true, sink.Graph(cr.g)
 	}
+	if rs, ok := sink.(RowSink); ok {
+		return m.selectRows(tx, plan, bq, rs, plan.encs)
+	}
+	bs := &bindingSink{StreamSink: sink, bindings: plan.sel.bindings, b: bindingPool.Get().(sparql.Binding)}
+	defer bindingPool.Put(bs.b)
+	return m.selectRows(tx, plan, bq, bs, nil)
+}
+
+// selectRows is the compiled SELECT row loop: it streams the cursor,
+// fills one pooled slot row per surviving row, and hands it to c,
+// calling c.Head before the first. Cells encs (the plan's encoders, or
+// nil) render stay raw; every other cell is decoded to its term.
+func (m *Mediator) selectRows(tx *rdb.Tx, plan *QueryPlan, bq *boundQuery, c rowConsumer, encs []*sparql.CellEncoder) (delivered bool, err error) {
+	r := rowPool.Get().(*sparql.Row)
+	defer putRow(r)
+	r.Reset(plan.layout)
+	noHead := func([]string) error { return nil }
 	err = sqlexec.SelectFunc(tx, bq.sel, noHead, func(row []rdb.Value) (bool, error) {
-		ok, err := m.decodeRow(tx, plan.sel.bindings, row, b)
+		ok, err := m.fillRow(tx, plan.sel.bindings, encs, row, r)
 		if err != nil || !ok {
 			return err == nil, err
 		}
 		if !delivered {
 			delivered = true
-			if err := sink.Head(plan.sel.vars); err != nil {
+			if err := c.Head(plan.sel.vars); err != nil {
 				return false, err
 			}
 		}
-		if err := sink.Solution(b); err != nil {
+		if err := c.Row(r); err != nil {
 			return false, err
 		}
 		return true, nil
@@ -174,16 +210,75 @@ func (m *Mediator) runBound(tx *rdb.Tx, plan *QueryPlan, bq *boundQuery, sink St
 	if err != nil || delivered {
 		return delivered, err
 	}
-	return true, sink.Head(plan.sel.vars)
+	return true, c.Head(plan.sel.vars)
 }
 
-// emitSolutions feeds materialized SELECT solutions through a sink.
+// bindingSink adapts a sink that implements only StreamSink: each
+// fully decoded slot row (no raw cells) is copied into one reused
+// Binding and handed to Solution.
+type bindingSink struct {
+	StreamSink
+	bindings []varBinding
+	b        sparql.Binding
+}
+
+func (s *bindingSink) Row(r *sparql.Row) error {
+	rowBinding(s.bindings, r, s.b)
+	return s.Solution(s.b)
+}
+
+// constructRows instantiates a CONSTRUCT template per fully decoded
+// slot row.
+type constructRows struct {
+	bindings []varBinding
+	tmpl     []sparql.TriplePattern
+	g        *rdf.Graph
+	b        sparql.Binding
+}
+
+func (c *constructRows) Head([]string) error { return nil }
+
+func (c *constructRows) Row(r *sparql.Row) error {
+	rowBinding(c.bindings, r, c.b)
+	for _, tp := range c.tmpl {
+		if t, ok := tp.Instantiate(c.b); ok {
+			c.g.Add(t)
+		}
+	}
+	return nil
+}
+
+// rowBinding copies a fully decoded slot row into b, clearing it
+// first.
+func rowBinding(bindings []varBinding, r *sparql.Row, b sparql.Binding) {
+	clear(b)
+	for i := range bindings {
+		if c := &r.Cells[i]; c.State == sparql.CellTerm {
+			b[bindings[i].name] = c.Term
+		}
+	}
+}
+
+// emitSolutions feeds materialized SELECT solutions through a sink:
+// as term-backed slot rows to a RowSink, as Bindings otherwise.
 func emitSolutions(sink StreamSink, vars []string, sols sparql.Solutions) error {
 	if err := sink.Head(vars); err != nil {
 		return err
 	}
+	rs, ok := sink.(RowSink)
+	if !ok {
+		for _, b := range sols {
+			if err := sink.Solution(b); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var r sparql.Row
+	r.Reset(sparql.NewRowLayout(vars, nil))
 	for _, b := range sols {
-		if err := sink.Solution(b); err != nil {
+		r.SetBinding(b)
+		if err := rs.Row(&r); err != nil {
 			return err
 		}
 	}

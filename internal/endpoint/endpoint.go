@@ -357,7 +357,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		bw.Reset(io.Discard)
 		bufPool.Put(bw)
 	}()
-	sink := &querySink{w: w, bw: bw, ctx: r.Context(), wantJSON: wantJSON}
+	sink := &querySink{w: w, bw: bw, ctx: r.Context(), done: r.Context().Done(), wantJSON: wantJSON}
 	if err := s.mediator.QueryStreamOn(query, sink, target); err != nil {
 		s.failStream(w, sink, err)
 		return
@@ -410,14 +410,19 @@ func (s *Server) failStream(w http.ResponseWriter, sink *querySink, err error) {
 	sink.bw.Flush()
 }
 
-// querySink adapts core.StreamSink onto one HTTP response: Head picks
-// the serializer from the negotiated content type, Solution feeds it
-// row by row, Ask/Graph handle the other query forms. Per-row context
-// checks propagate the request deadline into the executor's cursor.
+// querySink adapts core.RowSink onto one HTTP response: Head picks
+// the serializer from the negotiated content type, Row (or Solution)
+// feeds it row by row, Ask/Graph handle the other query forms. Every
+// call first checks the request's deadline, so an expired or cancelled
+// request stops the cursor at the next row.
 type querySink struct {
-	w        http.ResponseWriter
-	bw       *bufio.Writer
-	ctx      context.Context
+	w   http.ResponseWriter
+	bw  *bufio.Writer
+	ctx context.Context
+	// done is ctx.Done(), captured once: a receive on it is the
+	// per-row deadline check, where ctx.Err() would take the context's
+	// mutex on every row.
+	done     <-chan struct{}
 	wantJSON bool
 	// incremental marks bodies produced row-/block-wise (SELECT,
 	// CONSTRUCT) as opposed to whole-payload writes (ASK).
@@ -426,8 +431,19 @@ type querySink struct {
 	tw          *sparql.TableWriter
 }
 
+// expired reports the request's context error once its deadline has
+// passed or it was cancelled, and nil before — without locking.
+func (k *querySink) expired() error {
+	select {
+	case <-k.done:
+		return k.ctx.Err()
+	default:
+		return nil
+	}
+}
+
 func (k *querySink) Head(vars []string) error {
-	if err := k.ctx.Err(); err != nil {
+	if err := k.expired(); err != nil {
 		return err
 	}
 	k.incremental = true
@@ -445,8 +461,18 @@ func (k *querySink) Head(vars []string) error {
 	return nil
 }
 
+func (k *querySink) Row(r *sparql.Row) error {
+	if err := k.expired(); err != nil {
+		return err
+	}
+	if k.jw != nil {
+		return k.jw.WriteRow(r)
+	}
+	return k.tw.WriteRow(r)
+}
+
 func (k *querySink) Solution(b sparql.Binding) error {
-	if err := k.ctx.Err(); err != nil {
+	if err := k.expired(); err != nil {
 		return err
 	}
 	if k.jw != nil {
@@ -456,7 +482,7 @@ func (k *querySink) Solution(b sparql.Binding) error {
 }
 
 func (k *querySink) Ask(v bool) error {
-	if err := k.ctx.Err(); err != nil {
+	if err := k.expired(); err != nil {
 		return err
 	}
 	if k.wantJSON {
@@ -474,7 +500,7 @@ func (k *querySink) Ask(v bool) error {
 }
 
 func (k *querySink) Graph(g *rdf.Graph) error {
-	if err := k.ctx.Err(); err != nil {
+	if err := k.expired(); err != nil {
 		return err
 	}
 	k.incremental = true

@@ -23,10 +23,16 @@ import (
 )
 
 // get performs a GET /sparql with an optional Accept header through
-// the in-process handler.
+// the in-process handler, prefixing the workload's prologue.
 func get(t *testing.T, s *Server, query, accept string) *httptest.ResponseRecorder {
 	t.Helper()
-	req := httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(workload.Prologue+query), nil)
+	return getQuery(t, s, workload.Prologue+query, accept)
+}
+
+// getQuery performs a GET /sparql of a complete query text.
+func getQuery(t *testing.T, s *Server, query, accept string) *httptest.ResponseRecorder {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(query), nil)
 	if accept != "" {
 		req.Header.Set("Accept", accept)
 	}
@@ -82,35 +88,7 @@ func TestStreamedResponseParity(t *testing.T) {
 		`ASK { ex:team5 foaf:name "No Such Team" . }`,
 	}
 	for _, q := range queries {
-		res, err := ref.Query(workload.Prologue + q)
-		if err != nil {
-			t.Fatalf("buffered query %q: %v", q, err)
-		}
-		var wantText, wantJSON string
-		if res.Form == sparql.FormAsk {
-			wantText = fmt.Sprintf("%v\n", res.Bool)
-			data, err := sparql.AskJSON(res.Bool)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantJSON = string(data)
-		} else {
-			wantText = sparql.FormatTable(res.Vars, res.Solutions)
-			data, err := sparql.ResultsJSON(res.Vars, res.Solutions)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantJSON = string(data)
-		}
-
-		if rec := get(t, s, q, ""); rec.Code != http.StatusOK || rec.Body.String() != wantText {
-			t.Errorf("text parity broken for %q (status %d):\ngot:\n%s\nwant:\n%s",
-				q, rec.Code, rec.Body, wantText)
-		}
-		if rec := get(t, s, q, "application/sparql-results+json"); rec.Code != http.StatusOK || rec.Body.String() != wantJSON {
-			t.Errorf("JSON parity broken for %q (status %d):\ngot:\n%s\nwant:\n%s",
-				q, rec.Code, rec.Body, wantJSON)
-		}
+		checkResponseParity(t, s, ref, workload.Prologue+q, false)
 	}
 
 	// CONSTRUCT streams Turtle subject block by subject block.
@@ -146,6 +124,47 @@ func TestStreamedResponseParity(t *testing.T) {
 	if st := s.Stats(); st.Streamed == 0 || st.Buffered == 0 || st.BytesWritten == 0 ||
 		st.Shed != 0 || st.TimedOut != 0 || st.Truncated != 0 {
 		t.Errorf("endpoint stats after clean mixed traffic: %+v", st)
+	}
+}
+
+// checkResponseParity requires the endpoint's text and JSON responses
+// to query to equal the buffered renderings (FormatTable, ResultsJSON,
+// AskJSON) of ref.Query's result. refuses says ref must fail the
+// query instead; both responses must then be a clean 400 carrying
+// ref's error.
+func checkResponseParity(t *testing.T, s *Server, ref *core.Mediator, query string, refuses bool) {
+	t.Helper()
+	var wantText, wantJSON string
+	wantStatus := http.StatusOK
+	res, err := ref.Query(query)
+	if (err != nil) != refuses {
+		t.Fatalf("reference outcome for %q: error %v, want refusal %v", query, err, refuses)
+	}
+	switch {
+	case err != nil:
+		wantStatus, wantText, wantJSON = http.StatusBadRequest, err.Error()+"\n", err.Error()+"\n"
+	case res.Form == sparql.FormAsk:
+		wantText = fmt.Sprintf("%v\n", res.Bool)
+		data, err := sparql.AskJSON(res.Bool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON = string(data)
+	default:
+		wantText = sparql.FormatTable(res.Vars, res.Solutions)
+		data, err := sparql.ResultsJSON(res.Vars, res.Solutions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON = string(data)
+	}
+	if rec := getQuery(t, s, query, ""); rec.Code != wantStatus || rec.Body.String() != wantText {
+		t.Errorf("text parity broken for %q (status %d, want %d):\ngot:\n%s\nwant:\n%s",
+			query, rec.Code, wantStatus, rec.Body, wantText)
+	}
+	if rec := getQuery(t, s, query, "application/sparql-results+json"); rec.Code != wantStatus || rec.Body.String() != wantJSON {
+		t.Errorf("JSON parity broken for %q (status %d, want %d):\ngot:\n%s\nwant:\n%s",
+			query, rec.Code, wantStatus, rec.Body, wantJSON)
 	}
 }
 

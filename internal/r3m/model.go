@@ -360,6 +360,18 @@ func (m *Mapping) KeyURI(tm *TableMap, attr string, key rdb.Value) (uri string, 
 	return cp.buildKey(attr, key)
 }
 
+// KeyPattern splits tm's URI pattern around its key: the literal text
+// before and after the placeholder, when the pattern has exactly one
+// placeholder, named attr. Then every instance URI KeyURI builds is
+// head + the key's lexical form + tail.
+func (m *Mapping) KeyPattern(tm *TableMap, attr string) (head, tail string, ok bool) {
+	cp, err := tm.compiled(m.URIPrefix)
+	if err != nil || cp.key == "" || cp.key != attr {
+		return "", "", false
+	}
+	return cp.head, cp.tail, true
+}
+
 // compiled returns the compiled URI pattern, building it on first use.
 func (tm *TableMap) compiled(prefix string) (*compiledPattern, error) {
 	if tm.pattern != nil {

@@ -200,26 +200,31 @@ func (t Term) IsNumeric() bool {
 // String renders the term in N-Triples syntax, which is also the
 // canonical debugging representation used in error messages.
 func (t Term) String() string {
+	if t.Kind == KindInvalid || t.Kind > KindBlank {
+		return "?!invalid"
+	}
+	return string(AppendTerm(make([]byte, 0, len(t.Value)+len(t.Datatype)+8), t))
+}
+
+// AppendTerm appends the N-Triples rendering of a valid term — what
+// String returns — to b.
+func AppendTerm(b []byte, t Term) []byte {
 	switch t.Kind {
 	case KindIRI:
-		return IRIRef(t.Value)
+		return AppendIRIRef(b, t.Value)
 	case KindBlank:
-		return "_:" + t.Value
-	case KindLiteral:
-		var b strings.Builder
-		b.WriteByte('"')
-		b.WriteString(EscapeLiteral(t.Value))
-		b.WriteByte('"')
-		if t.Lang != "" {
-			b.WriteByte('@')
-			b.WriteString(t.Lang)
-		} else if t.Datatype != "" && t.Datatype != XSDString {
-			b.WriteString("^^")
-			b.WriteString(IRIRef(t.Datatype))
-		}
-		return b.String()
+		return append(append(b, "_:"...), t.Value...)
 	default:
-		return "?!invalid"
+		b = append(b, '"')
+		b = AppendEscapedLiteral(b, t.Value)
+		b = append(b, '"')
+		if t.Lang != "" {
+			b = append(append(b, '@'), t.Lang...)
+		} else if t.Datatype != "" && t.Datatype != XSDString {
+			b = append(b, "^^"...)
+			b = AppendIRIRef(b, t.Datatype)
+		}
+		return b
 	}
 }
 
@@ -228,18 +233,32 @@ func (t Term) String() string {
 // (controls, space and <>"{}|^`\) are written as \u escapes, so a
 // parser reads back the same IRI.
 func IRIRef(iri string) string {
-	var b strings.Builder
-	b.Grow(len(iri) + 2)
-	b.WriteByte('<')
-	for i := 0; i < len(iri); i++ {
-		if c := iri[i]; c <= ' ' || strings.IndexByte("<>\"{}|^`\\", c) >= 0 {
-			fmt.Fprintf(&b, `\u%04X`, c)
-		} else {
-			b.WriteByte(c)
+	return string(AppendIRIRef(make([]byte, 0, len(iri)+2), iri))
+}
+
+// AppendIRIRef appends IRIRef(iri) to b.
+func AppendIRIRef(b []byte, iri string) []byte {
+	b = append(b, '<')
+	b = AppendEscapedIRI(b, iri)
+	return append(b, '>')
+}
+
+const upperHex = "0123456789ABCDEF"
+
+// AppendEscapedIRI appends the inside of IRIRef(s) — s with the
+// excluded characters \u-escaped, without the angle brackets. The
+// escaping is byte-wise, so escaping a concatenation equals
+// concatenating the escaped parts.
+func AppendEscapedIRI(b []byte, s string) []byte {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c <= ' ' || strings.IndexByte("<>\"{}|^`\\", c) >= 0 {
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '0', '0', upperHex[c>>4], upperHex[c&0xF])
+			start = i + 1
 		}
 	}
-	b.WriteByte('>')
-	return b.String()
+	return append(b, s[start:]...)
 }
 
 // EscapeLiteral escapes a literal lexical form for N-Triples/Turtle
@@ -248,25 +267,35 @@ func EscapeLiteral(s string) string {
 	if !strings.ContainsAny(s, "\"\\\n\r\t") {
 		return s
 	}
-	// Bytes, not runes: an invalid UTF-8 byte must pass through as is.
-	var b strings.Builder
+	return string(AppendEscapedLiteral(make([]byte, 0, len(s)+8), s))
+}
+
+// AppendEscapedLiteral appends EscapeLiteral(s) to b. Like
+// AppendEscapedIRI it works on bytes — an invalid UTF-8 byte passes
+// through as is — so it distributes over concatenation.
+func AppendEscapedLiteral(b []byte, s string) []byte {
+	start := 0
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
+		var esc string
+		switch s[i] {
 		case '"':
-			b.WriteString(`\"`)
+			esc = `\"`
 		case '\\':
-			b.WriteString(`\\`)
+			esc = `\\`
 		case '\n':
-			b.WriteString(`\n`)
+			esc = `\n`
 		case '\r':
-			b.WriteString(`\r`)
+			esc = `\r`
 		case '\t':
-			b.WriteString(`\t`)
+			esc = `\t`
 		default:
-			b.WriteByte(c)
+			continue
 		}
+		b = append(b, s[start:i]...)
+		b = append(b, esc...)
+		start = i + 1
 	}
-	return b.String()
+	return append(b, s[start:]...)
 }
 
 // CompareTerms orders terms for deterministic output: blank nodes <

@@ -306,41 +306,11 @@ func sortSolutions(sols Solutions, keys []OrderKey) {
 // FormatTable renders solutions as an aligned text table with the
 // given column order, used by the CLI tools and the experiments.
 func FormatTable(vars []string, sols Solutions) string {
-	widths := make([]int, len(vars))
-	for i, v := range vars {
-		widths[i] = len(v) + 1
-	}
-	rows := make([][]string, len(sols))
-	for r, b := range sols {
-		row := make([]string, len(vars))
-		for i, v := range vars {
-			if t, ok := b[v]; ok {
-				row[i] = t.String()
-			}
-			if len(row[i]) > widths[i] {
-				widths[i] = len(row[i])
-			}
-		}
-		rows[r] = row
-	}
 	var sb strings.Builder
-	for i, v := range vars {
-		sb.WriteString(pad("?"+v, widths[i]+2))
-		_ = i
+	tw := NewTableWriter(&sb, vars)
+	for _, b := range sols {
+		tw.WriteSolution(b)
 	}
-	sb.WriteByte('\n')
-	for _, row := range rows {
-		for i, cell := range row {
-			sb.WriteString(pad(cell, widths[i]+2))
-		}
-		sb.WriteByte('\n')
-	}
+	tw.Close() // a strings.Builder never fails
 	return sb.String()
-}
-
-func pad(s string, w int) string {
-	if len(s) >= w {
-		return s
-	}
-	return s + strings.Repeat(" ", w-len(s))
 }

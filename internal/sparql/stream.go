@@ -2,8 +2,6 @@ package sparql
 
 import (
 	"io"
-	"sort"
-	"strings"
 	"unicode/utf8"
 
 	"ontoaccess/internal/rdf"
@@ -20,13 +18,16 @@ import (
 // incrementally. The byte stream is exactly what ResultsJSON produces
 // for the same head and solution sequence: same two-space indentation,
 // same alphabetical key order inside each binding object, same
-// HTML-escaped string encoding. Solutions are encoded into a reused
-// scratch buffer and handed to w row by row; nothing is retained, so
-// the caller may reuse the Binding between calls.
+// HTML-escaped string encoding. Rows are encoded into a reused scratch
+// buffer and handed to w one by one; nothing is retained, so the
+// caller may reuse the Binding or Row between calls.
 type ResultsJSONWriter struct {
-	w       io.Writer
-	vars    []string // head order (written once)
-	sorted  []string // alphabetical — encoding/json map-key order
+	w    io.Writer
+	vars []string // head order (written once)
+	// own lays out WriteSolution's term rows, built on first use: a
+	// plan's rows bring their own layout.
+	own     *RowLayout
+	row     Row
 	rows    int
 	scratch []byte
 	err     error
@@ -36,8 +37,6 @@ type ResultsJSONWriter struct {
 // results.bindings, and returns the writer for the rows.
 func NewResultsJSONWriter(w io.Writer, vars []string) (*ResultsJSONWriter, error) {
 	jw := &ResultsJSONWriter{w: w, vars: vars, scratch: make([]byte, 0, 256)}
-	jw.sorted = append([]string(nil), vars...)
-	sort.Strings(jw.sorted)
 	b := jw.scratch
 	b = append(b, "{\n  \"head\": {\n    \"vars\": ["...)
 	for i, v := range vars {
@@ -62,45 +61,43 @@ func NewResultsJSONWriter(w io.Writer, vars []string) (*ResultsJSONWriter, error
 // WriteSolution encodes one binding object. Variables absent from the
 // binding are omitted, per the specification (and per ResultsJSON).
 func (jw *ResultsJSONWriter) WriteSolution(bnd Binding) error {
+	if jw.own == nil {
+		jw.own = NewRowLayout(jw.vars, nil)
+	}
+	jw.row.Reset(jw.own)
+	jw.row.SetBinding(bnd)
+	return jw.WriteRow(&jw.row)
+}
+
+// WriteRow encodes one slot row as a binding object: members in the
+// layout's order, unbound cells omitted, raw cells rendered by their
+// column's encoder and term cells by AppendTermBody. Its head must be
+// the writer's.
+func (jw *ResultsJSONWriter) WriteRow(r *Row) error {
 	if jw.err != nil {
 		return jw.err
 	}
+	l := r.Layout
 	b := jw.scratch
 	if jw.rows > 0 {
 		b = append(b, ',')
 	}
 	b = append(b, "\n      {"...)
 	n := 0
-	for _, v := range jw.sorted {
-		t, ok := bnd[v]
-		if !ok {
+	for k, i := range l.cols {
+		c := &r.Cells[i]
+		if c.State == CellUnbound {
 			continue
 		}
 		if n > 0 {
 			b = append(b, ',')
 		}
 		n++
-		b = append(b, "\n        "...)
-		b = appendJSONString(b, v)
-		b = append(b, ": {\n          \"type\": "...)
-		switch t.Kind {
-		case rdf.KindIRI:
-			b = append(b, `"uri"`...)
-		case rdf.KindBlank:
-			b = append(b, `"bnode"`...)
-		default:
-			b = append(b, `"literal"`...)
-		}
-		b = append(b, ",\n          \"value\": "...)
-		b = appendJSONString(b, t.Value)
-		if t.Kind != rdf.KindIRI && t.Kind != rdf.KindBlank {
-			if t.Lang != "" {
-				b = append(b, ",\n          \"xml:lang\": "...)
-				b = appendJSONString(b, t.Lang)
-			} else if t.Datatype != "" && t.Datatype != rdf.XSDString {
-				b = append(b, ",\n          \"datatype\": "...)
-				b = appendJSONString(b, t.Datatype)
-			}
+		b = append(b, l.keys[k]...)
+		if c.State == CellRaw {
+			b = l.encs[i].AppendJSON(b, c.Val)
+		} else {
+			b = AppendTermBody(b, c.Term)
 		}
 		b = append(b, "\n        }"...)
 	}
@@ -146,6 +143,15 @@ const jsonHex = "0123456789abcdef"
 // TestAppendJSONStringMatchesEncodingJSON.
 func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
+	b = appendJSONBody(b, s)
+	return append(b, '"')
+}
+
+// appendJSONBody appends appendJSONString(s) without the quotes. Each
+// rune is escaped on its own, so the body of a concatenation is the
+// concatenation of the bodies — provided every part but the last ends
+// on a rune boundary (valid UTF-8 always does).
+func appendJSONBody(b []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		if c := s[i]; c < utf8.RuneSelf {
@@ -191,21 +197,25 @@ func appendJSONString(b []byte, s string) []byte {
 		}
 		i += size
 	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
+	return append(b, s[start:]...)
 }
 
 // TableWriter renders the aligned text table incrementally. Column
-// widths depend on every row, so the writer stages rendered cell
-// strings (one copy of the payload) and emits the aligned table at
-// Close — still strictly less memory than the buffered path's
-// solutions slice plus fully rendered string, and it never retains
-// the caller's bindings. Output is byte-identical to FormatTable.
+// widths depend on every row, so the writer stages the rendered cells
+// back to back in one buffer (one copy of the payload) and emits the
+// aligned table at Close — still strictly less memory than a solutions
+// slice plus a fully rendered string, and it never retains the
+// caller's bindings or rows. FormatTable is this writer over a string
+// builder.
 type TableWriter struct {
 	w      io.Writer
 	vars   []string
 	widths []int
-	rows   [][]string
+	// cells holds every staged cell's N-Triples text; ends[i] is where
+	// cell i ends, len(vars) cells per row.
+	cells []byte
+	ends  []int
+	rows  int
 }
 
 // NewTableWriter stages a table with the given column order.
@@ -219,39 +229,78 @@ func NewTableWriter(w io.Writer, vars []string) *TableWriter {
 
 // WriteSolution stages one row; the binding is not retained.
 func (tw *TableWriter) WriteSolution(b Binding) error {
-	row := make([]string, len(tw.vars))
 	for i, v := range tw.vars {
 		if t, ok := b[v]; ok {
-			row[i] = t.String()
+			tw.cells = rdf.AppendTerm(tw.cells, t)
 		}
-		if len(row[i]) > tw.widths[i] {
-			tw.widths[i] = len(row[i])
-		}
+		tw.endCell(i)
 	}
-	tw.rows = append(tw.rows, row)
+	tw.rows++
 	return nil
+}
+
+// WriteRow stages one slot row, rendering its raw cells with the
+// layout's encoders; the row is not retained. Its head must be the
+// writer's.
+func (tw *TableWriter) WriteRow(r *Row) error {
+	for i := range tw.vars {
+		switch c := &r.Cells[i]; c.State {
+		case CellRaw:
+			tw.cells = r.Layout.encs[i].AppendText(tw.cells, c.Val)
+		case CellTerm:
+			tw.cells = rdf.AppendTerm(tw.cells, c.Term)
+		}
+		tw.endCell(i)
+	}
+	tw.rows++
+	return nil
+}
+
+// endCell closes the staged cell of column i.
+func (tw *TableWriter) endCell(i int) {
+	start := 0
+	if n := len(tw.ends); n > 0 {
+		start = tw.ends[n-1]
+	}
+	tw.ends = append(tw.ends, len(tw.cells))
+	if w := len(tw.cells) - start; w > tw.widths[i] {
+		tw.widths[i] = w
+	}
 }
 
 // Close writes the aligned table. It does not close the underlying
 // writer.
 func (tw *TableWriter) Close() error {
-	var sb strings.Builder
+	line := make([]byte, 0, 256)
 	for i, v := range tw.vars {
-		sb.WriteString(pad("?"+v, tw.widths[i]+2))
+		line = appendPadded(line, "?"+v, tw.widths[i]+2)
 	}
-	sb.WriteByte('\n')
-	if _, err := io.WriteString(tw.w, sb.String()); err != nil {
+	line = append(line, '\n')
+	if _, err := tw.w.Write(line); err != nil {
 		return err
 	}
-	for _, row := range tw.rows {
-		sb.Reset()
-		for i, cell := range row {
-			sb.WriteString(pad(cell, tw.widths[i]+2))
+	start, cell := 0, 0
+	for r := 0; r < tw.rows; r++ {
+		line = line[:0]
+		for i := range tw.vars {
+			end := tw.ends[cell]
+			line = appendPadded(line, tw.cells[start:end], tw.widths[i]+2)
+			start = end
+			cell++
 		}
-		sb.WriteByte('\n')
-		if _, err := io.WriteString(tw.w, sb.String()); err != nil {
+		line = append(line, '\n')
+		if _, err := tw.w.Write(line); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// appendPadded appends s right-padded with spaces to width w.
+func appendPadded[S string | []byte](b []byte, s S, w int) []byte {
+	b = append(b, s...)
+	for n := len(s); n < w; n++ {
+		b = append(b, ' ')
+	}
+	return b
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ontoaccess/internal/rdb"
 	"ontoaccess/internal/rdf"
 )
 
@@ -68,6 +69,10 @@ func streamParityCases() []struct {
 				"z": rdf.TypedLiteral("42", "http://www.w3.org/2001/XMLSchema#integer")},
 			{"x": rdf.LangLiteral("chat", "en"), "y": rdf.TypedLiteral("s", rdf.XSDString)},
 		}},
+		{"repeated-var", []string{"x", "a", "x"}, Solutions{
+			{"x": rdf.IRI("http://example.org/s"), "a": rdf.Literal("1")},
+			{"a": rdf.Literal("2")},
+		}},
 		{"sort-order", []string{"zeta", "alpha", "mid"}, Solutions{
 			{"zeta": rdf.Literal("1"), "alpha": rdf.Literal("2"), "mid": rdf.Literal("3")},
 		}},
@@ -106,9 +111,45 @@ func TestResultsJSONWriterParity(t *testing.T) {
 	}
 }
 
+// formatTableRef is the text table rendered the direct way: every
+// cell's Term.String, each column padded to its widest cell (or its
+// "?name" header) plus two spaces.
+func formatTableRef(vars []string, sols Solutions) string {
+	widths := make([]int, len(vars))
+	for i, v := range vars {
+		widths[i] = len(v) + 1
+	}
+	rows := make([][]string, len(sols))
+	for r, b := range sols {
+		rows[r] = make([]string, len(vars))
+		for i, v := range vars {
+			if t, ok := b[v]; ok {
+				rows[r][i] = t.String()
+			}
+			widths[i] = max(widths[i], len(rows[r][i]))
+		}
+	}
+	pad := func(s string, w int) string { return s + strings.Repeat(" ", max(w-len(s), 0)) }
+	var sb strings.Builder
+	for i, v := range vars {
+		sb.WriteString(pad("?"+v, widths[i]+2))
+	}
+	sb.WriteByte('\n')
+	for _, row := range rows {
+		for i, cell := range row {
+			sb.WriteString(pad(cell, widths[i]+2))
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
 func TestTableWriterParity(t *testing.T) {
 	for _, tc := range streamParityCases() {
-		want := FormatTable(tc.vars, tc.sols)
+		want := formatTableRef(tc.vars, tc.sols)
+		if got := FormatTable(tc.vars, tc.sols); got != want {
+			t.Errorf("%s: FormatTable differs\ngot:\n%q\nwant:\n%q", tc.name, got, want)
+		}
 		var buf bytes.Buffer
 		tw := NewTableWriter(&buf, tc.vars)
 		for _, b := range tc.sols {
@@ -149,4 +190,86 @@ func TestWritersDoNotRetainBinding(t *testing.T) {
 	if !strings.Contains(out, "one") || !strings.Contains(out, "two") {
 		t.Errorf("reused binding corrupted output:\n%s", out)
 	}
+}
+
+// TestRowWritersMatchSolutions renders rows whose cells are raw values
+// under IRI and literal encoders, term cells and unbound cells, and
+// requires both writers' output to equal what they write for the
+// equivalent bindings — each raw cell replaced by the term its encoder
+// stands for.
+func TestRowWritersMatchSolutions(t *testing.T) {
+	const dt = "http://example.org/dt#<c>"
+	vars := []string{"s", "h", "l", "p", "t", "u"}
+	encs := []*CellEncoder{
+		IRIEncoder("http://example.org/kind/", "#it", true),
+		IRIEncoder("mailto:", "", false),
+		LiteralEncoder(dt),
+		LiteralEncoder(""),
+		nil, nil,
+	}
+	layout := NewRowLayout(vars, encs)
+	values := []rdb.Value{rdb.Int(-42), rdb.Float(1e21), rdb.Bool(true), rdb.Bool(false)}
+	for _, s := range nastyStrings {
+		values = append(values, rdb.String_(s))
+	}
+	var rows []Row
+	var sols Solutions
+	for i, v := range values {
+		text := v.Text()
+		r := Row{Layout: layout, Cells: make([]Cell, len(vars))}
+		b := Binding{}
+		for c, term := range []rdf.Term{
+			rdf.IRI("http://example.org/kind/" + text + "#it"),
+			rdf.IRI("mailto:" + text),
+			rdf.TypedLiteral(text, dt),
+			rdf.Literal(text),
+		} {
+			if c == 0 && text == "" {
+				continue // an empty key has no IRI: the cell stays unbound
+			}
+			r.Cells[c] = Cell{State: CellRaw, Val: v}
+			b[vars[c]] = term
+		}
+		if i%2 == 0 {
+			term := rdf.LangLiteral(text, "en")
+			r.Cells[4] = Cell{State: CellTerm, Term: term}
+			b["t"] = term
+		}
+		rows = append(rows, r)
+		sols = append(sols, b)
+	}
+	if IRIEncoder("bad\xff", "", false) != nil || IRIEncoder("", "\xfe", true) != nil {
+		t.Error("IRIEncoder accepted invalid UTF-8 around the value")
+	}
+
+	var want, got bytes.Buffer
+	jwWant, _ := NewResultsJSONWriter(&want, vars)
+	jwGot, _ := NewResultsJSONWriter(&got, vars)
+	twWant, twGot := NewTableWriter(&want, vars), NewTableWriter(&got, vars)
+	for i := range rows {
+		if !rows[i].encodable() {
+			t.Fatalf("row %d: a raw cell the encoder declines", i)
+		}
+		jwWant.WriteSolution(sols[i])
+		jwGot.WriteRow(&rows[i])
+		twWant.WriteSolution(sols[i])
+		twGot.WriteRow(&rows[i])
+	}
+	jwWant.Close()
+	jwGot.Close()
+	twWant.Close()
+	twGot.Close()
+	if got.String() != want.String() {
+		t.Errorf("row rendering differs\ngot:\n%s\nwant:\n%s", got.String(), want.String())
+	}
+}
+
+// encodable reports whether every raw cell is one its encoder renders.
+func (r *Row) encodable() bool {
+	for i, c := range r.Cells {
+		if c.State == CellRaw && !r.Layout.encs[i].Encodes(c.Val) {
+			return false
+		}
+	}
+	return true
 }

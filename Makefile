@@ -62,13 +62,15 @@ crash-recovery:
 metamorphic:
 	$(GO) test -run 'TestMetamorphic' -v ./internal/workload
 
-# 80s of native fuzzing across the parser/normalizer targets, the
-# row-cell encoders, the statistics invariant and the sharded publish
-# protocol — regressions land in testdata/fuzz/ as seeds.
+# 90s of native fuzzing across the parser/normalizer targets, the
+# prepared-plan executor, the row-cell encoders, the statistics
+# invariant and the sharded publish protocol — regressions land in
+# testdata/fuzz/ as seeds.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParseUpdate -fuzztime 10s -run '^$$' ./internal/update
 	$(GO) test -fuzz FuzzParseQuery -fuzztime 10s -run '^$$' ./internal/sparql
 	$(GO) test -fuzz FuzzParseSelect -fuzztime 10s -run '^$$' ./internal/rdb/sqlparser
+	$(GO) test -fuzz FuzzPreparedMatchesSelect -fuzztime 10s -run '^$$' ./internal/rdb/sqlexec
 	$(GO) test -fuzz FuzzParseTurtle -fuzztime 10s -run '^$$' ./internal/turtle
 	$(GO) test -fuzz FuzzNormalizeShape -fuzztime 10s -run '^$$' ./internal/core
 	$(GO) test -fuzz FuzzRowCellMatchesTerm -fuzztime 10s -run '^$$' ./internal/core

@@ -35,12 +35,12 @@ func (m *Mediator) execModify(tx *rdb.Tx, op update.Modify) (*OpResult, error) {
 	// materialized triples).
 	var sols sparql.Solutions
 	if st, spec, err := m.translateSelect(tx, op.Where, nil, nil); err == nil {
-		sel, err := specSelect(spec)
+		res.SQL = append(res.SQL, sqlgen.Select(*spec))
+		_, p, err := prepareSpec(tx, spec)
 		if err != nil {
 			return res, err
 		}
-		res.SQL = append(res.SQL, sqlgen.Select(*spec))
-		if sols, err = st.runParsed(tx, sel); err != nil {
+		if sols, err = solutions(m, tx, st.bindings, p, nil); err != nil {
 			return res, err
 		}
 	} else {

@@ -8,7 +8,6 @@ import (
 
 	"ontoaccess/internal/r3m"
 	"ontoaccess/internal/rdb"
-	"ontoaccess/internal/rdb/sqlparser"
 	"ontoaccess/internal/rdf"
 	"ontoaccess/internal/sparql"
 	"ontoaccess/internal/sqlgen"
@@ -48,11 +47,13 @@ import (
 // re-run uncompiled.
 
 // selectTemplate is the compiled WHERE SELECT: the rendered spec with
-// parameter marks, the deferred value sources, and the decode
-// bindings. The SQL text is re-rendered per argument vector; its
-// structure never changes.
+// parameter marks, the deferred value sources, the decode bindings,
+// and the executor plan prepared once from the spec. A run binds the
+// sources to argument values and hands them to the plan; the SQL text
+// is rendered from the spec and those values only when read.
 type selectTemplate struct {
 	spec sqlgen.SelectSpec
+	ps   *preparedSelect
 	srcs []valueSrc
 	// checks lists the occurrence templates of each parameterized
 	// constant subject; all occurrences must bind to the same URI, and
@@ -171,16 +172,19 @@ func (m *Mediator) compileModifyPlan(key string, slots int, op update.Modify, nm
 	comp := &selectCompile{nm: nm.where, fconds: nm.fconds}
 	var st *SelectTranslation
 	var spec *sqlgen.SelectSpec
+	var ps *preparedSelect
 	err := m.db.View(func(tx *rdb.Tx) error {
 		var terr error
-		st, spec, terr = m.translateSelect(tx, op.Where, nil, comp)
+		if st, spec, terr = m.translateSelect(tx, op.Where, nil, comp); terr == nil {
+			ps, terr = prepareSelect(tx, spec)
+		}
 		return terr
 	})
 	if err != nil {
 		return nil, errUnplannable
 	}
 	p.sel = selectTemplate{
-		spec: *spec, srcs: comp.srcs, checks: comp.checks, constURIs: comp.constURIs,
+		spec: *spec, ps: ps, srcs: comp.srcs, checks: comp.checks, constURIs: comp.constURIs,
 		vars: st.Vars, bindings: st.bindings,
 	}
 	reads := map[string]bool{spec.From: true}
@@ -337,23 +341,23 @@ func sortedTableNames(set map[string]bool) []string {
 // ---- binding -------------------------------------------------------
 
 // boundModify is a ModifyPlan instantiated with one argument vector:
-// the WHERE SELECT lowered straight to the executable AST (the SQL
-// text is rendered for reporting only, never re-parsed) and the
-// materialized templates. The per-solution work stays data-dependent
-// and runs at execution time.
+// the WHERE SELECT's slot values (the prepared plan runs with them;
+// the SQL text is rendered from them for the feedback report only)
+// and the materialized templates. The per-solution work stays
+// data-dependent and runs at execution time.
 type boundModify struct {
-	sql      string
-	stmt     sqlparser.Statement
+	vals     []rdb.Value
 	del, ins []sparql.TriplePattern
 	// shards is the keyed lock demand computed from the bound template
 	// subjects; nil when the plan runs under whole-table locks.
 	shards []rdb.TableShards
 }
 
-// bindSpec instantiates a compiled SELECT template, verifying the
-// shape assumptions re-binding could break, and returns the spec with
-// every parameter slot filled. Shared by MODIFY and query plans.
-func (t *selectTemplate) bindSpec(m *Mediator, args []string) (sqlgen.SelectSpec, error) {
+// bindArgs instantiates a compiled SELECT template's parameter slots,
+// verifying the shape assumptions re-binding could break, and returns
+// the slot values (indexed like srcs, the prepared plan's arguments).
+// Shared by MODIFY and query plans.
+func (t *selectTemplate) bindArgs(m *Mediator, args []string) ([]rdb.Value, error) {
 	seen := make(map[string]bool, len(t.checks)+len(t.constURIs))
 	for _, uri := range t.constURIs {
 		seen[uri] = true
@@ -362,32 +366,46 @@ func (t *selectTemplate) bindSpec(m *Mediator, args []string) (sqlgen.SelectSpec
 		uri := bindSegs(occs[0], args)
 		for _, occ := range occs[1:] {
 			if bindSegs(occ, args) != uri {
-				return sqlgen.SelectSpec{}, errPlanStale
+				return nil, errPlanStale
 			}
 		}
 		// Subject nodes that were distinct at compile time must stay
 		// distinct: the translator merges equal subjects into one node,
 		// so colliding arguments change the SELECT's structure.
 		if seen[uri] {
-			return sqlgen.SelectSpec{}, errPlanStale
+			return nil, errPlanStale
 		}
 		seen[uri] = true
 	}
-	where := make([]sqlgen.WhereSpec, len(t.spec.Where))
-	copy(where, t.spec.Where)
-	for i := range where {
-		if where[i].Param > 0 {
-			v, err := m.bindValue(&t.srcs[where[i].Param-1], "", args)
-			if err != nil {
-				return sqlgen.SelectSpec{}, err
-			}
-			where[i].Value = v
-			where[i].Param = 0
+	if len(t.srcs) == 0 {
+		return nil, nil
+	}
+	vals := make([]rdb.Value, len(t.srcs))
+	for i := range t.srcs {
+		v, err := m.bindValue(&t.srcs[i], "", args)
+		if err != nil {
+			return nil, err
+		}
+		vals[i] = v
+	}
+	return vals, nil
+}
+
+// boundSpec returns the template's spec with every parameter slot
+// filled from vals — what the SQL text reports.
+func (t *selectTemplate) boundSpec(vals []rdb.Value) sqlgen.SelectSpec {
+	spec := t.spec
+	if len(vals) == 0 {
+		return spec
+	}
+	spec.Where = make([]sqlgen.WhereSpec, len(t.spec.Where))
+	copy(spec.Where, t.spec.Where)
+	for i := range spec.Where {
+		if w := &spec.Where[i]; w.Param > 0 {
+			w.Value, w.Param = vals[w.Param-1], 0
 		}
 	}
-	spec := t.spec
-	spec.Where = where
-	return spec, nil
+	return spec
 }
 
 // bind instantiates the plan, verifying the shape assumptions
@@ -400,20 +418,15 @@ func (p *ModifyPlan) bind(m *Mediator, args []string) (*boundModify, error) {
 	if len(args) != p.slots {
 		return nil, errPlanStale
 	}
-	spec, err := p.sel.bindSpec(m, args)
-	if err != nil {
-		return nil, err
-	}
-	stmt, err := specSelect(&spec)
+	vals, err := p.sel.bindArgs(m, args)
 	if err != nil {
 		return nil, err
 	}
 	return &boundModify{
-		sql:    sqlgen.Select(spec),
-		stmt:   stmt,
+		vals:   vals,
 		del:    materializePatterns(p.del, args),
 		ins:    materializePatterns(p.ins, args),
-		shards: p.writeShards(m, args),
+		shards: p.writeShards(m, args, vals),
 	}, nil
 }
 
@@ -428,7 +441,7 @@ func (p *ModifyPlan) bind(m *Mediator, args []string) (*boundModify, error) {
 // are checked dynamically by the transaction layer; an access outside
 // the declared shards surfaces as a lock error and the operation
 // re-runs uncompiled.
-func (p *ModifyPlan) writeShards(m *Mediator, args []string) []rdb.TableShards {
+func (p *ModifyPlan) writeShards(m *Mediator, args []string, vals []rdb.Value) []rdb.TableShards {
 	if len(p.shardable) == 0 {
 		return nil
 	}
@@ -444,11 +457,7 @@ func (p *ModifyPlan) writeShards(m *Mediator, args []string) []rdb.TableShards {
 				}
 				pk := vk.value
 				if vk.param > 0 {
-					v, err := m.bindValue(&p.sel.srcs[vk.param-1], "", args)
-					if err != nil {
-						return nil
-					}
-					pk = v
+					pk = vals[vk.param-1]
 				}
 				s, ok := m.db.ShardOfPK(vk.table, pk)
 				if !ok {
@@ -532,9 +541,8 @@ func materializeTerm(t normPatTerm, args []string) sparql.PatternTerm {
 // and execute the DELETE DATA / INSERT DATA pair.
 func (p *ModifyPlan) execBound(m *Mediator, tx *rdb.Tx, bm *boundModify) (*OpResult, error) {
 	res := &OpResult{Operation: "MODIFY"}
-	st := &SelectTranslation{SQL: bm.sql, Vars: p.sel.vars, bindings: p.sel.bindings, m: m}
-	res.SQL = append(res.SQL, st.SQL)
-	sols, err := st.runParsed(tx, bm.stmt)
+	res.SQL = append(res.SQL, sqlgen.Select(p.sel.boundSpec(bm.vals)))
+	sols, err := solutions(m, tx, p.sel.bindings, p.sel.ps.get(tx), bm.vals)
 	if err != nil {
 		return res, err
 	}

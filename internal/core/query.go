@@ -9,7 +9,6 @@ import (
 	"ontoaccess/internal/r3m"
 	"ontoaccess/internal/rdb"
 	"ontoaccess/internal/rdb/sqlexec"
-	"ontoaccess/internal/rdb/sqlparser"
 	"ontoaccess/internal/rdf"
 	"ontoaccess/internal/sparql"
 	"ontoaccess/internal/sqlgen"
@@ -618,27 +617,31 @@ func splitAlias(qualified string) (alias, col string) {
 	return qualified[:i], qualified[i+1:]
 }
 
-// runParsed executes the translation's SELECT, already lowered to the
-// executable AST by specSelect, and decodes the result set into SPARQL
-// solutions — MODIFY WHERE clauses and UNION branches, which need every
-// solution before the first is used.
-func (st *SelectTranslation) runParsed(tx *rdb.Tx, stmt sqlparser.Statement) (sparql.Solutions, error) {
-	res, err := sqlexec.Exec(tx, stmt)
-	if err != nil {
+// solutions runs a prepared SELECT with its slot values and decodes
+// the result set into SPARQL solutions — MODIFY WHERE clauses and
+// UNION branches, which need every solution before the first is used.
+// The rows are collected before any is decoded, so an execution error
+// wins over a decode error, as when the executor materialized them.
+func solutions(m *Mediator, tx *rdb.Tx, bindings []varBinding, p *sqlexec.Prepared, vals []rdb.Value) (sparql.Solutions, error) {
+	var rows [][]rdb.Value
+	if err := runSelect(tx, p, vals, func(row []rdb.Value) (bool, error) {
+		rows = append(rows, append([]rdb.Value(nil), row...))
+		return true, nil
+	}); err != nil {
 		return nil, err
 	}
 	var sols sparql.Solutions
 	r := rowPool.Get().(*sparql.Row)
 	defer putRow(r)
-	r.Cells = slices.Grow(r.Cells[:0], len(st.bindings))[:len(st.bindings)]
-	for _, row := range res.Set.Rows {
-		ok, err := st.m.fillRow(tx, st.bindings, nil, row, r)
+	r.Cells = slices.Grow(r.Cells[:0], len(bindings))[:len(bindings)]
+	for _, row := range rows {
+		ok, err := m.fillRow(tx, bindings, nil, row, r)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			b := make(sparql.Binding, len(st.bindings))
-			rowBinding(st.bindings, r, b)
+			b := make(sparql.Binding, len(bindings))
+			rowBinding(bindings, r, b)
 			sols = append(sols, b)
 		}
 	}
@@ -806,11 +809,13 @@ func (m *Mediator) Query(src string) (*QueryResult, error) {
 // that version was the head.
 func (m *Mediator) QueryOn(src string, target rdb.ReadTarget) (*QueryResult, error) {
 	c := &resultCollector{}
-	sql, err := m.runQuery(src, c, target)
+	served, err := m.runQuery(src, c, target)
 	if err != nil {
 		return nil, err
 	}
-	c.res.SQL = sql
+	if served != nil {
+		c.res.SQL = served.sql()
+	}
 	return &c.res, nil
 }
 
@@ -852,15 +857,16 @@ func (m *Mediator) QueryExecStats() (compiled, fallback uint64) {
 // the RICHQ cache route would build and runs through the same bound
 // runner; everything else — and a plan that fails before reaching the
 // sink — evaluates over the virtual RDF view. Translation and
-// execution share one pinned snapshot. sql is the translated SELECT
-// when a structural plan served the query.
-func (m *Mediator) queryUncompiled(q *sparql.Query, sink StreamSink, target rdb.ReadTarget) (sql string, err error) {
+// execution share one pinned snapshot, and the plan is prepared in it
+// and run once. served is the bound plan when a structural plan served
+// the query.
+func (m *Mediator) queryUncompiled(q *sparql.Query, sink StreamSink, target rdb.ReadTarget) (served *boundQuery, err error) {
 	err = m.viewOn(target, func(tx *rdb.Tx) error {
 		if richQueryEligible(q) {
 			if plan, cerr := m.compileRichQueryPlan(tx, q); cerr == nil {
 				if bq, berr := plan.bind(m, nil); berr == nil {
-					if delivered, rerr := m.runBound(tx, plan, bq, sink); delivered || rerr == nil {
-						sql = bq.sql
+					if delivered, rerr := m.runBound(tx, bq, sink); delivered || rerr == nil {
+						served = bq
 						return rerr
 					}
 				}
@@ -894,5 +900,5 @@ func (m *Mediator) queryUncompiled(q *sparql.Query, sink StreamSink, target rdb.
 		}
 		return nil
 	})
-	return sql, err
+	return served, err
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"ontoaccess/internal/rdb"
+	"ontoaccess/internal/rdb/sqlexec"
 	"ontoaccess/internal/rdb/sqlparser"
 	"ontoaccess/internal/sparql"
 	"ontoaccess/internal/sqlgen"
@@ -17,11 +19,13 @@ import (
 // CONSTRUCT over a basic graph pattern: the WHERE clause is translated
 // once (through the same translateSelect engine MODIFY plans use) into
 // a parameterized SELECT template plus decode bindings, with literals
-// and IRI digit runs lifted into parameter slots. Re-executions bind
-// fresh arguments, lower the bound spec directly into the executable
-// sqlparser AST — no SQL text is rendered and re-parsed on the
-// compiled path — and stream it through the index-aware executor
-// against the transaction's pinned snapshot.
+// and IRI digit runs lifted into parameter slots. The template lowers
+// once into the executable sqlparser AST, its slots as parameter
+// leaves, and the executor prepares its plan from it once
+// (sqlexec.Prepare). Re-executions bind fresh argument values and run
+// that prepared plan against the transaction's pinned snapshot — no
+// AST is rebuilt, no SQL is planned again and no SQL text is rendered
+// unless a caller reads it.
 //
 // ASK compiles with LIMIT 1, so the streaming executor stops at the
 // first witness row. CONSTRUCT templates are normalized like MODIFY
@@ -40,7 +44,7 @@ import (
 // modifiers on ASK or CONSTRUCT — take the uncompiled path, which
 // evaluates over the virtual RDF view, exactly the paper's behaviour.
 // The SQL text sqlgen renders is reporting output only (feedback,
-// QueryResult.SQL); no read path parses it back.
+// QueryResult.SQL), rendered when read; no read path parses it back.
 
 // normQuery is a query with its WHERE triples, FILTER constants,
 // LIMIT/OFFSET values (and CONSTRUCT template) parameterized. The
@@ -259,31 +263,34 @@ func (m *Mediator) compileQueryPlan(key string, slots int, q *sparql.Query, nq *
 	comp := &selectCompile{nm: nq.where, fconds: nq.fconds}
 	var st *SelectTranslation
 	var spec *sqlgen.SelectSpec
+	var ps *preparedSelect
 	err := m.db.View(func(tx *rdb.Tx) error {
 		var terr error
-		if st, spec, terr = m.translateSelect(tx, q.Where, proj, comp); terr == nil {
-			p.encs = m.cellEncoders(tx, st.bindings)
+		if st, spec, terr = m.translateSelect(tx, q.Where, proj, comp); terr != nil {
+			return terr
 		}
+		switch q.Form {
+		case sparql.FormAsk:
+			// One witness row decides the answer; the streaming executor
+			// terminates the scan as soon as it is found.
+			spec.Limit = 1
+		case sparql.FormSelect:
+			// DISTINCT and ORDER BY are structural; the exemplar
+			// LIMIT/OFFSET values land in the spec here and re-bind from
+			// the argument vector per execution.
+			if terr = applyQueryModifiers(st, q, spec); terr != nil {
+				return terr
+			}
+		}
+		p.encs = m.cellEncoders(tx, st.bindings)
+		ps, terr = prepareSelect(tx, spec)
 		return terr
 	})
 	if err != nil {
 		return nil, errUnplannable
 	}
-	switch q.Form {
-	case sparql.FormAsk:
-		// One witness row decides the answer; the streaming executor
-		// terminates the scan as soon as it is found.
-		spec.Limit = 1
-	case sparql.FormSelect:
-		// DISTINCT and ORDER BY are structural; the exemplar
-		// LIMIT/OFFSET values land in the spec here and re-bind from
-		// the argument vector per execution.
-		if err := applyQueryModifiers(st, q, spec); err != nil {
-			return nil, errUnplannable
-		}
-	}
 	p.sel = selectTemplate{
-		spec: *spec, srcs: comp.srcs, checks: comp.checks, constURIs: comp.constURIs,
+		spec: *spec, ps: ps, srcs: comp.srcs, checks: comp.checks, constURIs: comp.constURIs,
 		vars: st.Vars, bindings: st.bindings,
 	}
 	p.layout = sparql.NewRowLayout(st.Vars, p.encs)
@@ -342,7 +349,11 @@ func (m *Mediator) compileRichQueryPlan(tx *rdb.Tx, q *sparql.Query) (*QueryPlan
 			if err != nil {
 				return nil, err
 			}
-			p.union = append(p.union, selectTemplate{spec: *spec, vars: st.Vars, bindings: st.bindings})
+			ps, err := prepareSelect(tx, spec)
+			if err != nil {
+				return nil, err
+			}
+			p.union = append(p.union, selectTemplate{spec: *spec, ps: ps, vars: st.Vars, bindings: st.bindings})
 		}
 		return p, nil
 	}
@@ -362,7 +373,11 @@ func (m *Mediator) compileRichQueryPlan(tx *rdb.Tx, q *sparql.Query) (*QueryPlan
 	if err != nil {
 		return nil, err
 	}
-	p.sel = selectTemplate{spec: *spec, vars: st.Vars, bindings: st.bindings}
+	ps, err := prepareSelect(tx, spec)
+	if err != nil {
+		return nil, err
+	}
+	p.sel = selectTemplate{spec: *spec, ps: ps, vars: st.Vars, bindings: st.bindings}
 	p.encs = m.cellEncoders(tx, st.bindings)
 	p.layout = sparql.NewRowLayout(st.Vars, p.encs)
 	return p, nil
@@ -407,75 +422,73 @@ func projectionFor(q *sparql.Query) []string {
 // ---- binding -------------------------------------------------------
 
 // boundQuery is a QueryPlan instantiated with one argument vector: the
-// lowered sqlparser AST ready for direct execution, the rendered SQL
-// (reporting only — it is never re-parsed), and the materialized
-// CONSTRUCT template.
+// slot values the prepared plan runs with, the LIMIT/OFFSET window,
+// and the materialized CONSTRUCT template. The SQL text is rendered
+// from them only when a caller reads it (sql).
 type boundQuery struct {
-	sql   string
-	sel   sqlparser.Select
-	union []sqlparser.Select // one per UNION branch for rich plans
-	tmpl  []sparql.TriplePattern
+	plan          *QueryPlan
+	vals          []rdb.Value
+	limit, offset int
+	tmpl          []sparql.TriplePattern
 }
 
 // bind instantiates the plan, verifying the shape assumptions
-// re-binding could break (see selectTemplate.bindSpec). Callers treat
+// re-binding could break (see selectTemplate.bindArgs). Callers treat
 // every error as "not plannable for these parameters" and fall back to
 // the uncompiled path.
 func (p *QueryPlan) bind(m *Mediator, args []string) (*boundQuery, error) {
 	if len(args) != p.slots {
 		return nil, errPlanStale
 	}
+	bq := &boundQuery{plan: p}
 	if len(p.union) > 0 {
-		bq := &boundQuery{}
-		var sqls []string
-		for i := range p.union {
-			spec, err := p.union[i].bindSpec(m, args)
-			if err != nil {
-				return nil, err
-			}
-			sel, err := specSelect(&spec)
-			if err != nil {
-				return nil, err
-			}
-			bq.union = append(bq.union, sel)
-			sqls = append(sqls, sqlgen.Select(spec))
-		}
-		bq.sql = strings.Join(sqls, " UNION ")
-		return bq, nil
+		return bq, nil // rich plans carry no slots
 	}
-	spec, err := p.sel.bindSpec(m, args)
+	bq.limit, bq.offset = p.sel.spec.Limit, p.sel.spec.Offset
+	vals, err := p.sel.bindArgs(m, args)
 	if err != nil {
 		return nil, err
 	}
+	bq.vals = vals
 	if p.limSlot >= 0 {
 		n, err := strconv.Atoi(args[p.limSlot])
 		if err != nil || n < 0 {
 			return nil, errPlanStale
 		}
-		spec.Limit = n
+		bq.limit = n
 	}
 	if p.offSlot >= 0 {
 		n, err := strconv.Atoi(args[p.offSlot])
 		if err != nil || n < 0 {
 			return nil, errPlanStale
 		}
-		spec.Offset = n
+		bq.offset = n
 	}
-	sel, err := specSelect(&spec)
-	if err != nil {
-		return nil, err
-	}
-	return &boundQuery{
-		sql:  sqlgen.Select(spec),
-		sel:  sel,
-		tmpl: materializePatterns(p.tmpl, args),
-	}, nil
+	bq.tmpl = materializePatterns(p.tmpl, args)
+	return bq, nil
 }
 
-// specSelect lowers a fully bound SelectSpec into the executable
-// sqlparser AST — the structured twin of rendering the spec with
-// sqlgen.Select and re-parsing it, which is exactly what the parity
-// tests assert. Param-marked conditions must already be bound.
+// sql renders the bound SELECT (every UNION branch's, joined) — the
+// reporting text, never executed.
+func (bq *boundQuery) sql() string {
+	p := bq.plan
+	if len(p.union) > 0 {
+		sqls := make([]string, len(p.union))
+		for i := range p.union {
+			sqls[i] = sqlgen.Select(p.union[i].spec)
+		}
+		return strings.Join(sqls, " UNION ")
+	}
+	spec := p.sel.boundSpec(bq.vals)
+	spec.Limit, spec.Offset = bq.limit, bq.offset
+	return sqlgen.Select(spec)
+}
+
+// specSelect lowers a SelectSpec into the executable sqlparser AST —
+// the structured twin of rendering the spec with sqlgen.Select and
+// re-parsing it, which is exactly what the parity tests assert. A
+// Param-marked condition lowers its value to a parameter slot: the
+// mark minus one, the index of its bind source.
 func specSelect(spec *sqlgen.SelectSpec) (sqlparser.Select, error) {
 	sel := sqlparser.Select{Distinct: spec.Distinct, Limit: -1, Offset: -1}
 	switch {
@@ -589,7 +602,7 @@ func condExpr(w sqlgen.WhereSpec) (sqlparser.Expr, error) {
 	col := colRefOf(w.Column)
 	switch {
 	case w.Param > 0:
-		return nil, fmt.Errorf("core: unbound parameter %d in SELECT spec", w.Param)
+		return sqlparser.Binary{Op: cmpToParserOp[w.Op], Left: col, Right: sqlparser.Param{Index: w.Param - 1}}, nil
 	case w.IsNull:
 		return sqlparser.IsNull{Inner: col}, nil
 	case w.NotNull:
@@ -646,14 +659,69 @@ func colRefOf(qualified string) sqlparser.ColRef {
 
 // ---- execution -----------------------------------------------------
 
-// unionSolutions runs every bound UNION branch against the
-// transaction's pinned snapshot and applies the solution-level tail,
-// which must see all branches' rows before the first solution.
-func (p *QueryPlan) unionSolutions(m *Mediator, tx *rdb.Tx, bq *boundQuery) (sparql.Solutions, error) {
+// preparedSelect is a compiled SELECT's executor plan, prepared once
+// when the SELECT compiles. When a joined table's row count has moved
+// more than 2x since (sqlexec.Prepared.Stale), the next run prepares a
+// replacement and swaps it in; a swap can change the placement, never
+// the answer, so racing runs may use either plan.
+type preparedSelect struct {
+	stmt sqlparser.Select
+	cur  atomic.Pointer[sqlexec.Prepared]
+}
+
+// prepareSelect lowers a spec (its slots as parameter leaves) and
+// prepares it against tx.
+func prepareSelect(tx *rdb.Tx, spec *sqlgen.SelectSpec) (*preparedSelect, error) {
+	stmt, p, err := prepareSpec(tx, spec)
+	if err != nil {
+		return nil, err
+	}
+	ps := &preparedSelect{stmt: stmt}
+	ps.cur.Store(p)
+	return ps, nil
+}
+
+// prepareSpec lowers a spec and prepares the statement against tx —
+// all a one-shot plan needs.
+func prepareSpec(tx *rdb.Tx, spec *sqlgen.SelectSpec) (sqlparser.Select, *sqlexec.Prepared, error) {
+	stmt, err := specSelect(spec)
+	if err != nil {
+		return stmt, nil, err
+	}
+	p, err := sqlexec.Prepare(tx, stmt)
+	return stmt, p, err
+}
+
+// get returns the plan to run in tx, re-preparing a stale one.
+func (ps *preparedSelect) get(tx *rdb.Tx) *sqlexec.Prepared {
+	p := ps.cur.Load()
+	if !p.Stale(tx) {
+		return p
+	}
+	np, err := sqlexec.Prepare(tx, ps.stmt)
+	if err != nil {
+		return p // the stale plan still answers correctly
+	}
+	ps.cur.CompareAndSwap(p, np)
+	return np
+}
+
+// runSelect runs a prepared SELECT with its slot values as a cursor —
+// the one call into the executor for cached, per-request and MODIFY
+// WHERE plans alike.
+func runSelect(tx *rdb.Tx, p *sqlexec.Prepared, vals []rdb.Value, row func([]rdb.Value) (bool, error)) error {
+	return p.Run(tx, vals, noHead, row)
+}
+
+func noHead([]string) error { return nil }
+
+// unionSolutions runs every UNION branch against the transaction's
+// pinned snapshot and applies the solution-level tail, which must see
+// all branches' rows before the first solution.
+func (p *QueryPlan) unionSolutions(m *Mediator, tx *rdb.Tx) (sparql.Solutions, error) {
 	var all sparql.Solutions
 	for i := range p.union {
-		st := &SelectTranslation{bindings: p.union[i].bindings, m: m}
-		sols, err := st.runParsed(tx, bq.union[i])
+		sols, err := solutions(m, tx, p.union[i].bindings, p.union[i].ps.get(tx), nil)
 		if err != nil {
 			return nil, err
 		}

@@ -371,11 +371,13 @@ func TestSpecSelectMatchesParsedText(t *testing.T) {
 			t.Errorf("%s: %d SELECT template(s), want %d", tc.name, n, tc.templates)
 		}
 		for i, tmpl := range plan.templates() {
-			spec, err := tmpl.bindSpec(tc.m, args)
+			vals, err := tmpl.bindArgs(tc.m, args)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertLoweringMatchesText(t, fmt.Sprintf("%s (template %d)", tc.name, i), spec)
+			name := fmt.Sprintf("%s (template %d)", tc.name, i)
+			assertLoweringMatchesText(t, name, tmpl.boundSpec(vals))
+			assertPreparedMatchesBound(t, name, tmpl, vals)
 		}
 	}
 	// The uncompiled MODIFY WHERE lowers its translation the same way.
@@ -415,9 +417,39 @@ func assertLoweringMatchesText(t *testing.T, name string, spec sqlgen.SelectSpec
 	}
 }
 
+// assertPreparedMatchesBound checks what a compiled template runs
+// against what it reports: the statement it prepared, its parameter
+// slots replaced by the bound values, must equal the lowering of the
+// bound spec — the AST the rendered text parses to.
+func assertPreparedMatchesBound(t *testing.T, name string, tmpl selectTemplate, vals []rdb.Value) {
+	t.Helper()
+	spec := tmpl.boundSpec(vals)
+	want, err := specSelect(&spec)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	got := tmpl.ps.stmt
+	var sub func(e sqlparser.Expr) sqlparser.Expr
+	sub = func(e sqlparser.Expr) sqlparser.Expr {
+		switch x := e.(type) {
+		case sqlparser.Param:
+			return sqlparser.Lit{Value: vals[x.Index]}
+		case sqlparser.Binary:
+			return sqlparser.Binary{Op: x.Op, Left: sub(x.Left), Right: sub(x.Right)}
+		}
+		return e
+	}
+	if got.Where != nil {
+		got.Where = sub(got.Where)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: prepared statement with its slots bound diverges from the bound spec\nprepared: %#v\nbound:    %#v", name, got, want)
+	}
+}
+
 // TestModifyBoundSpecMatchesParsedText extends the same anchor to the
-// MODIFY WHERE path, which now shares bindSpec/specSelect instead of
-// re-parsing its rendered SELECT.
+// MODIFY WHERE path, which shares bindArgs/boundSpec and the prepared
+// SELECT with query plans instead of re-parsing its rendered SELECT.
 func TestModifyBoundSpecMatchesParsedText(t *testing.T) {
 	m := paperMediator(t, Options{})
 	mustExec(t, m, listing15)
@@ -441,13 +473,11 @@ WHERE { ex:author6 foaf:mbox ?m . }`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := sqlparser.ParseStatement(bm.sql)
-	if err != nil {
-		t.Fatal(err)
+	if len(bm.vals) == 0 {
+		t.Fatal("the keyed MODIFY WHERE bound no slot values")
 	}
-	if !reflect.DeepEqual(bm.stmt, parsed) {
-		t.Errorf("bound MODIFY AST diverges from parsed text.\nlowered: %#v\nparsed:  %#v", bm.stmt, parsed)
-	}
+	assertLoweringMatchesText(t, "bound MODIFY", plan.sel.boundSpec(bm.vals))
+	assertPreparedMatchesBound(t, "bound MODIFY", plan.sel, bm.vals)
 }
 
 // TestQueryDisablePlanCacheMatchesSeedBehaviour pins the ablation:

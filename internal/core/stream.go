@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"ontoaccess/internal/rdb"
-	"ontoaccess/internal/rdb/sqlexec"
 	"ontoaccess/internal/rdf"
 	"ontoaccess/internal/sparql"
 )
@@ -83,8 +82,9 @@ func (m *Mediator) QueryStreamOn(src string, sink StreamSink, target rdb.ReadTar
 
 // runQuery is the read driver under QueryStreamOn and QueryOn: parse
 // memo, bound plan, silent fallback, and the compiled/fallback
-// counters. sql is the translated SELECT when one served the query.
-func (m *Mediator) runQuery(src string, sink StreamSink, target rdb.ReadTarget) (sql string, err error) {
+// counters. served is the bound plan when a translated SELECT served
+// the query; its SQL text is rendered only if the caller asks.
+func (m *Mediator) runQuery(src string, sink StreamSink, target rdb.ReadTarget) (served *boundQuery, err error) {
 	var cq *cachedQuery
 	if !m.opts.DisablePlanCache {
 		cq, _ = m.qparses.get(src)
@@ -92,7 +92,7 @@ func (m *Mediator) runQuery(src string, sink StreamSink, target rdb.ReadTarget) 
 	if cq == nil {
 		q, err := sparql.ParseQuery(src)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		if m.opts.DisablePlanCache {
 			cq = &cachedQuery{q: q}
@@ -104,12 +104,12 @@ func (m *Mediator) runQuery(src string, sink StreamSink, target rdb.ReadTarget) 
 	if cq.bound != nil {
 		delivered := false
 		err := m.viewOn(target, func(tx *rdb.Tx) (err error) {
-			delivered, err = m.runBound(tx, cq.plan, cq.bound, sink)
+			delivered, err = m.runBound(tx, cq.bound, sink)
 			return err
 		})
 		if delivered || err == nil {
 			m.queryCompiled.Add(1)
-			return cq.bound.sql, err
+			return cq.bound, err
 		}
 	}
 	m.queryFallback.Add(1)
@@ -146,9 +146,10 @@ type rowConsumer interface {
 // fall back. SELECT defers Head until the first surviving row (or
 // successful completion), so head-of-stream failures still fall back
 // invisibly.
-func (m *Mediator) runBound(tx *rdb.Tx, plan *QueryPlan, bq *boundQuery, sink StreamSink) (delivered bool, err error) {
+func (m *Mediator) runBound(tx *rdb.Tx, bq *boundQuery, sink StreamSink) (delivered bool, err error) {
+	plan := bq.plan
 	if len(plan.union) > 0 {
-		sols, err := plan.unionSolutions(m, tx, bq)
+		sols, err := plan.unionSolutions(m, tx)
 		if err != nil {
 			return false, err
 		}
@@ -158,8 +159,7 @@ func (m *Mediator) runBound(tx *rdb.Tx, plan *QueryPlan, bq *boundQuery, sink St
 	case sparql.FormAsk:
 		// The plan carries LIMIT 1: the first row is the witness.
 		found := false
-		noHead := func([]string) error { return nil }
-		if err := sqlexec.SelectFunc(tx, bq.sel, noHead, func([]rdb.Value) (bool, error) {
+		if err := bq.run(tx, func([]rdb.Value) (bool, error) {
 			found = true
 			return false, nil
 		}); err != nil {
@@ -169,29 +169,35 @@ func (m *Mediator) runBound(tx *rdb.Tx, plan *QueryPlan, bq *boundQuery, sink St
 	case sparql.FormConstruct:
 		cr := &constructRows{bindings: plan.sel.bindings, tmpl: bq.tmpl, g: rdf.NewGraph(), b: bindingPool.Get().(sparql.Binding)}
 		defer bindingPool.Put(cr.b)
-		if _, err := m.selectRows(tx, plan, bq, cr, nil); err != nil {
+		if _, err := m.selectRows(tx, bq, cr, nil); err != nil {
 			return false, err
 		}
 		return true, sink.Graph(cr.g)
 	}
 	if rs, ok := sink.(RowSink); ok {
-		return m.selectRows(tx, plan, bq, rs, plan.encs)
+		return m.selectRows(tx, bq, rs, plan.encs)
 	}
 	bs := &bindingSink{StreamSink: sink, bindings: plan.sel.bindings, b: bindingPool.Get().(sparql.Binding)}
 	defer bindingPool.Put(bs.b)
-	return m.selectRows(tx, plan, bq, bs, nil)
+	return m.selectRows(tx, bq, bs, nil)
+}
+
+// run streams the bound (non-UNION) plan's rows: its prepared SELECT
+// with the slot values and LIMIT/OFFSET window bound.
+func (bq *boundQuery) run(tx *rdb.Tx, row func([]rdb.Value) (bool, error)) error {
+	return runSelect(tx, bq.plan.sel.ps.get(tx).Window(bq.limit, bq.offset), bq.vals, row)
 }
 
 // selectRows is the compiled SELECT row loop: it streams the cursor,
 // fills one pooled slot row per surviving row, and hands it to c,
 // calling c.Head before the first. Cells encs (the plan's encoders, or
 // nil) render stay raw; every other cell is decoded to its term.
-func (m *Mediator) selectRows(tx *rdb.Tx, plan *QueryPlan, bq *boundQuery, c rowConsumer, encs []*sparql.CellEncoder) (delivered bool, err error) {
+func (m *Mediator) selectRows(tx *rdb.Tx, bq *boundQuery, c rowConsumer, encs []*sparql.CellEncoder) (delivered bool, err error) {
+	plan := bq.plan
 	r := rowPool.Get().(*sparql.Row)
 	defer putRow(r)
 	r.Reset(plan.layout)
-	noHead := func([]string) error { return nil }
-	err = sqlexec.SelectFunc(tx, bq.sel, noHead, func(row []rdb.Value) (bool, error) {
+	err = bq.run(tx, func(row []rdb.Value) (bool, error) {
 		ok, err := m.fillRow(tx, plan.sel.bindings, encs, row, r)
 		if err != nil || !ok {
 			return err == nil, err

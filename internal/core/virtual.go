@@ -231,7 +231,7 @@ func (vg *VirtualGraph) scanLinkTableFiltered(lt *r3m.LinkTableMap, subjKey *rdb
 	sci := schema.ColumnIndex(lt.SubjectAttr.Name)
 	oci := schema.ColumnIndex(lt.ObjectAttr.Name)
 	cont := true
-	vg.tx.Scan(lt.Name, func(_ int64, row []rdb.Value) bool {
+	visit := func(_ int64, row []rdb.Value) bool {
 		if row[sci].IsNull() || row[oci].IsNull() {
 			return true
 		}
@@ -248,7 +248,15 @@ func (vg *VirtualGraph) scanLinkTableFiltered(lt *r3m.LinkTableMap, subjKey *rdb
 		}
 		cont = emit(rdf.NewTriple(rdf.IRI(sURI), lt.Property, rdf.IRI(oURI)))
 		return cont
-	})
+	}
+	if subjKey != nil {
+		// One subject's rows: probe the foreign-key-indexed subject
+		// column. It visits ascending internal ids like the scan, so the
+		// triples and their order are the scan's.
+		vg.tx.MatchColumn(lt.Name, lt.SubjectAttr.Name, *subjKey, visit)
+	} else {
+		vg.tx.Scan(lt.Name, visit)
+	}
 	return cont
 }
 

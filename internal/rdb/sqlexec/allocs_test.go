@@ -61,3 +61,47 @@ func TestSelectFuncScanAllocs(t *testing.T) {
 		t.Errorf("1,000 extra streamed rows cost %v allocs, want 0", perRows)
 	}
 }
+
+// TestPreparedRunAllocs gates what preparing buys a point read: a
+// repeated Run of a prepared pk probe with its key in a parameter slot
+// allocates strictly less than SelectFunc planning and running the
+// same literal statement, and stays under a fixed ceiling: the run's
+// execution state and the storage probe's key (3 on go1.24, against
+// 16 for SelectFunc).
+func TestPreparedRunAllocs(t *testing.T) {
+	db := paperDB(t)
+	seedJoinData(t, db)
+	sel := mustSelect(t, `SELECT id, lastname FROM author WHERE id = 2`)
+	slotted, args := parameterize(sel)
+	head := func([]string) error { return nil }
+	n := 0
+	row := func([]rdb.Value) (bool, error) { n++; return true, nil }
+	var p *Prepared
+	db.View(func(tx *rdb.Tx) (err error) {
+		p, err = Prepare(tx, slotted)
+		return err
+	})
+	const runs = 200
+	var fresh, prepared float64
+	db.View(func(tx *rdb.Tx) error {
+		fresh = testing.AllocsPerRun(runs, func() {
+			if err := SelectFunc(tx, sel, head, row); err != nil {
+				t.Fatal(err)
+			}
+		})
+		prepared = testing.AllocsPerRun(runs, func() {
+			if err := p.Run(tx, args, head, row); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return nil
+	})
+	if n != 2*(runs+1) { // AllocsPerRun adds one warm-up run
+		t.Fatalf("probes returned %d rows, want %d", n, 2*(runs+1))
+	}
+	const ceiling = 3
+	t.Logf("SelectFunc %v allocs, prepared Run %v allocs", fresh, prepared)
+	if prepared >= fresh || prepared > ceiling {
+		t.Errorf("prepared Run: %v allocs (SelectFunc %v), must be below SelectFunc and at most %v", prepared, fresh, ceiling)
+	}
+}

@@ -10,7 +10,9 @@ import (
 
 // env is the row environment of one evaluation: the current row of
 // every table in FROM/JOIN order (a prefix of them while the naive
-// executor builds its joins).
+// executor builds its joins). In the streaming pipeline one more entry
+// follows the tables: the run's argument vector, which parameter slots
+// read as column slots of a pseudo-table (see selPlan.bindParams).
 type env [][]rdb.Value
 
 // tableMeta is one FROM/JOIN table as expressions resolve against it.
@@ -82,13 +84,18 @@ const (
 	bIsNull
 	bIn
 	bBinary
+	// bParam is a parameter slot (argument ci) as bound; the pipeline
+	// turns it into a column slot of the argument vector before it runs
+	// (eval never sees one), and the other executors refuse statements
+	// carrying parameter slots.
+	bParam
 )
 
 type bnode struct {
 	kind   bkind
 	negate bool // bIsNull, bIn
 	op     sqlparser.BinOp
-	ti, ci int32 // bCol
+	ti, ci int32 // bCol; ci alone for bParam (the argument index)
 	l, r   bexpr // operands; bNeg/bNot/bIsNull/bIn use l only
 	lit    rdb.Value
 	in     []rdb.Value
@@ -116,6 +123,11 @@ func (p *prog) bind(e sqlparser.Expr, metas []tableMeta) bexpr {
 			return p.push(bnode{kind: bErr, err: err})
 		}
 		return p.col(ti, ci)
+	case sqlparser.Param:
+		if x.Index < 0 {
+			return p.push(bnode{kind: bErr, err: fmt.Errorf("sqlexec: invalid parameter index %d", x.Index)})
+		}
+		return p.push(bnode{kind: bParam, ci: int32(x.Index)})
 	case sqlparser.Neg:
 		return p.push(bnode{kind: bNeg, l: p.bind(x.Inner, metas)})
 	case sqlparser.Not:
@@ -131,6 +143,17 @@ func (p *prog) bind(e sqlparser.Expr, metas []tableMeta) bexpr {
 	default:
 		return p.push(bnode{kind: bErr, err: fmt.Errorf("sqlexec: unsupported expression %T", e)})
 	}
+}
+
+// hasParam reports whether a parameter slot was bound: only the
+// streaming pipeline has an argument vector to read it from.
+func (p prog) hasParam() bool {
+	for i := range p {
+		if p[i].kind == bParam {
+			return true
+		}
+	}
+	return false
 }
 
 func (p *prog) col(ti, ci int) bexpr {

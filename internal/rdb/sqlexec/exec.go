@@ -6,6 +6,27 @@
 // DML and SELECT statements run inside a caller-provided transaction
 // via Exec; Run provides auto-commit execution of whole scripts,
 // including DDL.
+//
+// A SELECT can be planned once and run many times: Prepare plans a
+// statement whose constants may be parameter slots (sqlparser.Param),
+// and Prepared.Run runs that plan with fresh arguments. Prepare fixes
+// the schemas, the name resolution, the error-parity mode, the
+// placement and access paths and the bound expressions, planning each
+// slot as a non-NULL value of the class of the column it is compared
+// with. Each run checks its arguments' classes, normalizes the base
+// probe key (or finds the probe impossible) and builds its small
+// execution state. Three triggers re-plan:
+//
+//   - an argument whose class differs from its slot's, or a NULL
+//     argument: that run plans its literal-substituted statement
+//     afresh;
+//   - a table schema pointer that differs from the prepared one: that
+//     run plans afresh too;
+//   - a cost-based placement whose tables' row counts moved more than
+//     2x since prepare: Prepared.Stale reports it, and the owner
+//     prepares a replacement. Any placement answers byte-identically
+//     (see the solution-order contract in select.go), so this one is
+//     about speed only.
 package sqlexec
 
 import (
@@ -111,12 +132,16 @@ func Exec(tx *rdb.Tx, stmt sqlparser.Statement) (Result, error) {
 // vals is only valid during the row call: the streaming path projects
 // every row into one buffer the cursor owns and overwrites it for the
 // next row. A consumer that keeps a row must copy it.
+//
+// SelectFunc is a one-shot Prepare and Run: it plans the statement
+// once, in tx, and runs that plan. A statement with parameter slots
+// fails here for want of arguments.
 func SelectFunc(tx *rdb.Tx, st sqlparser.Select, head func(cols []string) error, row func(vals []rdb.Value) (bool, error)) error {
 	p, err := planSelect(tx, st)
 	if err != nil {
 		return err
 	}
-	return p.runStream(tx, head, row)
+	return p.runStream(tx, nil, st.Limit, st.Offset, head, row)
 }
 
 // Query runs a single SELECT inside a read-only view and returns its
@@ -262,6 +287,9 @@ func execUpdate(tx *rdb.Tx, st sqlparser.Update) (Result, error) {
 	for i, a := range st.Set {
 		set[i] = pr.bind(a.Value, metas)
 	}
+	if pr.hasParam() {
+		return Result{}, errNoArg(0)
+	}
 	scanErr := error(nil)
 	tx.Scan(st.Table, func(id int64, row []rdb.Value) bool {
 		e := env{row}
@@ -308,6 +336,9 @@ func execDelete(tx *rdb.Tx, st sqlparser.Delete) (Result, error) {
 	where := bexpr(-1)
 	if st.Where != nil {
 		where = pr.bind(st.Where, []tableMeta{newTableMeta(sqlparser.TableRef{Table: st.Table}, schema)})
+	}
+	if pr.hasParam() {
+		return Result{}, errNoArg(0)
 	}
 	scanErr := error(nil)
 	tx.Scan(st.Table, func(id int64, row []rdb.Value) bool {

@@ -124,11 +124,13 @@ type selStep struct {
 	probeName string
 	probeType rdb.ColType
 	left      colLoc
-	// base-table literal probe (already normalized to storage kind).
-	lit *rdb.Value
-	// impossible short-circuits the whole query (a typed equality that
-	// can never hold, e.g. probing an INTEGER key with 5.5).
-	impossible bool
+	// litProbe marks a base-table point probe: lit is the bound literal
+	// or parameter slot compared with the indexed column probeName.
+	// Each run normalizes its value to the storage kind (probeKey), or
+	// finds the equality can never hold (e.g. an INTEGER key probed
+	// with 5.5) and short-circuits the whole query.
+	litProbe bool
+	lit      bexpr
 	// leftOuter marks a LEFT OUTER JOIN step: outer rows with no
 	// ON-matching candidate survive, NULL-extended.
 	leftOuter bool
@@ -152,6 +154,17 @@ type selPlan struct {
 	schemas []*rdb.TableSchema
 	metas   []tableMeta
 	steps   []selStep
+	// nparams counts the statement's parameter slots (one past the
+	// highest Param index); pcls holds the comparison class each slot
+	// was planned for (see paramClasses), 0 where none was inferred.
+	nparams int
+	pcls    []int
+	// rowsAt records every table's row count when cost-based placement
+	// read them; nil when the placement never consulted statistics.
+	rowsAt []int
+	// nullRows[ti] is the all-NULL tuple a left join step on table ti
+	// extends with (nil for other tables).
+	nullRows [][]rdb.Value
 	// prog holds every bound expression of the plan: step conditions,
 	// the deferred WHERE, the projection, sort keys and aggregates.
 	prog prog
@@ -192,7 +205,7 @@ func execSelect(tx *rdb.Tx, st sqlparser.Select) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.run(tx)
+	return p.run(tx, nil, st.Limit, st.Offset)
 }
 
 // Select executes a SELECT with the full optimized pipeline,
@@ -212,7 +225,7 @@ func SelectTextual(tx *rdb.Tx, st sqlparser.Select) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.run(tx)
+	return p.run(tx, nil, st.Limit, st.Offset)
 }
 
 // conjuncts flattens top-level ANDs: a row passes the conjunction iff
@@ -232,7 +245,7 @@ func conjunctsOf(e sqlparser.Expr, out []sqlparser.Expr) []sqlparser.Expr {
 // reproduces the exact resolution error.
 func qualifyExpr(e sqlparser.Expr, metas []tableMeta) (sqlparser.Expr, uint64, bool) {
 	switch x := e.(type) {
-	case sqlparser.Lit:
+	case sqlparser.Lit, sqlparser.Param:
 		return x, 0, true
 	case sqlparser.ColRef:
 		ti, _, err := resolveRef(x, metas)
@@ -398,14 +411,22 @@ func colRefClass(cr sqlparser.ColRef, metas []tableMeta) (int, bool) {
 // conservative: fallible means "might error", infallible is a proof
 // that eval returns (value, nil) for every possible row, which is
 // what licenses predicate pushdown and early termination without
-// changing which errors the statement surfaces.
-func analyzeExpr(e sqlparser.Expr, metas []tableMeta) (class int, fallible bool) {
+// changing which errors the statement surfaces. A parameter slot
+// analyzes as a non-NULL value of the class pcls plans it for — a run
+// whose argument has another class is planned afresh (see Prepared) —
+// and as fallible where no class was inferred.
+func analyzeExpr(e sqlparser.Expr, metas []tableMeta, pcls []int) (class int, fallible bool) {
 	switch x := e.(type) {
 	case sqlparser.Lit:
 		if x.Value.IsNull() {
 			return classNull, false
 		}
 		return litClass(x.Value), false
+	case sqlparser.Param:
+		if c := paramClass(pcls, x.Index); c > 0 {
+			return c, false
+		}
+		return 0, true
 	case sqlparser.ColRef:
 		c, ok := colRefClass(x, metas)
 		if !ok {
@@ -413,28 +434,28 @@ func analyzeExpr(e sqlparser.Expr, metas []tableMeta) (class int, fallible bool)
 		}
 		return c, false
 	case sqlparser.Neg:
-		c, f := analyzeExpr(x.Inner, metas)
+		c, f := analyzeExpr(x.Inner, metas, pcls)
 		if c == classNull {
 			return classNull, f
 		}
 		return 1, f || c != 1
 	case sqlparser.Not:
-		c, f := analyzeExpr(x.Inner, metas)
+		c, f := analyzeExpr(x.Inner, metas, pcls)
 		if c == classNull {
 			return classNull, f
 		}
 		return 3, f || c != 3
 	case sqlparser.IsNull:
-		_, f := analyzeExpr(x.Inner, metas)
+		_, f := analyzeExpr(x.Inner, metas, pcls)
 		return 3, f
 	case sqlparser.InList:
 		// rdb.Equal never errors; mixed-kind list values are simply
 		// unequal.
-		_, f := analyzeExpr(x.Inner, metas)
+		_, f := analyzeExpr(x.Inner, metas, pcls)
 		return 3, f
 	case sqlparser.Binary:
-		lc, lf := analyzeExpr(x.Left, metas)
-		rc, rf := analyzeExpr(x.Right, metas)
+		lc, lf := analyzeExpr(x.Left, metas, pcls)
+		rc, rf := analyzeExpr(x.Right, metas, pcls)
 		f := lf || rf
 		switch x.Op {
 		case sqlparser.OpAnd, sqlparser.OpOr:
@@ -472,12 +493,12 @@ func analyzeExpr(e sqlparser.Expr, metas []tableMeta) (class int, fallible bool)
 
 // anyFallible reports whether any conjunct in the list is unresolvable
 // or can raise a per-row evaluation error.
-func anyFallible(cs []conjunct, metas []tableMeta) bool {
+func anyFallible(cs []conjunct, metas []tableMeta, pcls []int) bool {
 	for _, c := range cs {
 		if !c.resolvable {
 			return true
 		}
-		if _, f := analyzeExpr(c.expr, metas); f {
+		if _, f := analyzeExpr(c.expr, metas, pcls); f {
 			return true
 		}
 	}
@@ -504,6 +525,7 @@ func planSelectMode(tx *rdb.Tx, st sqlparser.Select, forceTextual bool) (*selPla
 		p.schemas[i] = s
 		p.metas[i] = newTableMeta(r, s)
 	}
+	p.pcls, p.nparams = paramClasses(st, p.metas)
 	if len(st.Items) == 1 && st.Items[0].Agg == sqlparser.AggCount && st.Items[0].Expr == nil &&
 		len(st.GroupBy) == 0 && len(st.Having) == 0 {
 		p.countAlias = st.Items[0].Alias // lone COUNT(*): counting fast path
@@ -543,22 +565,22 @@ func planSelectMode(tx *rdb.Tx, st sqlparser.Select, forceTextual bool) (*selPla
 	// projections or sort keys disable early termination / the top-K
 	// heap.
 	for ji := range ons {
-		if anyFallible(ons[ji], p.metas) {
+		if anyFallible(ons[ji], p.metas, p.pcls) {
 			p.naive = true
 			return p, nil
 		}
 	}
-	p.deferredWhere = anyFallible(wheres, p.metas)
+	p.deferredWhere = anyFallible(wheres, p.metas, p.pcls)
 	for _, item := range st.Items {
 		if item.Star || item.Agg != sqlparser.AggNone {
 			continue
 		}
-		if _, f := analyzeExpr(item.Expr, p.metas); f {
+		if _, f := analyzeExpr(item.Expr, p.metas, p.pcls); f {
 			p.projFallible = true
 		}
 	}
 	for _, k := range st.OrderBy {
-		if _, f := analyzeExpr(k.Expr, p.metas); f {
+		if _, f := analyzeExpr(k.Expr, p.metas, p.pcls); f {
 			p.keysFallible = true
 		}
 	}
@@ -600,7 +622,22 @@ func planSelectMode(tx *rdb.Tx, st sqlparser.Select, forceTextual bool) (*selPla
 		p.planTextual(tx, st, wheres, ons)
 	}
 	p.bindOutput()
+	p.bindParams()
 	return p, nil
+}
+
+// bindParams turns every parameter slot of the bound plan into a column
+// slot of the argument vector, the env entry after the tables, so the
+// per-row evaluator reads arguments exactly like columns.
+func (p *selPlan) bindParams() {
+	if p.nparams == 0 {
+		return
+	}
+	for i := range p.prog {
+		if n := &p.prog[i]; n.kind == bParam {
+			n.kind, n.ti = bCol, int32(len(p.refs))
+		}
+	}
 }
 
 // bindAt binds a condition evaluated at step si: against the step's
@@ -641,6 +678,12 @@ func (p *selPlan) planTextual(tx *rdb.Tx, st sqlparser.Select, wheres []conjunct
 	placed := uint64(1)
 	for ji := range st.Joins {
 		step := selStep{ti: ji + 1, leftOuter: st.Joins[ji].LeftOuter}
+		if step.leftOuter {
+			if p.nullRows == nil {
+				p.nullRows = make([][]rdb.Value, len(p.refs))
+			}
+			p.nullRows[ji+1] = make([]rdb.Value, len(p.schemas[ji+1].Columns))
+		}
 		if eqIdx, pc, ok := p.equiJoinFor(ji, ons[ji], placed); ok {
 			step.probeCol = pc
 			step.probeName = p.schemas[ji+1].Columns[pc].Name
@@ -688,6 +731,7 @@ func (p *selPlan) planCostBased(tx *rdb.Tx, st sqlparser.Select, wheres []conjun
 			return err
 		}
 		rows[i] = float64(r)
+		p.rowsAt = append(p.rowsAt, r)
 	}
 	distinctOf := func(ti, ci int) (float64, bool) {
 		d, indexed, err := tx.DistinctCount(p.refs[ti].Table, p.schemas[ti].Columns[ci].Name)
@@ -837,8 +881,9 @@ func (p *selPlan) assignConjunct(cs []conjunct) {
 	}
 }
 
-// planBaseProbe turns a pushed-down "col = literal" on an indexed
-// column of the base table into a point probe.
+// planBaseProbe turns a pushed-down "col = literal" (or "col =
+// parameter") on an indexed column of the base table into a point
+// probe. The probe key itself is decided per run (see selExec.start).
 func (p *selPlan) planBaseProbe(tx *rdb.Tx) {
 	base := &p.steps[0]
 	ti := base.ti
@@ -847,28 +892,33 @@ func (p *selPlan) planBaseProbe(tx *rdb.Tx) {
 		if eq.kind != bBinary || eq.op != sqlparser.OpEq {
 			continue
 		}
-		cr, lit := &p.prog[eq.l], &p.prog[eq.r]
-		if cr.kind != bCol {
-			cr, lit = lit, cr
+		cl, cr := eq.l, eq.r
+		if p.prog[cl].kind != bCol {
+			cl, cr = cr, cl
 		}
-		if cr.kind != bCol || lit.kind != bLit || int(cr.ti) != ti {
+		col, lit := &p.prog[cl], &p.prog[cr]
+		if col.kind != bCol || int(col.ti) != ti {
 			continue
 		}
-		col := &p.schemas[ti].Columns[cr.ci]
-		if litClass(lit.lit) == 0 || litClass(lit.lit) != typeClass(col.Type) {
+		var class int
+		switch lit.kind {
+		case bLit:
+			class = litClass(lit.lit)
+		case bParam:
+			class = paramClass(p.pcls, int(lit.ci))
+		default:
+			continue
+		}
+		c := &p.schemas[ti].Columns[col.ci]
+		if class == 0 || class != typeClass(c.Type) {
 			continue // cross-class equality errors row by row; keep it a filter
 		}
-		has, err := tx.HasIndex(p.refs[ti].Table, col.Name)
+		has, err := tx.HasIndex(p.refs[ti].Table, c.Name)
 		if err != nil || !has {
 			continue
 		}
-		key, ok := probeKey(lit.lit, col.Type)
-		if !ok {
-			base.impossible = true // e.g. 5.5 against an INTEGER key
-			break
-		}
-		base.lit = &key
-		base.probeName = col.Name
+		base.litProbe, base.lit = true, cr
+		base.probeName, base.probeType = c.Name, c.Type
 		break
 	}
 }
@@ -910,7 +960,8 @@ func (p *selPlan) equiSides(c *conjunct, t int, placed uint64) (tc, ot, oc int, 
 }
 
 // litEqCol recognizes a conjunct of the form t.col = literal (either
-// side) with matching comparison class, returning t's column index.
+// side, the literal possibly a parameter slot) with matching
+// comparison class, returning t's column index.
 func (p *selPlan) litEqCol(c *conjunct, t int) (int, bool) {
 	if !c.resolvable {
 		return 0, false
@@ -919,28 +970,29 @@ func (p *selPlan) litEqCol(c *conjunct, t int) (int, bool) {
 	if !bok || b.Op != sqlparser.OpEq {
 		return 0, false
 	}
-	var cr sqlparser.ColRef
-	var lit sqlparser.Lit
-	if cc, cok := b.Left.(sqlparser.ColRef); cok {
-		if l, lok := b.Right.(sqlparser.Lit); lok {
-			cr, lit = cc, l
-		} else {
-			return 0, false
-		}
-	} else if cc, cok := b.Right.(sqlparser.ColRef); cok {
-		if l, lok := b.Left.(sqlparser.Lit); lok {
-			cr, lit = cc, l
-		} else {
-			return 0, false
-		}
-	} else {
+	cr, cok := b.Left.(sqlparser.ColRef)
+	other := b.Right
+	if !cok {
+		cr, cok = b.Right.(sqlparser.ColRef)
+		other = b.Left
+	}
+	if !cok {
+		return 0, false
+	}
+	var class int
+	switch o := other.(type) {
+	case sqlparser.Lit:
+		class = litClass(o.Value)
+	case sqlparser.Param:
+		class = paramClass(p.pcls, o.Index)
+	default:
 		return 0, false
 	}
 	ct, ci := p.locOf(cr)
 	if ct != t || ci < 0 {
 		return 0, false
 	}
-	if litClass(lit.Value) == 0 || litClass(lit.Value) != typeClass(p.schemas[t].Columns[ci].Type) {
+	if class == 0 || class != typeClass(p.schemas[t].Columns[ci].Type) {
 		return 0, false
 	}
 	return ci, true
@@ -1028,15 +1080,25 @@ type collRow struct {
 
 // selExec is the runtime state of one execution.
 type selExec struct {
-	p    *selPlan
-	tx   *rdb.Tx
-	full env // all tables in original order; rows filled as placed
+	p  *selPlan
+	tx *rdb.Tx
+	// full holds all tables in original order, rows filled as placed,
+	// and after them the run's argument vector.
+	full env
+	// baseKey is the base step's probe key for this run's arguments;
+	// impossible marks a probe equality that can never hold.
+	baseKey    rdb.Value
+	impossible bool
 	// hashes holds the hash-join tables, per step, built lazily.
 	hashes []map[string][]idRow
 	// ids[ti] is the internal id of the row currently bound for table
-	// ti; nullRows[ti] is the all-NULL tuple a left join extends with.
-	ids      []int64
-	nullRows [][]rdb.Value
+	// ti.
+	ids []int64
+	// fullArr, idsArr and bufArr back full, ids and buf for the small
+	// joins translators emit, so a run allocates them with selExec.
+	fullArr [6][]rdb.Value
+	idsArr  [5]int64
+	bufArr  [8]rdb.Value
 	// collect buffers joined rows instead of emitting (reordered
 	// plans): emission happens in replayed baseline order afterwards.
 	collect   bool
@@ -1056,6 +1118,9 @@ type selExec struct {
 	seq     int            // emission sequence, the heap's stability tiebreak
 	keyBuf  []rdb.Value    // reusable sort-key scratch: rejected rows stay allocation-free
 
+	// offset and limit are the run's OFFSET/LIMIT window (-1 unset).
+	offset, limit int
+
 	// Streaming delivery (runStream): out receives each in-window row
 	// the moment the pipeline produces it instead of appending to rows.
 	// Rows are projected into buf, the one row buffer the cursor owns,
@@ -1066,19 +1131,26 @@ type selExec struct {
 	out     func([]rdb.Value) (bool, error)
 	buf     []rdb.Value
 	skip    int
-	limit   int
 	sent    int
 	emitted int
 }
 
-func (p *selPlan) run(tx *rdb.Tx) (*ResultSet, error) {
+// run executes the plan with the given arguments and OFFSET/LIMIT
+// window, materializing the result set.
+func (p *selPlan) run(tx *rdb.Tx, args []rdb.Value, limit, offset int) (*ResultSet, error) {
+	if len(args) < p.nparams {
+		return nil, errNoArg(len(args))
+	}
 	if p.naive {
 		// A fallible ON conjunct: join-phase errors depend on the
 		// breadth-first join construction order, which only the
-		// baseline reproduces exactly.
-		return SelectNaive(tx, p.st)
+		// baseline reproduces exactly. (Prepare never keeps a naive plan
+		// with parameter slots, so p.st is literal here.)
+		st := p.st
+		st.Limit, st.Offset = limit, offset
+		return SelectNaive(tx, st)
 	}
-	x := p.prepare(tx)
+	x := p.start(tx, args, limit, offset)
 	if err := x.drive(); err != nil {
 		return nil, err
 	}
@@ -1096,9 +1168,9 @@ func (p *selPlan) run(tx *rdb.Tx) (*ResultSet, error) {
 // false cancels the remainder of the stream without error. On the
 // buffered paths an execution error surfaces before head is called;
 // on the streaming path it can surface mid-stream.
-func (p *selPlan) runStream(tx *rdb.Tx, head func(cols []string) error, row func(vals []rdb.Value) (bool, error)) error {
+func (p *selPlan) runStream(tx *rdb.Tx, args []rdb.Value, limit, offset int, head func(cols []string) error, row func(vals []rdb.Value) (bool, error)) error {
 	if p.naive || p.countAlias != "" || p.agg != nil || len(p.st.OrderBy) > 0 {
-		rs, err := p.run(tx)
+		rs, err := p.run(tx, args, limit, offset)
 		if err != nil {
 			return err
 		}
@@ -1113,30 +1185,42 @@ func (p *selPlan) runStream(tx *rdb.Tx, head func(cols []string) error, row func
 		}
 		return nil
 	}
-	x := p.prepare(tx)
-	x.out = row
-	x.buf = make([]rdb.Value, len(p.proj.items))
-	if p.st.Offset > 0 {
-		x.skip = p.st.Offset
+	if len(args) < p.nparams {
+		return errNoArg(len(args))
 	}
-	x.limit = p.st.Limit
+	x := p.start(tx, args, limit, offset)
+	x.out = row
+	if n := len(p.proj.items); n <= len(x.bufArr) {
+		x.buf = x.bufArr[:n]
+	} else {
+		x.buf = make([]rdb.Value, n)
+	}
+	if offset > 0 {
+		x.skip = offset
+	}
 	if err := head(x.cols); err != nil {
 		return err
 	}
 	return x.drive()
 }
 
-// prepare builds the runtime state of one execution: the row
-// environment and the output-stage mode (count, aggregate, top-K,
-// sort materialization or direct emission with a LIMIT target).
-func (p *selPlan) prepare(tx *rdb.Tx) *selExec {
-	x := &selExec{p: p, tx: tx, target: -1}
-	x.full = make(env, len(p.refs))
-	x.hashes = make([]map[string][]idRow, len(p.steps))
-	x.ids = make([]int64, len(p.refs))
-	x.nullRows = make([][]rdb.Value, len(p.refs))
-	for i := range p.refs {
-		x.nullRows[i] = make([]rdb.Value, len(p.schemas[i].Columns))
+// start builds the runtime state of one execution: the row
+// environment with the run's arguments, the base probe key, and the
+// output-stage mode (count, aggregate, top-K, sort materialization or
+// direct emission with a LIMIT target).
+func (p *selPlan) start(tx *rdb.Tx, args []rdb.Value, limit, offset int) *selExec {
+	x := &selExec{p: p, tx: tx, target: -1, offset: offset, limit: limit}
+	if n := len(p.refs); n < len(x.fullArr) {
+		x.full, x.ids = x.fullArr[:n+1], x.idsArr[:n]
+	} else {
+		x.full, x.ids = make(env, n+1), make([]int64, n)
+	}
+	x.full[len(p.refs)] = args
+	if base := &p.steps[0]; base.litProbe {
+		v, _ := p.prog.arg(base.lit, x.full) // a literal or an argument: never fails
+		var ok bool
+		x.baseKey, ok = probeKey(v, base.probeType)
+		x.impossible = !ok
 	}
 	// Reordered plans buffer joined rows and replay them in baseline
 	// order; lone COUNT(*) is order-independent and skips the buffer.
@@ -1154,23 +1238,20 @@ func (p *selPlan) prepare(tx *rdb.Tx) *selExec {
 		if st.Distinct {
 			x.seen = map[string]bool{}
 		}
-		off := st.Offset
-		if off < 0 {
-			off = 0
-		}
+		off := max(offset, 0)
 		switch {
-		case x.sorting && st.Limit >= 0 && !st.Distinct && !p.keysFallible && !p.projFallible &&
-			off+st.Limit >= st.Limit: // offset+limit must not overflow to a bogus capacity
+		case x.sorting && limit >= 0 && !st.Distinct && !p.keysFallible && !p.projFallible &&
+			off+limit >= limit: // offset+limit must not overflow to a bogus capacity
 			// Top-K: only the first offset+limit rows of the sorted
 			// output survive, so a bounded heap replaces the full
 			// materialize-and-sort. DISTINCT is excluded (dedup after
 			// projection can need more than K sorted rows), as are
 			// fallible keys/projections (the baseline evaluates them on
 			// every row).
-			x.topk = &topkCollector{keys: st.OrderBy, cap: off + st.Limit}
+			x.topk = &topkCollector{keys: st.OrderBy, cap: off + limit}
 			x.keyBuf = make([]rdb.Value, len(st.OrderBy))
-		case !x.sorting && st.Limit >= 0 && !p.deferredWhere && !p.projFallible:
-			x.target = off + st.Limit
+		case !x.sorting && limit >= 0 && !p.deferredWhere && !p.projFallible:
+			x.target = off + limit
 		}
 	}
 	return x
@@ -1189,7 +1270,7 @@ func (x *selExec) drive() error {
 		// regardless of the cutoff).
 		runPipeline = false
 	}
-	if !p.steps[0].impossible && runPipeline {
+	if !x.impossible && runPipeline {
 		if _, err := x.step(0); err != nil {
 			return err
 		}
@@ -1263,15 +1344,15 @@ func (x *selExec) finish() (*ResultSet, error) {
 		}
 	}
 	rs := &ResultSet{Columns: x.cols, Rows: x.rows}
-	if st.Offset > 0 {
-		if st.Offset >= len(rs.Rows) {
+	if x.offset > 0 {
+		if x.offset >= len(rs.Rows) {
 			rs.Rows = nil
 		} else {
-			rs.Rows = rs.Rows[st.Offset:]
+			rs.Rows = rs.Rows[x.offset:]
 		}
 	}
-	if st.Limit >= 0 && st.Limit < len(rs.Rows) {
-		rs.Rows = rs.Rows[:st.Limit]
+	if x.limit >= 0 && x.limit < len(rs.Rows) {
+		rs.Rows = rs.Rows[:x.limit]
 	}
 	return rs, nil
 }
@@ -1283,24 +1364,21 @@ func (x *selExec) step(si int) (bool, error) {
 		return x.emit()
 	}
 	s := &x.p.steps[si]
-	if s.impossible {
-		return true, nil
-	}
 	if s.leftOuter {
 		return x.stepLeft(si)
 	}
 	var iterErr error
+	cont := true
 	visit := func(id int64, row []rdb.Value) bool {
 		x.full[s.ti] = row
 		x.ids[s.ti] = id
 		ok, err := x.filterAndDescend(si)
 		if err != nil {
-			iterErr = err
-			return false
+			iterErr, ok = err, false
 		}
+		cont = ok
 		return ok
 	}
-	cont := true
 	switch s.access {
 	case accessProbe:
 		left := x.full[s.left.ti][s.left.ci]
@@ -1308,11 +1386,7 @@ func (x *selExec) step(si int) (bool, error) {
 		if !ok {
 			return true, nil // NULL or unrepresentable: no match, no error
 		}
-		err := x.tx.MatchColumn(x.p.refs[s.ti].Table, s.probeName, key, func(id int64, row []rdb.Value) bool {
-			cont = visit(id, row)
-			return cont
-		})
-		if err != nil {
+		if err := x.tx.MatchColumn(x.p.refs[s.ti].Table, s.probeName, key, visit); err != nil {
 			return false, err
 		}
 	case accessHash:
@@ -1326,22 +1400,16 @@ func (x *selExec) step(si int) (bool, error) {
 			return true, nil
 		}
 		for _, ir := range h[key] {
-			if cont = visit(ir.id, ir.row); !cont {
+			if !visit(ir.id, ir.row) {
 				break
 			}
 		}
 	default:
 		var err error
-		if s.lit != nil {
-			err = x.tx.MatchColumn(x.p.refs[s.ti].Table, s.probeName, *s.lit, func(id int64, row []rdb.Value) bool {
-				cont = visit(id, row)
-				return cont
-			})
+		if s.litProbe {
+			err = x.tx.MatchColumn(x.p.refs[s.ti].Table, s.probeName, x.baseKey, visit)
 		} else {
-			err = x.tx.Scan(x.p.refs[s.ti].Table, func(id int64, row []rdb.Value) bool {
-				cont = visit(id, row)
-				return cont
-			})
+			err = x.tx.Scan(x.p.refs[s.ti].Table, visit)
 		}
 		if err != nil {
 			return false, err
@@ -1414,7 +1482,7 @@ func (x *selExec) stepLeft(si int) (bool, error) {
 		return false, nil
 	}
 	if !matched {
-		x.full[s.ti] = x.nullRows[s.ti]
+		x.full[s.ti] = x.p.nullRows[s.ti]
 		x.ids[s.ti] = -1
 		return x.filterAndDescend(si)
 	}
@@ -1437,14 +1505,19 @@ func (x *selExec) filterAndDescend(si int) (bool, error) {
 // the step's pushed predicates while building (rows stay in scan
 // order inside each bucket, preserving the baseline's row order).
 func (x *selExec) hashFor(si int) (map[string][]idRow, error) {
+	if x.hashes == nil {
+		x.hashes = make([]map[string][]idRow, len(x.p.steps))
+	}
 	if x.hashes[si] != nil {
 		return x.hashes[si], nil
 	}
 	s := &x.p.steps[si]
 	h := make(map[string][]idRow)
-	// The step's preds read only its own table, so a scratch
-	// environment holding just the candidate row evaluates them.
+	// The step's preds read only its own table (and the arguments), so
+	// a scratch environment holding just the candidate row evaluates
+	// them.
 	scratch := make(env, len(x.full))
+	scratch[len(scratch)-1] = x.full[len(x.full)-1]
 	class := typeClass(s.probeType)
 	var buildErr error
 	err := x.tx.Scan(x.p.refs[s.ti].Table, func(id int64, row []rdb.Value) bool {
@@ -2075,6 +2148,9 @@ func (p prog) sortEnvs(envs []env, kb []bexpr, keys []sqlparser.OrderKey) error 
 // WHERE applies last. It is kept as the referee the streaming
 // executor's differential tests compare against.
 func SelectNaive(tx *rdb.Tx, st sqlparser.Select) (*ResultSet, error) {
+	if _, n := paramClasses(st, nil); n > 0 {
+		return nil, errNoArg(0) // the baseline runs literal statements only
+	}
 	// Build the joined row set with nested loops.
 	refs := []sqlparser.TableRef{st.From}
 	for _, j := range st.Joins {

@@ -57,6 +57,7 @@ func TestStreamingMatchesNaive(t *testing.T) {
 			}
 			sel := stmt.(sqlparser.Select)
 			err = db.View(func(tx *rdb.Tx) error {
+				assertPreparedParity(t, tx, sel)
 				got, gerr := execSelect(tx, sel)
 				want, werr := SelectNaive(tx, sel)
 				if (gerr == nil) != (werr == nil) {
@@ -187,6 +188,7 @@ func TestStreamingErrorParity(t *testing.T) {
 		}
 		sel := stmt.(sqlparser.Select)
 		db.View(func(tx *rdb.Tx) error {
+			assertPreparedParity(t, tx, sel)
 			_, gerr := execSelect(tx, sel)
 			_, werr := SelectNaive(tx, sel)
 			if gerr == nil || werr == nil {
@@ -227,6 +229,7 @@ INSERT INTO author (id, email, lastname, team) VALUES
 		t.Fatal(err)
 	}
 	db.View(func(tx *rdb.Tx) error {
+		assertPreparedParity(t, tx, stmt.(sqlparser.Select))
 		got, gerr := execSelect(tx, stmt.(sqlparser.Select))
 		want, werr := SelectNaive(tx, stmt.(sqlparser.Select))
 		if gerr != nil || werr != nil {
@@ -247,6 +250,7 @@ INSERT INTO author (id, email, lastname, team) VALUES
 		t.Fatal(err)
 	}
 	db.View(func(tx *rdb.Tx) error {
+		assertPreparedParity(t, tx, stmt.(sqlparser.Select))
 		_, gerr := execSelect(tx, stmt.(sqlparser.Select))
 		_, werr := SelectNaive(tx, stmt.(sqlparser.Select))
 		if gerr == nil || werr == nil {
@@ -265,6 +269,7 @@ INSERT INTO author (id, email, lastname, team) VALUES
 		t.Fatal(err)
 	}
 	db.View(func(tx *rdb.Tx) error {
+		assertPreparedParity(t, tx, stmt.(sqlparser.Select))
 		_, gerr := execSelect(tx, stmt.(sqlparser.Select))
 		_, werr := SelectNaive(tx, stmt.(sqlparser.Select))
 		if (gerr == nil) != (werr == nil) {
@@ -301,6 +306,7 @@ func TestTopKMatchesFullSort(t *testing.T) {
 		}
 		sel := stmt.(sqlparser.Select)
 		db.View(func(tx *rdb.Tx) error {
+			assertPreparedParity(t, tx, sel)
 			got, gerr := execSelect(tx, sel)
 			want, werr := SelectNaive(tx, sel)
 			if gerr != nil || werr != nil {
@@ -339,6 +345,7 @@ func TestOrderByErrorNotSwallowed(t *testing.T) {
 		}
 		sel := stmt.(sqlparser.Select)
 		db.View(func(tx *rdb.Tx) error {
+			assertPreparedParity(t, tx, sel)
 			if _, err := execSelect(tx, sel); err == nil {
 				t.Errorf("%s: streaming executor swallowed the sort error", q)
 			} else if !strings.Contains(err.Error(), "not numeric") {
@@ -364,6 +371,8 @@ func TestOrderByMixedTypeKeys(t *testing.T) {
 	  (4, NULL, 'Auer', NULL)`); err != nil {
 		t.Fatal(err)
 	}
+	preparedParity(t, db, `SELECT id FROM author ORDER BY lastname, email DESC`)
+	preparedParity(t, db, `SELECT id FROM author ORDER BY email, id`)
 	rs, err := Query(db, `SELECT id FROM author ORDER BY lastname, email DESC`)
 	if err != nil {
 		t.Fatal(err)
@@ -408,6 +417,8 @@ func TestLimitStopsEarly(t *testing.T) {
 	if _, err := Run(db, b.String()); err != nil {
 		t.Fatal(err)
 	}
+	preparedParity(t, db, `SELECT t1.id, t2.id FROM team t1 JOIN team t2 ON t1.code = t2.code LIMIT 3`)
+	preparedParity(t, db, `SELECT id FROM team WHERE code = 'c' LIMIT 1`)
 	rs, err := Query(db, `SELECT t1.id, t2.id FROM team t1 JOIN team t2 ON t1.code = t2.code LIMIT 3`)
 	if err != nil {
 		t.Fatal(err)
@@ -439,6 +450,7 @@ func TestJoinReorderKeepsBaselineOrder(t *testing.T) {
 	}
 	sel := stmt.(sqlparser.Select)
 	db.View(func(tx *rdb.Tx) error {
+		assertPreparedParity(t, tx, sel)
 		first, err := execSelect(tx, sel)
 		if err != nil {
 			t.Fatal(err)
@@ -512,6 +524,7 @@ func TestCostBasedReorderMatchesBaseline(t *testing.T) {
 			} else if p.reordered {
 				reordered++
 			}
+			assertPreparedParity(t, tx, sel)
 			got, err := execSelect(tx, sel)
 			if err != nil {
 				t.Fatalf("%s: %v", q, err)
@@ -553,6 +566,8 @@ INSERT INTO m (id, grp, x, n) VALUES
 `); err != nil {
 		t.Fatal(err)
 	}
+	preparedParity(t, db, `SELECT grp, SUM(x) AS sx, AVG(x) AS ax, SUM(n) AS sn, AVG(n) AS an, COUNT(x) AS cx FROM m GROUP BY grp`)
+	preparedParity(t, db, `SELECT COUNT(x) AS c, SUM(x) AS s, AVG(x) AS a, MIN(x) AS mn, MAX(x) AS mx FROM m WHERE id > 100`)
 	rs, err := Query(db, `SELECT grp, SUM(x) AS sx, AVG(x) AS ax, SUM(n) AS sn, AVG(n) AS an, COUNT(x) AS cx FROM m GROUP BY grp`)
 	if err != nil {
 		t.Fatal(err)
@@ -611,6 +626,9 @@ CREATE TABLE r (id INTEGER PRIMARY KEY, v DOUBLE);
 		t.Fatal(err)
 	}
 	// Hash join on the unindexed DOUBLE columns: 0.0 must meet -0.0.
+	preparedParity(t, db, `SELECT l.id, r.id FROM l JOIN r ON l.v = r.v`)
+	preparedParity(t, db, `SELECT id FROM u WHERE v = 0.0`)
+	preparedParity(t, db, `SELECT id FROM u WHERE v = -0.0`)
 	rs, err := Query(db, `SELECT l.id, r.id FROM l JOIN r ON l.v = r.v`)
 	if err != nil {
 		t.Fatal(err)
@@ -654,7 +672,7 @@ func streamSelect(tx *rdb.Tx, sel sqlparser.Select, textual bool) ([][]rdb.Value
 		return nil, err
 	}
 	var rows [][]rdb.Value
-	err = p.runStream(tx, func([]string) error { return nil }, func(vals []rdb.Value) (bool, error) {
+	err = p.runStream(tx, nil, sel.Limit, sel.Offset, func([]string) error { return nil }, func(vals []rdb.Value) (bool, error) {
 		rows = append(rows, append([]rdb.Value(nil), vals...))
 		return true, nil
 	})
@@ -714,6 +732,7 @@ func TestNameResolutionErrorParity(t *testing.T) {
 			}
 			sel := stmt.(sqlparser.Select)
 			d.db.View(func(tx *rdb.Tx) error {
+				assertPreparedParity(t, tx, sel)
 				_, nerr := SelectNaive(tx, sel)
 				want := errText(nerr)
 				if d.name == "empty" && want != "" {

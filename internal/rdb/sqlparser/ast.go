@@ -163,6 +163,16 @@ type Lit struct {
 
 func (Lit) isExpr() {}
 
+// Param is a parameter slot: the Index-th (0-based) argument a
+// prepared statement is run with (see sqlexec.Prepare). The parser
+// never produces one; translators build statements with parameter
+// slots structurally.
+type Param struct {
+	Index int
+}
+
+func (Param) isExpr() {}
+
 // BinOp enumerates binary SQL operators.
 type BinOp int
 

@@ -27,11 +27,12 @@ race:
 
 # The allocation gates: per-request ceilings of the read and write
 # paths (core), per-row ceilings of the streamed executor (sqlexec)
-# and of a JSON SELECT served over HTTP (endpoint). They are built
-# `!race` — the race detector changes allocation counts — so the race
-# run above skips them.
+# and of a JSON SELECT served over HTTP (endpoint), the storage
+# engine's point probe, and its live bytes and heap objects per row
+# (rdb). They are built `!race` — the race detector changes
+# allocation counts — so the race run above skips them.
 allocs:
-	$(GO) test -run 'Allocs' ./internal/core ./internal/rdb/sqlexec ./internal/endpoint
+	$(GO) test -run 'Allocs|Footprint' ./internal/core ./internal/rdb ./internal/rdb/sqlexec ./internal/endpoint
 
 # Coverage gates: the translation core, the SQL executor (the
 # compiled read path's engine), the write-ahead log, the storage
@@ -62,10 +63,10 @@ crash-recovery:
 metamorphic:
 	$(GO) test -run 'TestMetamorphic' -v ./internal/workload
 
-# 90s of native fuzzing across the parser/normalizer targets, the
+# 100s of native fuzzing across the parser/normalizer targets, the
 # prepared-plan executor, the row-cell encoders, the statistics
-# invariant and the sharded publish protocol — regressions land in
-# testdata/fuzz/ as seeds.
+# invariant, the sharded publish protocol and the index tries —
+# regressions land in testdata/fuzz/ as seeds.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParseUpdate -fuzztime 10s -run '^$$' ./internal/update
 	$(GO) test -fuzz FuzzParseQuery -fuzztime 10s -run '^$$' ./internal/sparql
@@ -76,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzRowCellMatchesTerm -fuzztime 10s -run '^$$' ./internal/core
 	$(GO) test -fuzz FuzzStatsInvariant -fuzztime 10s -run '^$$' ./internal/rdb
 	$(GO) test -fuzz FuzzShardedPublish -fuzztime 10s -run '^$$' ./internal/rdb
+	$(GO) test -fuzz FuzzIndexOps -fuzztime 10s -run '^$$' ./internal/rdb
 
 # The benchmark (bench/) is its own module, so `./...` above never
 # builds it: vet and test it against the program it links.

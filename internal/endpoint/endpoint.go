@@ -723,6 +723,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(w, "checkpoints: %d (last at version %d)\n", ds.Checkpoints, ds.LastCheckpointVersion)
 		fmt.Fprintf(w, "checkpoint tables: %d written, %d unchanged\n",
 			ds.CheckpointTablesWritten, ds.CheckpointTablesSkipped)
+		if ds.CheckpointFailures > 0 {
+			fmt.Fprintf(w, "checkpoint failures: %d, last error %q\n", ds.CheckpointFailures, ds.LastCheckpointError)
+		} else {
+			fmt.Fprintf(w, "checkpoint failures: 0\n")
+		}
 		fmt.Fprintf(w, "recovered records: %d\n", ds.RecoveredRecords)
 		if st.Batches > 0 {
 			fmt.Fprintf(w, "fsyncs: %d (%.2f per batch)\n", ds.Fsyncs, float64(ds.Fsyncs)/float64(st.Batches))

@@ -5,12 +5,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ontoaccess/internal/core"
 	"ontoaccess/internal/ntriples"
+	"ontoaccess/internal/rdb"
 	"ontoaccess/internal/sparql"
 	"ontoaccess/internal/workload"
 )
@@ -368,5 +372,57 @@ func TestEndToEndModifyOverHTTP(t *testing.T) {
 	}
 	if len(res.Solutions) != 1 || res.Solutions[0]["m"].Value != "mailto:hert@example.com" {
 		t.Errorf("mbox after modify = %v", res.Solutions)
+	}
+}
+
+// TestHealthCheckpointFailures checks the durability block's failure
+// line: it reads 0 while checkpoints succeed and carries the count
+// and the last error once background checkpoints fail, while the
+// existing "checkpoints:" line keeps its format.
+func TestHealthCheckpointFailures(t *testing.T) {
+	dir := t.TempDir()
+	m, _, err := workload.NewMediatorWithOptions(core.Options{}, rdb.Options{DataDir: dir, CheckpointBytes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(m)
+	if body := getPath(t, s, "/healthz").Body.String(); !strings.Contains(body, "\ncheckpoint failures: 0\n") {
+		t.Fatalf("health body lacks a zero failure line:\n%s", body)
+	}
+	// A directory where the manifest is renamed to fails every
+	// checkpoint, even as root.
+	blocker := filepath.Join(dir, "checkpoint.db")
+	if err := os.MkdirAll(filepath.Join(blocker, "keep"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; m.DurabilityStats().CheckpointFailures == 0; i++ {
+		if time.Now().After(deadline) {
+			t.Fatal("no background checkpoint failed")
+		}
+		post(t, s, "/update", "application/sparql-update", fmt.Sprintf(
+			"%sINSERT DATA { ex:author%d foaf:family_name \"Failing%d\" . }", workload.Prologue, 1000+i, i))
+	}
+	body := getPath(t, s, "/healthz").Body.String()
+	var failures, ckpts, version uint64
+	var line string
+	for _, l := range strings.Split(body, "\n") {
+		if strings.HasPrefix(l, "checkpoint failures: ") {
+			line = l
+		}
+	}
+	if _, err := fmt.Sscanf(line, "checkpoint failures: %d, last error ", &failures); err != nil || failures == 0 ||
+		!strings.Contains(line, "checkpoint.db") {
+		t.Fatalf("failure line %q (%v):\n%s", line, err, body)
+	}
+	i := strings.Index(body, "\ncheckpoints: ")
+	if _, err := fmt.Sscanf(body[i+1:], "checkpoints: %d (last at version %d)", &ckpts, &version); err != nil {
+		t.Fatalf("checkpoints line no longer scans: %v\n%s", err, body)
+	}
+	if err := os.RemoveAll(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,6 +1,9 @@
 package rdb
 
-import "strings"
+import (
+	"math/bits"
+	"strings"
+)
 
 // Structural diff of snapshots.
 //
@@ -19,22 +22,26 @@ const diffSampleKeys = 20
 
 // diffTrees walks two persistent tries, skipping subtrees shared by
 // pointer, and reports every key whose presence or value differs. fn
-// returning false stops the walk.
+// returning false stops the walk. A one-entry tree holds its entry
+// inline; it is materialized into a fresh node first (it shares
+// nothing, and one entry costs one visit).
 func diffTrees[V any](a, b ptree[V], eq func(V, V) bool, fn func(k uint64, av, bv V, inA, inB bool) bool) {
+	if a.root == nil && a.size == 1 {
+		a = ptree[V]{}.withNode(a.k1, a.v1, nil)
+	}
+	if b.root == nil && b.size == 1 {
+		b = ptree[V]{}.withNode(b.k1, b.v1, nil)
+	}
 	ra, sa := a.root, a.shift
 	rb, sb := b.root, b.shift
 	// Lift the shallower root under synthetic parents so both trees
 	// address the same key space; only the top wrapper nodes lose
 	// pointer sharing.
 	for ra != nil && rb != nil && sa < sb {
-		w := &ptNode[V]{kids: make([]*ptNode[V], ptWidth)}
-		w.kids[0] = ra
-		ra, sa = w, sa+ptBits
+		ra, sa = &ptNode[V]{kids: []*ptNode[V]{ra}, present: 1}, sa+ptBits
 	}
 	for ra != nil && rb != nil && sb < sa {
-		w := &ptNode[V]{kids: make([]*ptNode[V], ptWidth)}
-		w.kids[0] = rb
-		rb, sb = w, sb+ptBits
+		rb, sb = &ptNode[V]{kids: []*ptNode[V]{rb}, present: 1}, sb+ptBits
 	}
 	shift := sa
 	if ra == nil {
@@ -47,35 +54,42 @@ func diffNodes[V any](a, b *ptNode[V], shift uint, prefix uint64, eq func(V, V) 
 	if a == b {
 		return true // shared subtree (or both absent): nothing differs
 	}
-	if shift == 0 {
-		for i := uint64(0); i < ptWidth; i++ {
-			var av, bv V
-			inA := a != nil && a.present&(1<<i) != 0
-			inB := b != nil && b.present&(1<<i) != 0
+	var pa, pb uint32
+	if a != nil {
+		pa = a.present
+	}
+	if b != nil {
+		pb = b.present
+	}
+	for p := pa | pb; p != 0; p &= p - 1 {
+		i := uint64(bits.TrailingZeros32(p))
+		k := prefix | i<<shift
+		posA, inA := a.slot(i)
+		posB, inB := b.slot(i)
+		if shift > 0 {
+			var ka, kb *ptNode[V]
 			if inA {
-				av = a.vals[i]
+				ka = a.kids[posA]
 			}
 			if inB {
-				bv = b.vals[i]
+				kb = b.kids[posB]
 			}
-			if !inA && !inB || inA && inB && eq(av, bv) {
-				continue
-			}
-			if !fn(prefix|i, av, bv, inA, inB) {
+			if !diffNodes(ka, kb, shift-ptBits, k, eq, fn) {
 				return false
 			}
+			continue
 		}
-		return true
-	}
-	for i := 0; i < ptWidth; i++ {
-		var ka, kb *ptNode[V]
-		if a != nil {
-			ka = a.kids[i]
+		var av, bv V
+		if inA {
+			av = a.vals[posA]
 		}
-		if b != nil {
-			kb = b.kids[i]
+		if inB {
+			bv = b.vals[posB]
 		}
-		if !diffNodes(ka, kb, shift-ptBits, prefix|uint64(i)<<shift, eq, fn) {
+		if inA && inB && eq(av, bv) {
+			continue
+		}
+		if !fn(k, av, bv, inA, inB) {
 			return false
 		}
 	}

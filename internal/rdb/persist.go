@@ -133,6 +133,10 @@ type persister struct {
 	// skipping made observable).
 	ckptWritten atomic.Uint64
 	ckptSkipped atomic.Uint64
+	// ckptFailed counts failed background checkpoints; ckptLastErr
+	// holds the newest one's error text.
+	ckptFailed  atomic.Uint64
+	ckptLastErr atomic.Pointer[string]
 	// ckptMu serializes Checkpoint against itself (explicit calls vs
 	// the automatic background trigger); ckptWG lets Close wait for an
 	// in-flight background checkpoint so it cannot recreate files
@@ -158,8 +162,9 @@ func (p *persister) append(payload []byte) error {
 
 // maybeCheckpoint kicks off a background checkpoint when the WAL has
 // grown past the threshold and none is already running. A failed
-// background checkpoint leaves the counters untouched, so the next
-// publish over the threshold simply retries.
+// background checkpoint is counted and its error kept for
+// DurabilityStats; it leaves the WAL growth counter untouched, so the
+// next publish over the threshold retries.
 func (p *persister) maybeCheckpoint(db *Database) {
 	if p.checkpointBytes <= 0 || p.bytesSinceCkpt.Load() < p.checkpointBytes {
 		return
@@ -171,7 +176,11 @@ func (p *persister) maybeCheckpoint(db *Database) {
 	go func() {
 		defer p.ckptWG.Done()
 		defer p.checkpointing.Store(false)
-		db.Checkpoint() //nolint:errcheck // retried on the next trigger
+		if err := db.Checkpoint(); err != nil {
+			msg := err.Error()
+			p.ckptLastErr.Store(&msg)
+			p.ckptFailed.Add(1)
+		}
 	}()
 }
 
@@ -198,6 +207,11 @@ type DurabilityStats struct {
 	CheckpointTablesSkipped uint64
 	// RecoveredRecords counts WAL records replayed by Open.
 	RecoveredRecords uint64
+	// CheckpointFailures counts background checkpoints that failed;
+	// LastCheckpointError is the newest failure's error ("" if none).
+	// Each failure is retried at the next trigger.
+	CheckpointFailures  uint64
+	LastCheckpointError string
 }
 
 // DurabilityStats reports the durability layer's counters; the zero
@@ -208,6 +222,10 @@ func (db *Database) DurabilityStats() DurabilityStats {
 		return DurabilityStats{}
 	}
 	ls := p.log.Stats()
+	var lastErr string
+	if e := p.ckptLastErr.Load(); e != nil {
+		lastErr = *e
+	}
 	return DurabilityStats{
 		Enabled:                 true,
 		DataDir:                 p.dir,
@@ -220,6 +238,8 @@ func (db *Database) DurabilityStats() DurabilityStats {
 		CheckpointTablesWritten: p.ckptWritten.Load(),
 		CheckpointTablesSkipped: p.ckptSkipped.Load(),
 		RecoveredRecords:        p.recovered.Load(),
+		CheckpointFailures:      p.ckptFailed.Load(),
+		LastCheckpointError:     lastErr,
 	}
 }
 
@@ -954,10 +974,10 @@ func (db *Database) loadTableBody(d *walDec) (*tableVersion, error) {
 			break
 		}
 		v.rows = v.rows.withO(uint64(id), row, o)
-		v.pk = v.pk.withO(v.pkKey(row), id, o)
+		v.pk = v.pk.withO(v.pkIx(row), id, o)
 		for si := range v.sec {
 			e := &v.sec[si]
-			e.idx = idxAdd(e.idx, encodeKey(row[e.col:e.col+1]), id, o)
+			e.idx = idxAdd(e.idx, keyOf(row[e.col:e.col+1]), id, o)
 		}
 	}
 	v.nextID = nextID

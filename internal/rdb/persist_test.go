@@ -1,6 +1,7 @@
 package rdb
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -339,6 +340,60 @@ func TestAutoCheckpointTruncatesLog(t *testing.T) {
 	db2, _ := mustOpen(t, dir, Options{})
 	if got := dump(t, db2); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered state diverges after auto-checkpoints")
+	}
+}
+
+// TestBackgroundCheckpointFailureCounted makes every background
+// checkpoint fail — a directory sits where the manifest is renamed to,
+// which fails even as root — and checks that the failures are counted
+// with their error, that each later trigger retries, and that the
+// first trigger after the obstacle is gone checkpoints.
+func TestBackgroundCheckpointFailureCounted(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := mustOpen(t, dir, Options{CheckpointBytes: 256})
+	blocker := filepath.Join(dir, checkpointFile)
+	if err := os.MkdirAll(filepath.Join(blocker, "keep"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	seedGroups(t, db)
+	insert := func(name string) {
+		t.Helper()
+		if err := db.Update(func(tx *Tx) error {
+			return tx.Insert("person", map[string]Value{"lastname": String_(name)})
+		}, "person"); err != nil {
+			t.Fatal(err)
+		}
+		db.persist.ckptWG.Wait() // the trigger's background checkpoint
+	}
+	// Commit until the log outgrows the threshold and a checkpoint runs.
+	for i := 0; i < 100 && db.DurabilityStats().CheckpointFailures == 0; i++ {
+		insert(fmt.Sprint("Bulk", i))
+	}
+	st := db.DurabilityStats()
+	if st.CheckpointFailures == 0 || st.Checkpoints != 0 || !strings.Contains(st.LastCheckpointError, checkpointFile) {
+		t.Fatalf("after a failed background checkpoint: %d failures, %d checkpoints, last error %q",
+			st.CheckpointFailures, st.Checkpoints, st.LastCheckpointError)
+	}
+	failed := st.CheckpointFailures
+	insert("Second")
+	if st = db.DurabilityStats(); st.CheckpointFailures != failed+1 {
+		t.Fatalf("the next trigger did not retry: %d failures, want %d", st.CheckpointFailures, failed+1)
+	}
+	if err := os.RemoveAll(blocker); err != nil {
+		t.Fatal(err)
+	}
+	insert("Third")
+	if st = db.DurabilityStats(); st.Checkpoints != 1 || st.CheckpointFailures != failed+1 {
+		t.Fatalf("after the obstacle went: %d checkpoints, %d failures; want 1, %d",
+			st.Checkpoints, st.CheckpointFailures, failed+1)
+	}
+	want := dump(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, _ := mustOpen(t, dir, Options{})
+	if got := dump(t, db2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered state diverges after failed checkpoints:\n got %v\nwant %v", got, want)
 	}
 }
 

@@ -18,12 +18,12 @@ import "math/bits"
 // with every sharded writer — the integrity checks they perform must
 // not race row mutations in any key range.
 //
-// A key's shard is the top shardBits of its primary-key index hash
-// (pmHash), i.e. the top-level branch of the pk-index trie the key
-// lives under, so the lock partition follows the natural split of the
-// persistent radix structures. The shard count is fixed per database
-// at Open time (Options.ShardCount, a power of two up to MaxShardCount,
-// default DefaultShardCount).
+// A key's shard is the top shardBits of the hash of its encoded key
+// (pmHash over encodeKey, the hash a pmap's hashed trie uses), for
+// every key kind: the lock partition does not depend on which of the
+// pk index's two tries holds the key. The shard count is fixed per
+// database at Open time (Options.ShardCount, a power of two up to
+// MaxShardCount, default DefaultShardCount).
 //
 // Lock order stays globally sorted and deadlock-free: tables in
 // lexicographic key order (as before), and within a table the table

@@ -1,15 +1,33 @@
 package rdb
 
 import (
+	"fmt"
+	"maps"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 )
 
+// ptreeKey draws a uint64 key for the ptree model test: mostly from a
+// dense low range (several leaves and levels), sometimes from the
+// extremes of the 64-bit key space, which force the deepest root.
+func ptreeKey(rng *rand.Rand) uint64 {
+	switch rng.Intn(10) {
+	case 0:
+		return []uint64{0, 1, 2, math.MaxUint64, math.MaxUint64 - 1, 1 << 63, 1<<32 + 7}[rng.Intn(7)]
+	case 1:
+		return uint64(rng.Int63())
+	}
+	return uint64(rng.Intn(5000))
+}
+
 // TestPtreeAgainstReferenceMap drives randomized with/without/get
-// against a plain map and verifies every intermediate version stays
-// intact (persistence) and iteration is ascending.
+// against a plain map, in transactions: each run of operations edits
+// under one owner token, and a savepoint captures the current version
+// and renews the token, as Tx does. Every captured version must stay
+// intact (persistence) and iterate in ascending key order.
 func TestPtreeAgainstReferenceMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var cur ptree[int]
@@ -19,100 +37,276 @@ func TestPtreeAgainstReferenceMap(t *testing.T) {
 		ref map[uint64]int
 	}
 	var history []gen
-	snapshotRef := func() map[uint64]int {
-		c := make(map[uint64]int, len(ref))
-		for k, v := range ref {
-			c[k] = v
-		}
-		return c
+	capture := func() {
+		history = append(history, gen{t: cur, ref: maps.Clone(ref)})
 	}
-	for i := 0; i < 3000; i++ {
-		k := uint64(rng.Intn(5000))
+	var o *ptOwner // nil: plain path copying
+	for i := 0; i < 6000; i++ {
+		k := ptreeKey(rng)
 		if rng.Intn(3) == 0 {
-			cur = cur.without(k)
+			cur = cur.withoutO(k, o)
 			delete(ref, k)
 		} else {
-			cur = cur.with(k, i)
+			cur = cur.withO(k, i, o)
 			ref[k] = i
 		}
-		if i%500 == 0 {
-			history = append(history, gen{t: cur, ref: snapshotRef()})
+		switch {
+		case i%500 == 0:
+			capture()
+			o = newOwner()
+		case rng.Intn(200) == 0:
+			o = nil // a run of persistent edits
+		case rng.Intn(50) == 0:
+			capture()      // a savepoint: the captured version is frozen...
+			o = newOwner() // ...because the token is renewed
+		}
+		if cur.len() == 1 && cur.root != nil {
+			t.Fatalf("step %d: a one-entry tree has nodes", i)
 		}
 	}
-	history = append(history, gen{t: cur, ref: snapshotRef()})
+	capture()
 	for gi, g := range history {
-		if g.t.len() != len(g.ref) {
-			t.Fatalf("generation %d: len = %d, want %d", gi, g.t.len(), len(g.ref))
+		checkPtree(t, g.t, g.ref, fmt.Sprintf("generation %d", gi))
+	}
+}
+
+func checkPtree(t *testing.T, tr ptree[int], ref map[uint64]int, label string) {
+	t.Helper()
+	if tr.len() != len(ref) {
+		t.Fatalf("%s: len = %d, want %d", label, tr.len(), len(ref))
+	}
+	for k, want := range ref {
+		if got, ok := tr.get(k); !ok || got != want {
+			t.Fatalf("%s: get(%d) = %d,%v, want %d", label, k, got, ok, want)
 		}
-		for k, want := range g.ref {
-			if got, ok := g.t.get(k); !ok || got != want {
-				t.Fatalf("generation %d: get(%d) = %d,%v, want %d", gi, k, got, ok, want)
+	}
+	for _, k := range []uint64{3, math.MaxUint64 - 2, 1<<63 + 1} {
+		if _, in := ref[k]; !in {
+			if got, ok := tr.get(k); ok {
+				t.Fatalf("%s: get(%d) = %d on an absent key", label, k, got)
 			}
 		}
-		last := int64(-1)
-		n := 0
-		g.t.ascend(func(k uint64, v int) bool {
-			if int64(k) <= last {
-				t.Fatalf("generation %d: iteration not ascending: %d after %d", gi, k, last)
+	}
+	var last uint64
+	n := 0
+	tr.ascend(func(k uint64, v int) bool {
+		if n > 0 && k <= last {
+			t.Fatalf("%s: iteration not ascending: %d after %d", label, k, last)
+		}
+		last = k
+		if want, ok := ref[k]; !ok || v != want {
+			t.Fatalf("%s: ascend(%d) = %d, want %d,%v", label, k, v, want, ok)
+		}
+		n++
+		return true
+	})
+	if n != len(ref) {
+		t.Fatalf("%s: ascend visited %d, want %d", label, n, len(ref))
+	}
+}
+
+// TestPtreeInlineTransitions walks a tree through inline -> node ->
+// inline -> empty, under an owner token and without one, and checks
+// that the versions left behind keep their entries.
+func TestPtreeInlineTransitions(t *testing.T) {
+	for _, o := range []*ptOwner{nil, newOwner()} {
+		var empty ptree[string]
+		one := empty.withO(math.MaxUint64, "max", o)
+		if one.root != nil || one.len() != 1 {
+			t.Fatalf("one entry: root %v, len %d; want inline", one.root, one.len())
+		}
+		replaced := one.withO(math.MaxUint64, "MAX", o)
+		two := replaced.withO(0, "zero", o)
+		if two.root == nil || two.len() != 2 {
+			t.Fatalf("two entries: root %v, len %d; want nodes", two.root, two.len())
+		}
+		back := two.withoutO(math.MaxUint64, o)
+		if back.root != nil || back.len() != 1 {
+			t.Fatalf("removing to one entry: root %v, len %d; want inline", back.root, back.len())
+		}
+		gone := back.withoutO(0, o).withoutO(0, o)
+		if gone.root != nil || gone.len() != 0 {
+			t.Fatalf("removing the last entry: len %d", gone.len())
+		}
+		for _, c := range []struct {
+			tr   ptree[string]
+			want map[uint64]string
+		}{
+			{empty, map[uint64]string{}},
+			{one, map[uint64]string{math.MaxUint64: "max"}},
+			{replaced, map[uint64]string{math.MaxUint64: "MAX"}},
+			{two, map[uint64]string{math.MaxUint64: "MAX", 0: "zero"}},
+			{back, map[uint64]string{0: "zero"}},
+			{gone, map[uint64]string{}},
+		} {
+			if c.tr.len() != len(c.want) {
+				t.Fatalf("owner %v: len %d, want %v", o != nil, c.tr.len(), c.want)
 			}
-			last = int64(k)
-			if want := g.ref[k]; v != want {
-				t.Fatalf("generation %d: ascend(%d) = %d, want %d", gi, k, v, want)
+			for k, v := range c.want {
+				if got, ok := c.tr.get(k); !ok || got != v {
+					t.Fatalf("owner %v: get(%d) = %q,%v, want %q", o != nil, k, got, ok, v)
+				}
 			}
-			n++
-			return true
-		})
-		if n != len(g.ref) {
-			t.Fatalf("generation %d: ascend visited %d, want %d", gi, n, len(g.ref))
 		}
 	}
 }
 
-// TestPmapAgainstReferenceMap does the same for the string-keyed
-// persistent hash map, with keys dense enough to force bucket
-// collisions through the folded hash.
+// pmapKeys are the key tuples the pmap model tests draw from: dense
+// VARCHAR keys that collide in the folded hash, the INTEGER extremes
+// that span the exact trie's key space, and the values of other kinds
+// that encode the same digits, which must stay distinct keys.
+func pmapKeys() [][]Value {
+	var keys [][]Value
+	for i := 0; i < 400; i++ {
+		keys = append(keys, []Value{String_(string(rune('a'+i%26)) + string(rune('0'+i%10)) + string(rune('A'+i%7)))})
+	}
+	for i := int64(-40); i < 300; i += 3 {
+		keys = append(keys, []Value{Int(i)})
+	}
+	for _, i := range []int64{0, 1, -1, math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1} {
+		keys = append(keys, []Value{Int(i)})
+	}
+	return append(keys,
+		[]Value{Float(1)}, []Value{Float(0)}, []Value{Float(math.Copysign(0, -1))},
+		[]Value{String_("1")}, []Value{String_("i1")},
+		[]Value{Null}, []Value{Bool(true)}, []Value{String_("")},
+		[]Value{Int(1), Int(2)}, []Value{Int(1), Null}, []Value{String_("1"), Int(2)},
+	)
+}
+
+// TestPmapAgainstReferenceMap does the same for the index map, keyed
+// by keyOf: the reference map is keyed by encodeKey, so the two tries
+// together must partition keys exactly as the encoding does. Edits
+// run under owner tokens renewed at savepoints, and every captured
+// version is re-checked at the end.
 func TestPmapAgainstReferenceMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	keys := pmapKeys()
+	for _, a := range keys {
+		for _, b := range keys {
+			if sameIx, sameEnc := keyOf(a) == keyOf(b), encodeKey(a) == encodeKey(b); sameIx != sameEnc {
+				t.Fatalf("keyOf(%v) == keyOf(%v) is %v, encodeKey equality is %v", a, b, sameIx, sameEnc)
+			}
+		}
+	}
 	var cur pmap[int]
 	ref := make(map[string]int)
-	keys := make([]string, 400)
-	for i := range keys {
-		keys[i] = string(rune('a'+i%26)) + string(rune('0'+i%10)) + string(rune('A'+i%7))
+	type gen struct {
+		m   pmap[int]
+		ref map[string]int
 	}
-	var old pmap[int]
-	var oldRef map[string]int
-	for i := 0; i < 4000; i++ {
+	var history []gen
+	var o *ptOwner
+	for i := 0; i < 8000; i++ {
 		k := keys[rng.Intn(len(keys))]
 		if rng.Intn(4) == 0 {
-			cur = cur.without(k)
-			delete(ref, k)
+			cur = cur.withoutO(keyOf(k), o)
+			delete(ref, encodeKey(k))
 		} else {
-			cur = cur.with(k, i)
-			ref[k] = i
+			cur = cur.withO(keyOf(k), i, o)
+			ref[encodeKey(k)] = i
 		}
-		if i == 2000 {
-			old = cur
-			oldRef = make(map[string]int, len(ref))
-			for k, v := range ref {
-				oldRef[k] = v
-			}
+		if i%1000 == 0 || rng.Intn(100) == 0 {
+			history = append(history, gen{m: cur, ref: maps.Clone(ref)})
+			o = newOwner()
 		}
 	}
-	check := func(m pmap[int], ref map[string]int, label string) {
-		t.Helper()
-		if m.len() != len(ref) {
-			t.Fatalf("%s: len = %d, want %d", label, m.len(), len(ref))
+	history = append(history, gen{m: cur, ref: ref})
+	for gi, g := range history {
+		if g.m.len() != len(g.ref) {
+			t.Fatalf("generation %d: len = %d, want %d", gi, g.m.len(), len(g.ref))
 		}
 		for _, k := range keys {
-			got, ok := m.get(k)
-			want, wantOK := ref[k]
+			got, ok := g.m.get(keyOf(k))
+			want, wantOK := g.ref[encodeKey(k)]
 			if ok != wantOK || got != want {
-				t.Fatalf("%s: get(%q) = %d,%v, want %d,%v", label, k, got, ok, want, wantOK)
+				t.Fatalf("generation %d: get(%v) = %d,%v, want %d,%v", gi, k, got, ok, want, wantOK)
 			}
 		}
 	}
-	check(cur, ref, "current")
-	check(old, oldRef, "mid-run version (persistence)")
+}
+
+// FuzzIndexOps runs byte-coded idxAdd/idxRemove sequences on a
+// secondary index against a map of sets. Each op is three bytes: the
+// operation, the key (from pmapKeys) and the row id. Savepoint ops
+// capture the index and renew the owner token; every captured version
+// must still match its reference at the end.
+func FuzzIndexOps(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 1, 0, 0, 2, 5, 0, 1, 5, 0, 2})
+	f.Add([]byte{0, 0x80, 7, 8, 0, 0, 0, 0x80, 9, 5, 0x80, 7, 9, 0, 0, 5, 0x80, 9})
+	keys := pmapKeys()
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 3*256 {
+			ops = ops[:3*256]
+		}
+		var idx pmap[idset]
+		ref := map[string]map[int64]bool{}
+		type gen struct {
+			idx pmap[idset]
+			ref map[string]map[int64]bool
+		}
+		var history []gen
+		capture := func() {
+			c := make(map[string]map[int64]bool, len(ref))
+			for k, set := range ref {
+				c[k] = maps.Clone(set)
+			}
+			history = append(history, gen{idx: idx, ref: c})
+		}
+		o := newOwner()
+		touched := map[int]bool{}
+		for len(ops) >= 3 {
+			ki := int(ops[1]) * len(keys) / 256
+			op, key := ops[0]%10, keys[ki]
+			touched[ki] = true
+			id := int64(ops[2])
+			if ops[2] >= 0xf0 {
+				id = int64(ops[2]) << 40 // a second trie level far away
+			}
+			ops = ops[3:]
+			enc := encodeKey(key)
+			switch {
+			case op < 5:
+				idx = idxAdd(idx, keyOf(key), id, o)
+				if ref[enc] == nil {
+					ref[enc] = map[int64]bool{}
+				}
+				ref[enc][id] = true
+			case op < 8:
+				idx = idxRemove(idx, keyOf(key), id, o)
+				delete(ref[enc], id)
+				if len(ref[enc]) == 0 {
+					delete(ref, enc)
+				}
+			case op == 8:
+				capture()
+				o = newOwner()
+			default:
+				o = nil
+			}
+		}
+		capture()
+		for gi, g := range history {
+			if g.idx.len() != len(g.ref) {
+				t.Fatalf("generation %d: %d keys, want %d", gi, g.idx.len(), len(g.ref))
+			}
+			for ki := range touched {
+				k := keys[ki]
+				set, ok := g.idx.get(keyOf(k))
+				want := g.ref[encodeKey(k)]
+				if ok != (len(want) > 0) || set.len() != len(want) {
+					t.Fatalf("generation %d: key %v holds %d ids (present %v), want %d", gi, k, set.len(), ok, len(want))
+				}
+				set.ascend(func(id uint64, _ struct{}) bool {
+					if !want[int64(id)] {
+						t.Fatalf("generation %d: key %v holds id %d, want %v", gi, k, id, want)
+					}
+					return true
+				})
+			}
+		}
+	})
 }
 
 // TestSnapshotReadersNotBlockedByWriters is the MVCC contract: a View

@@ -370,14 +370,14 @@ func (tx *Tx) logChange(table string, op byte, id int64, row []Value) {
 }
 
 // keyCovered enforces keyed-lock coverage for a point access to the
-// row holding the encoded primary key encKey: on a keyed entry the
-// key's shard must be one of the declared shards. Whole-table and
-// shared entries cover every key.
-func (tx *Tx) keyCovered(e *lockPlanEntry, encKey string) error {
+// row holding the primary key pkVals: on a keyed entry the key's
+// shard must be one of the declared shards. Whole-table and shared
+// entries cover every key, so only a keyed entry encodes the key.
+func (tx *Tx) keyCovered(e *lockPlanEntry, pkVals []Value) error {
 	if e == nil || !e.keyed() {
 		return nil
 	}
-	if !e.shards.Has(tx.db.shardOfKey(encKey)) {
+	if !e.shards.Has(tx.db.shardOfKey(encodeKey(pkVals))) {
 		return &LockError{Table: e.t.schema.Name, Keyed: true}
 	}
 	return nil
@@ -471,7 +471,7 @@ func (tx *Tx) Insert(tableName string, vals map[string]Value) error {
 	for i := range row {
 		row[i] = coerce(row[i], &s.Columns[i])
 	}
-	if err := tx.keyCovered(tx.mode[lowerName(tableName)], v.pkKey(row)); err != nil {
+	if err := tx.keyCovered(tx.mode[lowerName(tableName)], v.pkVals(row)); err != nil {
 		return err
 	}
 	nv, id := v.insert(row, tx.owner)
@@ -524,10 +524,10 @@ func (tx *Tx) UpdateByID(tableName string, id int64, set map[string]Value) error
 	// Keyed coverage: both the row's old and new key shards must be
 	// declared (the old key's index entries move too).
 	e := tx.mode[lowerName(tableName)]
-	if err := tx.keyCovered(e, v.pkKey(old)); err != nil {
+	if err := tx.keyCovered(e, v.pkVals(old)); err != nil {
 		return err
 	}
-	if err := tx.keyCovered(e, v.pkKey(row)); err != nil {
+	if err := tx.keyCovered(e, v.pkVals(row)); err != nil {
 		return err
 	}
 	tx.set(tableName, v.update(id, row, tx.owner))
@@ -552,7 +552,7 @@ func (tx *Tx) DeleteByID(tableName string, id int64) error {
 	if err := tx.checkRestrict(v, row, "delete"); err != nil {
 		return err
 	}
-	if err := tx.keyCovered(tx.mode[lowerName(tableName)], v.pkKey(row)); err != nil {
+	if err := tx.keyCovered(tx.mode[lowerName(tableName)], v.pkVals(row)); err != nil {
 		return err
 	}
 	tx.set(tableName, v.remove(id, tx.owner))
@@ -592,7 +592,7 @@ func (tx *Tx) LookupPK(tableName string, pkVals []Value) (int64, []Value, bool, 
 		return 0, nil, false, fmt.Errorf("rdb: table %q has a %d-column primary key, got %d values",
 			v.schema.Name, len(v.pkCols), len(pkVals))
 	}
-	if err := tx.keyCovered(tx.mode[lowerName(tableName)], encodeKey(pkVals)); err != nil {
+	if err := tx.keyCovered(tx.mode[lowerName(tableName)], pkVals); err != nil {
 		return 0, nil, false, err
 	}
 	id, ok := v.lookupPK(pkVals)
@@ -624,8 +624,7 @@ func (tx *Tx) validateRow(v *tableVersion, row []Value, selfID int64) error {
 		}
 	}
 	// PRIMARY KEY uniqueness.
-	key := v.pkKey(row)
-	if id, exists := v.pk.get(key); exists && id != selfID {
+	if id, exists := v.pk.get(v.pkIx(row)); exists && id != selfID {
 		return &ConstraintError{Kind: ViolationPrimaryKey, Table: s.Name,
 			Column: strings.Join(s.PrimaryKey, ","), Value: row[v.pkCols[0]],
 			Detail: "duplicate primary key"}
@@ -679,11 +678,11 @@ func (tx *Tx) validateRow(v *tableVersion, row []Value, selfID int64) error {
 		// If the referenced table is itself keyed-write-locked in this
 		// transaction (e.g. a self-referencing key), the existence
 		// check is only sound for keys in the declared shards.
-		if err := tx.keyCovered(tx.mode[lowerName(fk.RefTable)],
-			encodeKey([]Value{coerce(val, &ref.schema.Columns[ref.pkCols[0]])})); err != nil {
+		refKey := []Value{coerce(val, &ref.schema.Columns[ref.pkCols[0]])}
+		if err := tx.keyCovered(tx.mode[lowerName(fk.RefTable)], refKey); err != nil {
 			return err
 		}
-		if _, ok := ref.lookupPK([]Value{coerce(val, &ref.schema.Columns[ref.pkCols[0]])}); !ok {
+		if _, ok := ref.lookupPK(refKey); !ok {
 			return &ConstraintError{Kind: ViolationForeignKey, Table: s.Name, Column: fk.Column,
 				Value: val, RefTable: ref.schema.Name,
 				Detail: "referenced row does not exist"}
@@ -777,10 +776,11 @@ func (tx *Tx) Match(tableName string, eq map[string]Value) ([]int64, error) {
 	var out []int64
 	if pkCond >= 0 {
 		// The primary key holds at most one row: a direct point lookup.
-		if err := tx.keyCovered(tx.mode[lowerName(tableName)], encodeKey([]Value{conds[pkCond].v})); err != nil {
+		pkVals := []Value{conds[pkCond].v}
+		if err := tx.keyCovered(tx.mode[lowerName(tableName)], pkVals); err != nil {
 			return nil, err
 		}
-		if id, ok := v.lookupPK([]Value{conds[pkCond].v}); ok {
+		if id, ok := v.lookupPK(pkVals); ok {
 			if row, rok := v.row(id); rok && matches(row) {
 				out = append(out, id)
 			}
@@ -861,10 +861,11 @@ func (tx *Tx) MatchColumn(tableName, column string, val Value, fn func(id int64,
 		return nil // NULL equals nothing
 	}
 	if len(v.pkCols) == 1 && v.pkCols[0] == ci {
-		if err := tx.keyCovered(tx.mode[lowerName(tableName)], encodeKey([]Value{cv})); err != nil {
+		pkVals := []Value{cv}
+		if err := tx.keyCovered(tx.mode[lowerName(tableName)], pkVals); err != nil {
 			return err
 		}
-		if id, ok := v.lookupPK([]Value{cv}); ok {
+		if id, ok := v.lookupPK(pkVals); ok {
 			if row, rok := v.row(id); rok && Equal(row[ci], cv) {
 				fn(id, row)
 			}
@@ -876,7 +877,7 @@ func (tx *Tx) MatchColumn(tableName, column string, val Value, fn func(id int64,
 	}
 	for i := range v.sec {
 		if v.sec[i].col == ci {
-			set, _ := v.sec[i].idx.get(encodeKey([]Value{cv}))
+			set, _ := v.sec[i].idx.get(keyOf([]Value{cv}))
 			set.ascend(func(k uint64, _ struct{}) bool {
 				if row, ok := v.row(int64(k)); ok && Equal(row[ci], cv) {
 					return fn(int64(k), row)

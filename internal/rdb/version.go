@@ -18,7 +18,7 @@ type tableVersion struct {
 	nextID int64
 	// nextAuto is the next AUTO_INCREMENT value (max inserted + 1).
 	nextAuto int64
-	// pk maps the encoded primary key to the row id.
+	// pk maps the primary key (keyOf) to the row id.
 	pk pmap[int64]
 	// sec holds one posting-list index per indexed column (FK and
 	// UNIQUE columns), ordered by column index.
@@ -31,7 +31,7 @@ type tableVersion struct {
 	asOf uint64
 }
 
-// secIndex is a secondary index: encoded column value -> id set.
+// secIndex is a secondary index: column value (keyOf) -> id set.
 type secIndex struct {
 	col int
 	idx pmap[idset]
@@ -75,19 +75,29 @@ func (v *tableVersion) derive(o *ptOwner) *tableVersion {
 	return &c
 }
 
-// pkKey extracts the encoded primary key of a row.
-func (v *tableVersion) pkKey(row []Value) string {
+// pkVals returns the primary-key values of a row: a subslice of the
+// row for a single-column key, a new slice for a composite one.
+func (v *tableVersion) pkVals(row []Value) []Value {
+	if len(v.pkCols) == 1 {
+		return row[v.pkCols[0] : v.pkCols[0]+1]
+	}
 	vals := make([]Value, len(v.pkCols))
 	for i, ci := range v.pkCols {
 		vals[i] = row[ci]
 	}
-	return encodeKey(vals)
+	return vals
 }
+
+// pkKey extracts the encoded primary key of a row (merge conflict
+// detection keys rows by it).
+func (v *tableVersion) pkKey(row []Value) string { return encodeKey(v.pkVals(row)) }
+
+// pkIx extracts the primary-key index key of a row.
+func (v *tableVersion) pkIx(row []Value) ixKey { return keyOf(v.pkVals(row)) }
 
 // lookupPK returns the row id holding the given primary key values.
 func (v *tableVersion) lookupPK(vals []Value) (int64, bool) {
-	id, ok := v.pk.get(encodeKey(vals))
-	return id, ok
+	return v.pk.get(keyOf(vals))
 }
 
 // row returns the tuple stored under the row id.
@@ -110,10 +120,10 @@ func (v *tableVersion) insert(row []Value, o *ptOwner) (*tableVersion, int64) {
 		}
 	}
 	n.rows = n.rows.withO(uint64(id), row, o)
-	n.pk = n.pk.withO(n.pkKey(row), id, o)
+	n.pk = n.pk.withO(n.pkIx(row), id, o)
 	for si := range n.sec {
 		e := &n.sec[si]
-		e.idx = idxAdd(e.idx, encodeKey(row[e.col:e.col+1]), id, o)
+		e.idx = idxAdd(e.idx, keyOf(row[e.col:e.col+1]), id, o)
 	}
 	return n, id
 }
@@ -123,14 +133,14 @@ func (v *tableVersion) insert(row []Value, o *ptOwner) (*tableVersion, int64) {
 func (v *tableVersion) update(id int64, newRow []Value, o *ptOwner) *tableVersion {
 	n := v.derive(o)
 	old, _ := n.rows.get(uint64(id))
-	oldKey, newKey := n.pkKey(old), n.pkKey(newRow)
+	oldKey, newKey := n.pkIx(old), n.pkIx(newRow)
 	if oldKey != newKey {
 		n.pk = n.pk.withoutO(oldKey, o)
 		n.pk = n.pk.withO(newKey, id, o)
 	}
 	for si := range n.sec {
 		e := &n.sec[si]
-		ok, nk := encodeKey(old[e.col:e.col+1]), encodeKey(newRow[e.col:e.col+1])
+		ok, nk := keyOf(old[e.col:e.col+1]), keyOf(newRow[e.col:e.col+1])
 		if ok != nk {
 			e.idx = idxRemove(e.idx, ok, id, o)
 			e.idx = idxAdd(e.idx, nk, id, o)
@@ -144,10 +154,10 @@ func (v *tableVersion) update(id int64, newRow []Value, o *ptOwner) *tableVersio
 func (v *tableVersion) remove(id int64, o *ptOwner) *tableVersion {
 	n := v.derive(o)
 	row, _ := n.rows.get(uint64(id))
-	n.pk = n.pk.withoutO(n.pkKey(row), o)
+	n.pk = n.pk.withoutO(n.pkIx(row), o)
 	for si := range n.sec {
 		e := &n.sec[si]
-		e.idx = idxRemove(e.idx, encodeKey(row[e.col:e.col+1]), id, o)
+		e.idx = idxRemove(e.idx, keyOf(row[e.col:e.col+1]), id, o)
 	}
 	n.rows = n.rows.withoutO(uint64(id), o)
 	return n
@@ -166,19 +176,19 @@ func (v *tableVersion) scan(fn func(id int64, row []Value) bool) {
 func (v *tableVersion) matchSecondary(colIdx int, val Value) (idset, bool) {
 	for i := range v.sec {
 		if v.sec[i].col == colIdx {
-			set, _ := v.sec[i].idx.get(encodeKey([]Value{val}))
+			set, _ := v.sec[i].idx.get(keyOf([]Value{val}))
 			return set, true
 		}
 	}
 	return idset{}, false
 }
 
-func idxAdd(idx pmap[idset], key string, id int64, o *ptOwner) pmap[idset] {
+func idxAdd(idx pmap[idset], key ixKey, id int64, o *ptOwner) pmap[idset] {
 	set, _ := idx.get(key)
 	return idx.withO(key, set.withO(uint64(id), struct{}{}, o), o)
 }
 
-func idxRemove(idx pmap[idset], key string, id int64, o *ptOwner) pmap[idset] {
+func idxRemove(idx pmap[idset], key ixKey, id int64, o *ptOwner) pmap[idset] {
 	set, ok := idx.get(key)
 	if !ok {
 		return idx

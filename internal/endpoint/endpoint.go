@@ -723,6 +723,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(w, "checkpoints: %d (last at version %d)\n", ds.Checkpoints, ds.LastCheckpointVersion)
 		fmt.Fprintf(w, "checkpoint tables: %d written, %d unchanged\n",
 			ds.CheckpointTablesWritten, ds.CheckpointTablesSkipped)
+		fmt.Fprintf(w, "checkpoint io: %d bytes, last %v\n",
+			ds.CheckpointBytes, ds.LastCheckpointDuration.Round(time.Microsecond))
 		if ds.CheckpointFailures > 0 {
 			fmt.Fprintf(w, "checkpoint failures: %d, last error %q\n", ds.CheckpointFailures, ds.LastCheckpointError)
 		} else {

@@ -375,6 +375,56 @@ func TestEndToEndModifyOverHTTP(t *testing.T) {
 	}
 }
 
+// TestHealthCheckpointIO checks the durability block's checkpoint I/O
+// line: the table-file and manifest bytes checkpoints wrote, and the
+// newest checkpoint's duration, both zero until one completes.
+func TestHealthCheckpointIO(t *testing.T) {
+	m, _, err := workload.NewMediatorWithOptions(core.Options{}, rdb.Options{DataDir: t.TempDir(), CheckpointBytes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(m)
+	ioLine := func() string {
+		t.Helper()
+		body := getPath(t, s, "/healthz").Body.String()
+		for _, l := range strings.Split(body, "\n") {
+			if strings.HasPrefix(l, "checkpoint io: ") {
+				return l
+			}
+		}
+		t.Fatalf("health body lacks a checkpoint io line:\n%s", body)
+		return ""
+	}
+	if m.DurabilityStats().Checkpoints == 0 {
+		if got := ioLine(); got != "checkpoint io: 0 bytes, last 0s" {
+			t.Fatalf("before any checkpoint: %q", got)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; m.DurabilityStats().Checkpoints == 0; i++ {
+		if time.Now().After(deadline) {
+			t.Fatal("no background checkpoint ran")
+		}
+		post(t, s, "/update", "application/sparql-update", fmt.Sprintf(
+			"%sINSERT DATA { ex:author%d foaf:family_name \"Checkpointed%d\" . }", workload.Prologue, 1000+i, i))
+	}
+	line := ioLine()
+	var n uint64
+	var d string
+	if _, err := fmt.Sscanf(line, "checkpoint io: %d bytes, last %s", &n, &d); err != nil {
+		t.Fatalf("checkpoint io line %q: %v", line, err)
+	}
+	if dur, err := time.ParseDuration(d); err != nil || dur <= 0 || n == 0 {
+		t.Fatalf("checkpoint io line %q: %d bytes, duration %v (%v)", line, n, dur, err)
+	}
+	if st := m.DurabilityStats(); st.CheckpointBytes != n {
+		t.Fatalf("line reports %d bytes, stats %d", n, st.CheckpointBytes)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestHealthCheckpointFailures checks the durability block's failure
 // line: it reads 0 while checkpoints succeed and carries the count
 // and the last error once background checkpoints fail, while the

@@ -36,11 +36,23 @@ package rdb
 // the covered segments. A crash at any point leaves either the old
 // checkpoint plus a longer log, or the new checkpoint plus a log whose
 // stale prefix replay skips.
+//
+// Each table dirtied since the previous checkpoint is rewritten whole —
+// a copy-on-write table version has no partial image — so a
+// checkpoint's I/O is proportional to the dirty tables' size. Its
+// memory is not: every image streams from the immutable table version
+// into its file through one fixed 64 KiB buffer, with the CRC-32C
+// folded in as the buffer flushes. A failed checkpoint removes the
+// table files it created and leaves its log rotation for the retry to
+// reuse, so a run of failures does not grow the data directory.
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -48,6 +60,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ontoaccess/internal/rdb/wal"
 )
@@ -71,6 +84,9 @@ const (
 	walDelete byte = 'd'
 
 	checkpointFile = "checkpoint.db"
+	// ckptBufSize sizes the one buffer a checkpoint streams all its
+	// table images through.
+	ckptBufSize = 64 << 10
 	// Incremental checkpoints: checkpoint.db is a manifest
 	// (manifestMagicV2) referencing one immutable per-table file
 	// (tableFileMagic) per table, named by the snapshot version that
@@ -143,6 +159,15 @@ type persister struct {
 	// after the caller tears the data directory down.
 	ckptMu sync.Mutex
 	ckptWG sync.WaitGroup
+	// ckptBytes totals the table and manifest bytes checkpoints wrote;
+	// ckptLastDur is how long the newest completed checkpoint took to
+	// install its manifest.
+	ckptBytes   atomic.Uint64
+	ckptLastDur atomic.Int64
+	// retrySeg is the WAL rotation a failed checkpoint made, reused by
+	// the next attempt; zero when the last attempt succeeded. Guarded
+	// by ckptMu.
+	retrySeg uint64
 }
 
 // append writes one record and makes it durable. Callers hold
@@ -212,6 +237,12 @@ type DurabilityStats struct {
 	// Each failure is retried at the next trigger.
 	CheckpointFailures  uint64
 	LastCheckpointError string
+	// CheckpointBytes totals the table-file and manifest bytes that
+	// checkpoints wrote; LastCheckpointDuration is how long the newest
+	// completed checkpoint took, from its start to its installed
+	// manifest.
+	CheckpointBytes        uint64
+	LastCheckpointDuration time.Duration
 }
 
 // DurabilityStats reports the durability layer's counters; the zero
@@ -240,6 +271,8 @@ func (db *Database) DurabilityStats() DurabilityStats {
 		RecoveredRecords:        p.recovered.Load(),
 		CheckpointFailures:      p.ckptFailed.Load(),
 		LastCheckpointError:     lastErr,
+		CheckpointBytes:         p.ckptBytes.Load(),
+		LastCheckpointDuration:  time.Duration(p.ckptLastDur.Load()),
 	}
 }
 
@@ -308,12 +341,16 @@ func (db *Database) Checkpoint() error {
 	}
 	p.ckptMu.Lock()
 	defer p.ckptMu.Unlock()
+	start := time.Now()
 	// Under pubMu no publish can intervene between reading the state
 	// and rotating, so every record not covered by this checkpoint
 	// lives in segments >= seg. The refs map only mutates under pubMu
 	// (branch create/drop hold it), so it is safe to capture here — and
 	// capturing it at the same instant as the seq is what keeps "record
 	// covered by checkpoint" and "branch present in manifest" in sync.
+	// A failed attempt leaves its rotation behind, and the retry cuts
+	// there again instead of adding a segment per failure: an older cut
+	// only keeps more segments, whose covered records replay skips.
 	db.pubMu.Lock()
 	snap := db.snap.Load()
 	seq := db.seq.Load()
@@ -322,20 +359,58 @@ func (db *Database) Checkpoint() error {
 		refs = append(refs, ckptRef{name: name, createdAt: b.createdAt,
 			head: b.head.Load(), base: b.base.Load()})
 	}
-	seg, err := p.log.Rotate()
+	seg := p.retrySeg
+	var err error
+	if seg == 0 {
+		seg, err = p.log.Rotate()
+	}
 	db.pubMu.Unlock()
 	if err != nil {
 		return err
 	}
 	sort.Slice(refs, func(i, j int) bool { return refs[i].name < refs[j].name })
-	// The snapshots are immutable: serialization needs no lock. Each
-	// table serializes to its own immutable file named by the snapshot
-	// version that last changed it, so only tables dirtied since the
-	// previous checkpoint are rewritten; the manifest then flips the
-	// whole checkpoint atomically. Branch heads and bases share almost
-	// every table version with main or with each other, and the
-	// (key, asOf) naming dedupes those files for free.
-	need := make(map[string]*tableVersion)
+	need, err := p.writeCheckpoint(seq, snap, refs)
+	if err != nil {
+		p.retrySeg = seg
+		return err
+	}
+	p.retrySeg = 0
+	p.ckptLastDur.Store(int64(time.Since(start)))
+	p.lastCkptVersion.Store(snap.version)
+	p.bytesSinceCkpt.Store(0)
+	p.checkpoints.Add(1)
+	// Prune table files the just-installed manifest no longer
+	// references. A crash before this point merely leaves extra files;
+	// a failure here is cosmetic, so it does not fail the checkpoint.
+	if entries, derr := os.ReadDir(p.dir); derr == nil {
+		for _, e := range entries {
+			n := e.Name()
+			if _, referenced := need[n]; !referenced &&
+				strings.HasPrefix(n, "ckpt-") && strings.HasSuffix(n, ".tbl") {
+				os.Remove(filepath.Join(p.dir, n)) //nolint:errcheck // cosmetic
+			}
+		}
+	}
+	return p.log.RemoveBefore(seg)
+}
+
+// writeCheckpoint writes the table files the snapshots need and then
+// the manifest that installs them, returning the file names the new
+// manifest references. The snapshots are immutable: serialization
+// needs no lock. Each table serializes to its own immutable file named
+// by the snapshot version that last changed it, so only tables dirtied
+// since the previous checkpoint are rewritten — each one whole, since
+// a copy-on-write table version has no partial image — and the
+// manifest then flips the whole checkpoint atomically. Branch heads
+// and bases share almost every table version with main or with each
+// other, and the (key, asOf) naming dedupes those files for free.
+//
+// A failed attempt removes the table files it created: no manifest
+// references them, and a retry writes them again. The one exception is
+// a manifest whose rename landed before its directory fsync failed; it
+// references this attempt's files, which therefore stay.
+func (p *persister) writeCheckpoint(seq uint64, snap *dbSnapshot, refs []ckptRef) (need map[string]*tableVersion, err error) {
+	need = make(map[string]*tableVersion)
 	collect := func(s *dbSnapshot) {
 		for _, key := range s.order {
 			v := s.tables[key]
@@ -347,39 +422,46 @@ func (db *Database) Checkpoint() error {
 		collect(r.head)
 		collect(r.base)
 	}
+	var created []string
+	defer func() {
+		if err != nil {
+			for _, path := range created {
+				os.Remove(path) //nolint:errcheck // a leftover is pruned by the next successful checkpoint
+			}
+		}
+	}()
+	var buf *bufio.Writer
 	for name, v := range need {
 		path := filepath.Join(p.dir, name)
 		if _, serr := os.Stat(path); serr == nil {
 			p.ckptSkipped.Add(1)
 			continue
 		} else if !os.IsNotExist(serr) {
-			return serr
+			return nil, serr
 		}
-		if err := wal.WriteFileAtomic(path, encodeTableFile(v)); err != nil {
+		if buf == nil {
+			buf = bufio.NewWriterSize(nil, ckptBufSize)
+		}
+		created = append(created, path)
+		var n int64
+		if err := wal.WriteFileAtomicFunc(path, func(w io.Writer) (err error) {
+			n, err = writeTableFile(w, buf, v)
 			return err
+		}); err != nil {
+			return nil, err
 		}
 		p.ckptWritten.Add(1)
+		p.ckptBytes.Add(uint64(n))
 	}
-	if err := wal.WriteFileAtomic(filepath.Join(p.dir, checkpointFile), encodeManifest(seq, snap, refs)); err != nil {
-		return err
-	}
-	p.lastCkptVersion.Store(snap.version)
-	p.bytesSinceCkpt.Store(0)
-	p.checkpoints.Add(1)
-	// Prune table files the just-installed manifest no longer
-	// references. A crash before this point merely leaves extra files;
-	// a failure here is cosmetic, so it does not fail the checkpoint.
-	keep := need
-	if entries, derr := os.ReadDir(p.dir); derr == nil {
-		for _, e := range entries {
-			n := e.Name()
-			if _, referenced := keep[n]; !referenced &&
-				strings.HasPrefix(n, "ckpt-") && strings.HasSuffix(n, ".tbl") {
-				os.Remove(filepath.Join(p.dir, n)) //nolint:errcheck // cosmetic
-			}
+	manifest := encodeManifest(seq, snap, refs)
+	if err := wal.WriteFileAtomic(filepath.Join(p.dir, checkpointFile), manifest); err != nil {
+		if errors.Is(err, wal.ErrDirSync) {
+			created = nil
 		}
+		return nil, err
 	}
-	return p.log.RemoveBefore(seg)
+	p.ckptBytes.Add(uint64(len(manifest)))
+	return need, nil
 }
 
 // tableFileName names the immutable per-table checkpoint file for a
@@ -610,21 +692,51 @@ func encodeManifest(seq uint64, s *dbSnapshot, refs []ckptRef) []byte {
 	return binary.LittleEndian.AppendUint32(b, sum)
 }
 
-// encodeTableFile serializes one table version: magic, schema, id
-// counters, rows in insertion order, and a trailing CRC-32C.
-func encodeTableFile(v *tableVersion) []byte {
-	b := []byte(tableFileMagic)
+// crcWriter passes writes through to w, folding what was written
+// into a running CRC-32C and counting it.
+type crcWriter struct {
+	w   io.Writer
+	sum uint32
+	n   int64
+}
+
+func (c *crcWriter) Write(b []byte) (int, error) {
+	n, err := c.w.Write(b)
+	c.sum = crc32.Update(c.sum, crc32.MakeTable(crc32.Castagnoli), b[:n])
+	c.n += int64(n)
+	return n, err
+}
+
+// writeTableFile streams one table version's image to w through buf:
+// magic, schema, id counters, rows in insertion order, and a trailing
+// CRC-32C of everything before it. Rows are encoded straight into the
+// buffer's free space, and the checksum folds in each chunk as the
+// buffer flushes, so memory stays at the buffer whatever the table's
+// size. It returns the bytes written to w.
+func writeTableFile(w io.Writer, buf *bufio.Writer, v *tableVersion) (int64, error) {
+	cw := &crcWriter{w: w}
+	buf.Reset(cw)
+	b := append(buf.AvailableBuffer(), tableFileMagic...)
 	b = appendSchema(b, v.schema)
 	b = binary.AppendVarint(b, v.nextID)
 	b = binary.AppendVarint(b, v.nextAuto)
 	b = binary.AppendUvarint(b, uint64(v.rows.len()))
+	_, err := buf.Write(b)
 	v.scan(func(id int64, row []Value) bool {
-		b = binary.AppendUvarint(b, uint64(id))
-		b = appendRow(b, row)
-		return true
+		b := binary.AppendUvarint(buf.AvailableBuffer(), uint64(id))
+		_, err = buf.Write(appendRow(b, row))
+		return err == nil
 	})
-	sum := crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli))
-	return binary.LittleEndian.AppendUint32(b, sum)
+	if err == nil {
+		err = buf.Flush()
+	}
+	if err != nil {
+		return cw.n, err
+	}
+	var sum [4]byte
+	binary.LittleEndian.PutUint32(sum[:], cw.sum)
+	n, err := w.Write(sum[:])
+	return cw.n + int64(n), err
 }
 
 // ---------------------------------------------------------------------------

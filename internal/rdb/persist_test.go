@@ -1,7 +1,12 @@
 package rdb
 
 import (
+	"bufio"
+	"bytes"
+	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -397,6 +402,106 @@ func TestBackgroundCheckpointFailureCounted(t *testing.T) {
 	}
 }
 
+// TestCheckpointFailuresBounded keeps every checkpoint failing for 200
+// commits, each of which retries at once, and checks that the data
+// directory stops growing: the retries reuse the first failed attempt's
+// WAL rotation, and each attempt removes the table files it wrote. Once
+// the obstacle is gone the next checkpoint succeeds, and a reopen
+// recovers the same state.
+func TestCheckpointFailuresBounded(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := mustOpen(t, dir, Options{CheckpointBytes: 256})
+	blocker := filepath.Join(dir, checkpointFile)
+	if err := os.MkdirAll(filepath.Join(blocker, "keep"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	seedGroups(t, db)
+	insert := func(name string) {
+		t.Helper()
+		if err := db.Update(func(tx *Tx) error {
+			return tx.Insert("person", map[string]Value{"lastname": String_(name)})
+		}, "person"); err != nil {
+			t.Fatal(err)
+		}
+		db.persist.ckptWG.Wait()
+	}
+	// files counts the WAL segments and checkpoint table files in dir.
+	files := func() (segments, tables int) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			n := e.Name()
+			switch {
+			case strings.HasPrefix(n, "wal-"):
+				segments++
+			case strings.HasPrefix(n, "ckpt-"):
+				tables++
+			}
+		}
+		return segments, tables
+	}
+	for i := 0; i < 200; i++ {
+		insert(fmt.Sprint("Blocked", i))
+	}
+	st := db.DurabilityStats()
+	if st.CheckpointFailures < 100 || st.Checkpoints != 0 {
+		t.Fatalf("after 200 blocked commits: %d failures, %d checkpoints", st.CheckpointFailures, st.Checkpoints)
+	}
+	if segments, tables := files(); segments > 2 || tables != 0 {
+		t.Fatalf("after %d failed checkpoints: %d WAL segments (want <= 2) and %d unreferenced table files (want 0)",
+			st.CheckpointFailures, segments, tables)
+	}
+	if err := os.RemoveAll(blocker); err != nil {
+		t.Fatal(err)
+	}
+	insert("Unblocked")
+	if st = db.DurabilityStats(); st.Checkpoints != 1 {
+		t.Fatalf("after the obstacle went: %d checkpoints, want 1", st.Checkpoints)
+	}
+	if _, tables := files(); tables != 2 {
+		t.Fatalf("after the checkpoint: %d table files, want 2", tables)
+	}
+	want := dump(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, _ := mustOpen(t, dir, Options{})
+	if got := dump(t, db2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered state diverges after failed checkpoints:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestCheckpointRowsLargerThanBuffer checkpoints rows that do not fit
+// the checkpoint's write buffer, alone or straddling a flush, and
+// recovers them from the table file alone.
+func TestCheckpointRowsLargerThanBuffer(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := mustOpen(t, dir, Options{CheckpointBytes: -1})
+	seedGroups(t, db)
+	for i, n := range []int{ckptBufSize - 40, 3 * ckptBufSize, 10, ckptBufSize / 2, ckptBufSize + 1} {
+		note := strings.Repeat(string(rune('a'+i)), n)
+		if err := db.Update(func(tx *Tx) error {
+			return tx.Insert("person", map[string]Value{"lastname": String_(fmt.Sprint("Large", i)), "note": String_(note)})
+		}, "person"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := dump(t, db)
+	if err := db.Close(); err != nil { // checkpoints every table
+		t.Fatal(err)
+	}
+	db2, _ := mustOpen(t, dir, Options{})
+	if st := db2.DurabilityStats(); st.RecoveredRecords != 0 {
+		t.Fatalf("reopen replayed %d records, want the checkpoint alone", st.RecoveredRecords)
+	}
+	if got := dump(t, db2); !reflect.DeepEqual(got, want) {
+		t.Fatal("rows larger than the checkpoint buffer did not round-trip")
+	}
+}
+
 func TestCorruptCheckpointRefused(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -451,10 +556,14 @@ func TestStaleSegmentAfterCrashedCheckpointSkipped(t *testing.T) {
 	// Write the checkpoint by hand without pruning segments — exactly
 	// the state a crash mid-Checkpoint leaves.
 	snap := db.snapshot()
+	buf := bufio.NewWriterSize(nil, ckptBufSize)
 	for _, key := range snap.order {
 		v := snap.tables[key]
 		path := filepath.Join(dir, tableFileName(key, v.asOf))
-		if err := wal.WriteFileAtomic(path, encodeTableFile(v)); err != nil {
+		if err := wal.WriteFileAtomicFunc(path, func(w io.Writer) error {
+			_, err := writeTableFile(w, buf, v)
+			return err
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -469,6 +578,77 @@ func TestStaleSegmentAfterCrashedCheckpointSkipped(t *testing.T) {
 	}
 	if got := dump(t, db2); !reflect.DeepEqual(got, want) {
 		t.Fatalf("stale-segment recovery diverges:\n got %v\nwant %v", got, want)
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
+
+// TestCheckpointTableFileGolden pins the OATB1 table-file bytes a
+// checkpoint writes. The database is small and fixed, and its rows
+// carry every Value kind the encoder distinguishes: NULL, a negative
+// INTEGER, -0.0, a NaN with payload bits, a STRING that is not valid
+// UTF-8, and both BOOLEANs; an update and a delete leave an id gap
+// and a moved row. The golden was written by the encoder that built
+// each image in one byte slice; `go test -run TableFileGolden
+// -update` rewrites it.
+func TestCheckpointTableFileGolden(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := mustOpen(t, dir, Options{CheckpointBytes: -1})
+	seedGroups(t, db)
+	nan := math.Float64frombits(0x7ff8_0000_dead_beef)
+	rows := []map[string]Value{
+		{"id": Int(-7), "lastname": String_("Negative"), "email": Null, "score": Float(math.Copysign(0, -1)), "active": Bool(false)},
+		{"lastname": String_("Bits\xff\xfe\x00"), "email": String_("mailto:b@example.org"), "grp": Int(1), "score": Float(nan), "active": Bool(true)},
+		{"lastname": String_("Gone"), "note": String_("deleted below")},
+		{"lastname": String_("héllo"), "grp": Null, "score": Float(-2.5e300), "active": Null},
+	}
+	for _, r := range rows {
+		if err := db.Update(func(tx *Tx) error { return tx.Insert("person", r) }, "person"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Update(func(tx *Tx) error {
+		ids, err := tx.Match("person", map[string]Value{"lastname": String_("Gone")})
+		if err != nil || len(ids) != 1 {
+			return fmt.Errorf("match Gone: %v %v", ids, err)
+		}
+		if err := tx.DeleteByID("person", ids[0]); err != nil {
+			return err
+		}
+		ids, err = tx.Match("person", map[string]Value{"lastname": String_("Negative")})
+		if err != nil || len(ids) != 1 {
+			return fmt.Errorf("match Negative: %v %v", ids, err)
+		}
+		return tx.UpdateByID("person", ids[0], map[string]Value{"email": String_("mailto:n@example.org")})
+	}, "person"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	snap := db.snapshot()
+	for _, key := range snap.order {
+		got, err := os.ReadFile(filepath.Join(dir, tableFileName(key, snap.tables[key].asOf)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join("testdata", "checkpoint-"+key+".tbl.golden")
+		if *updateGolden {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("table file for %s differs from %s:\n got % x\nwant % x", key, path, got, want)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -11,6 +11,13 @@ import (
 func paperSchema(t testing.TB) *Database {
 	t.Helper()
 	db := NewDatabase("publications")
+	createPaperSchema(t, db)
+	return db
+}
+
+// createPaperSchema creates the Figure 1 tables in db.
+func createPaperSchema(t testing.TB, db *Database) {
+	t.Helper()
 	mustCreate := func(s *TableSchema) {
 		if err := db.CreateTable(s); err != nil {
 			t.Fatalf("CreateTable(%s): %v", s.Name, err)
@@ -82,7 +89,6 @@ func paperSchema(t testing.TB) *Database {
 			{Column: "author", RefTable: "author"},
 		},
 	})
-	return db
 }
 
 func TestFigure1Schema(t *testing.T) {

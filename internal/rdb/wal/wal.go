@@ -22,8 +22,10 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -445,11 +447,26 @@ func (l *Log) Stats() Stats {
 	}
 }
 
-// WriteFileAtomic durably replaces path with data: write to a
-// temporary file in the same directory, fsync it, rename over the
-// target, fsync the directory. A crash leaves either the old complete
-// file or the new complete file, never a mixture.
+// ErrDirSync marks a failed atomic write whose rename already landed:
+// the new file is in place, but the directory fsync that makes its
+// name durable failed.
+var ErrDirSync = errors.New("wal: directory fsync after rename")
+
+// WriteFileAtomic durably replaces path with data; see
+// WriteFileAtomicFunc.
 func WriteFileAtomic(path string, data []byte) error {
+	return WriteFileAtomicFunc(path, func(w io.Writer) error { _, err := w.Write(data); return err })
+}
+
+// WriteFileAtomicFunc durably replaces path with what write writes:
+// write streams into a temporary file in the same directory, which is
+// fsynced and renamed over the target before the directory is fsynced.
+// A crash leaves either the old complete file or the new complete
+// file, never a mixture. An error from write or from any step up to
+// the rename removes the temporary file and leaves the old file
+// untouched; only a failed directory fsync, reported as ErrDirSync,
+// comes after the new file has replaced it.
+func WriteFileAtomicFunc(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -460,7 +477,7 @@ func WriteFileAtomic(path string, data []byte) error {
 		tmp.Close()
 		os.Remove(tmpName)
 	}
-	if _, err := tmp.Write(data); err != nil {
+	if err := write(tmp); err != nil {
 		cleanup()
 		return err
 	}
@@ -476,7 +493,10 @@ func WriteFileAtomic(path string, data []byte) error {
 		os.Remove(tmpName)
 		return err
 	}
-	return syncDir(dir)
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("%w: %w", ErrDirSync, err)
+	}
+	return nil
 }
 
 // syncDir fsyncs a directory so entry creations/renames are durable.

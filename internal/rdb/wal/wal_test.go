@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -351,6 +353,53 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("directory has %d entries after atomic writes, want 1", len(entries))
+	}
+}
+
+// TestWALAtomicWriteFailureKeepsOldFile fails the writer callback
+// after K bytes have reached the temporary file: the error comes back,
+// the old file keeps its bytes, and no temporary file is left.
+func TestWALAtomicWriteFailureKeepsOldFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ckpt-t-1.tbl")
+	if err := WriteFileAtomic(path, []byte("old image")); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk full")
+	for _, k := range []int{0, 1, 4096, 100_000} {
+		err := WriteFileAtomicFunc(path, func(w io.Writer) error {
+			if _, err := w.Write(bytes.Repeat([]byte{'x'}, k)); err != nil {
+				return err
+			}
+			return boom
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("K=%d: error %v, want %v", k, err, boom)
+		}
+		if data, err := os.ReadFile(path); err != nil || string(data) != "old image" {
+			t.Fatalf("K=%d: old file now %q (%v)", k, data, err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 {
+			t.Fatalf("K=%d: %d directory entries after a failed write, want 1", k, len(entries))
+		}
+	}
+	// A streamed write that succeeds replaces the file whole.
+	if err := WriteFileAtomicFunc(path, func(w io.Writer) error {
+		for _, chunk := range []string{"new ", "image"} {
+			if _, err := io.WriteString(w, chunk); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "new image" {
+		t.Fatalf("after a streamed write: %q (%v)", data, err)
 	}
 }
 

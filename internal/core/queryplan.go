@@ -222,7 +222,8 @@ func joinTables(joins []sqlgen.JoinSpec) []string {
 	return out
 }
 
-// Explain renders the compiled shape with ?n parameter markers.
+// Explain renders the compiled shape with ?n parameter markers, and
+// each SELECT template's join placement as currently prepared.
 func (p *QueryPlan) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s plan: %d slot(s), reads %s\n",
@@ -230,6 +231,9 @@ func (p *QueryPlan) Explain() string {
 	for _, t := range p.templates() {
 		fmt.Fprintf(&b, "  SELECT template over %s (%d join(s), %d condition(s))\n",
 			t.spec.From, len(t.spec.Joins), len(t.spec.Where))
+		if t.ps != nil {
+			fmt.Fprintf(&b, "    placement %s\n", t.ps.cur.Load().Placement())
+		}
 	}
 	for _, np := range p.tmpl {
 		fmt.Fprintf(&b, "  TEMPLATE %s %s %s\n",

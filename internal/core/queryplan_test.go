@@ -227,6 +227,28 @@ func TestQueryPlanIntrospection(t *testing.T) {
 	}
 }
 
+// TestQueryPlanExplainPlacement pins the join placement Explain
+// prints per SELECT template: the ordered top-100 join of scan_stream
+// walks its FROM table in key order, and a join pinned to one author
+// keeps the placement that starts from the point probe.
+func TestQueryPlanExplainPlacement(t *testing.T) {
+	m := paperMediator(t, Options{})
+	mustExec(t, m, listing15)
+	for _, c := range []struct{ q, want, not string }{
+		{`SELECT ?title ?last ?team WHERE { ?p dc:title ?title ; dc:creator ?a . ?a foaf:family_name ?last ; ont:team ?t . ?t foaf:name ?team . } ORDER BY ?title LIMIT 100`,
+			"placement key-ordered: publication t0 key walk, publication_author l0 probe publication", "reordered"},
+		{`SELECT ?n WHERE { ex:author6 ont:team ?t . ?t foaf:name ?n . }`, "author t0 point probe id", "key-ordered"},
+	} {
+		p, err := m.QueryPlanFor(paperPrologue + c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex := p.Explain(); !strings.Contains(ex, c.want) || strings.Contains(ex, c.not) {
+			t.Errorf("%s: explain should show %q and not %q:\n%s", c.q, c.want, c.not, ex)
+		}
+	}
+}
+
 // TestQueryPlanLimitSlots pins the LIMIT/OFFSET parameterization: the
 // values are argument slots, so "LIMIT 1" and "LIMIT 30" share one
 // compiled plan, and a compiled "LIMIT 0" returns no solutions (the

@@ -105,3 +105,35 @@ func TestPreparedRunAllocs(t *testing.T) {
 		t.Errorf("prepared Run: %v allocs (SelectFunc %v), must be below SelectFunc and at most %v", prepared, fresh, ceiling)
 	}
 }
+
+// TestKeyOrderedJoinAllocs gates the key-ordered walk's cost: an ORDER
+// BY on a FROM-table column with a LIMIT, over a 4-table join whose
+// smallest table would otherwise be placed first, keeps only LIMIT
+// outer rows and joins only those, so 4,000 FROM rows may allocate at
+// most a small constant more than 1,000. Collecting and replaying the
+// whole join, as a reordered plan does, costs 2 allocations per joined
+// row.
+func TestKeyOrderedJoinAllocs(t *testing.T) {
+	sel := mustSelect(t, pubJoinSelect+` ORDER BY p.title LIMIT 10`)
+	allocs := func(rows int) float64 {
+		db := paperDB(t)
+		seedPubJoin(t, db, rows)
+		head := func([]string) error { return nil }
+		n := 0
+		row := func([]rdb.Value) (bool, error) { n++; return true, nil }
+		a := testing.AllocsPerRun(20, func() {
+			if err := db.View(func(tx *rdb.Tx) error { return SelectFunc(tx, sel, head, row) }); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != 21*10 { // AllocsPerRun adds one warm-up run
+			t.Fatalf("streamed %d rows, want %d", n, 21*10)
+		}
+		return a
+	}
+	small, large := allocs(1000), allocs(4000)
+	t.Logf("1,000 FROM rows: %v allocs, 4,000: %v", small, large)
+	if large-small > 2 {
+		t.Errorf("3,000 extra FROM rows cost %v allocs, want at most 2", large-small)
+	}
+}

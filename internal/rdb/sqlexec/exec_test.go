@@ -401,21 +401,96 @@ func itoa(i int) string {
 	return string(buf[p:])
 }
 
-func BenchmarkSelectJoin(b *testing.B) {
-	db := paperDB(b)
-	tx := db.Begin()
-	RunTx(tx, `INSERT INTO team (id, name, code) VALUES (1, 'SE', 'S')`)
-	for i := 0; i < 1000; i++ {
-		if _, err := RunTx(tx, `INSERT INTO author (id, lastname, team) VALUES (`+itoa(i)+`, 'L`+itoa(i%50)+`', 1)`); err != nil {
-			b.Fatal(err)
+// pubJoinSelect is scan_stream's join_order_limit request as the
+// translator emits it, without its modifiers: each publication with
+// its author and the author's team.
+const pubJoinSelect = `SELECT p.title, a.lastname, t.name FROM publication p ` +
+	`JOIN publication_author pa ON pa.publication = p.id JOIN author a ON a.id = pa.author ` +
+	`JOIN team t ON t.id = a.team`
+
+// seedPubJoin loads rows publications, each linked to its own author,
+// the authors spread over 20 teams. Titles are a permutation of the
+// publication ids, so title order is far from id order.
+func seedPubJoin(t testing.TB, db *rdb.Database, rows int) {
+	t.Helper()
+	if err := db.Update(func(tx *rdb.Tx) error {
+		for i := 1; i <= 20; i++ {
+			if err := tx.Insert("team", map[string]rdb.Value{"id": rdb.Int(int64(i)), "name": rdb.String_("T" + itoa(i))}); err != nil {
+				return err
+			}
 		}
+		for i := 1; i <= rows; i++ {
+			id := rdb.Int(int64(i))
+			if err := tx.Insert("author", map[string]rdb.Value{"id": id, "lastname": rdb.String_("L" + itoa(i)), "team": rdb.Int(int64(i%20 + 1))}); err != nil {
+				return err
+			}
+			if err := tx.Insert("publication", map[string]rdb.Value{"id": id, "title": rdb.String_("P" + itoa(i*7919%rows)), "year": rdb.Int(2000)}); err != nil {
+				return err
+			}
+			if err := tx.Insert("publication_author", map[string]rdb.Value{"publication": id, "author": id}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	tx.Commit()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Query(db, `SELECT a.id FROM author a JOIN team t ON a.team = t.id WHERE a.lastname = 'L7'`); err != nil {
-			b.Fatal(err)
+}
+
+// BenchmarkSelectJoin times joins through the streaming cursor. filter
+// is a 1,000-row FK join with a selective WHERE; the 20,000-row
+// sub-benchmarks are scan_stream's join_order_limit request in-process:
+// order_limit (ORDER BY a FROM column + LIMIT 100, the key-ordered
+// walk), limit (LIMIT 100 alone) and count (COUNT(*) of the whole join,
+// the cost of visiting every joined row once). order_limit_team and
+// order_limit_range add a filter on the unindexed team.name that keeps
+// one team in 20, shapes the walk would serve by probing ~20x LIMIT
+// outer rows; the guard leaves them to the cost-based plan.
+// order_limit_sparse keeps the walk but adds a filter across tables
+// that only 19 publications pass, the walk's worst case: every outer
+// row is joined.
+//
+//	go test -run '^$' -bench SelectJoin -benchtime 20x ./internal/rdb/sqlexec
+func BenchmarkSelectJoin(b *testing.B) {
+	b.Run("filter", func(b *testing.B) {
+		db := paperDB(b)
+		tx := db.Begin()
+		RunTx(tx, `INSERT INTO team (id, name, code) VALUES (1, 'SE', 'S')`)
+		for i := 0; i < 1000; i++ {
+			if _, err := RunTx(tx, `INSERT INTO author (id, lastname, team) VALUES (`+itoa(i)+`, 'L`+itoa(i%50)+`', 1)`); err != nil {
+				b.Fatal(err)
+			}
 		}
+		tx.Commit()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := Query(db, `SELECT a.id FROM author a JOIN team t ON a.team = t.id WHERE a.lastname = 'L7'`); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	db := paperDB(b)
+	seedPubJoin(b, db, 20_000)
+	for _, c := range []struct{ name, q string }{
+		{"order_limit", pubJoinSelect + ` ORDER BY p.title LIMIT 100`},
+		{"order_limit_team", pubJoinSelect + ` WHERE t.name = 'T3' ORDER BY p.title LIMIT 100`},
+		{"order_limit_range", pubJoinSelect + ` WHERE t.name > 'T8' ORDER BY p.title LIMIT 100`},
+		{"order_limit_sparse", pubJoinSelect + ` WHERE a.team > p.id ORDER BY p.title LIMIT 100`},
+		{"limit", pubJoinSelect + ` LIMIT 100`},
+		{"count", `SELECT COUNT(*) AS n FROM publication p JOIN publication_author pa ON pa.publication = p.id ` +
+			`JOIN author a ON a.id = pa.author JOIN team t ON t.id = a.team`},
+	} {
+		sel := mustSelect(b, c.q)
+		b.Run(c.name, func(b *testing.B) {
+			head := func([]string) error { return nil }
+			row := func([]rdb.Value) (bool, error) { return true, nil }
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := db.View(func(tx *rdb.Tx) error { return SelectFunc(tx, sel, head, row) }); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

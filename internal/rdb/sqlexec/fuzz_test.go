@@ -11,7 +11,8 @@ import (
 // FuzzPreparedMatchesSelect runs: every literal becomes a parameter
 // slot (see parameterize). They cover a pk probe, an FK join, a range
 // filter, ORDER BY with LIMIT/OFFSET, a LEFT JOIN with a slotted ON
-// conjunct, a projected slot and a slot on both sides of a comparison.
+// conjunct, a projected slot, a slot on both sides of a comparison and
+// a key-ordered 4-table join.
 var preparedShapes = []string{
 	`SELECT id, lastname FROM author WHERE id = 1`,
 	`SELECT a.lastname, t.name FROM author a JOIN team t ON a.team = t.id WHERE a.team = 1`,
@@ -21,6 +22,7 @@ var preparedShapes = []string{
 	`SELECT a.id, t.name FROM author a LEFT JOIN team t ON a.team = t.id AND t.code = 'SEAL' WHERE a.id >= 2`,
 	`SELECT id, 1 FROM team WHERE name LIKE 'S%'`,
 	`SELECT id FROM team WHERE 1 = 2 OR id = 3`,
+	`SELECT p.title, a.lastname, t.name FROM publication p JOIN publication_author pa ON pa.publication = p.id JOIN author a ON a.id = pa.author JOIN team t ON t.id = a.team ORDER BY p.title LIMIT 2 OFFSET 1`,
 }
 
 // FuzzPreparedMatchesSelect feeds random arguments — integers,
@@ -37,6 +39,8 @@ func FuzzPreparedMatchesSelect(f *testing.F) {
 	f.Add(uint8(5), uint8(2), int64(0), 0.0, "DBTG", uint8(1), int64(0), int16(-1), int16(2))
 	f.Add(uint8(6), uint8(0), int64(math.MaxInt64), math.Inf(1), "%", uint8(2), int64(0), int16(0), int16(-1))
 	f.Add(uint8(7), uint8(3), int64(0), math.NaN(), "", uint8(0), int64(3), int16(-1), int16(-1))
+	f.Add(uint8(8), uint8(0), int64(0), 0.0, "", uint8(0), int64(0), int16(1), int16(2))
+	f.Add(uint8(8), uint8(0), int64(0), 0.0, "", uint8(0), int64(0), int16(-1), int16(-1))
 	db := paperDB(f)
 	seedJoinData(f, db)
 	f.Fuzz(func(t *testing.T, shape, k1 uint8, i1 int64, f1 float64, s1 string, k2 uint8, i2 int64, limit, offset int16) {

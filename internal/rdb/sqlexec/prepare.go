@@ -111,6 +111,16 @@ func (p *Prepared) Window(limit, offset int) *Prepared {
 	return &q
 }
 
+// Placement names the plan's placement — textual, reordered,
+// key-ordered or naive — and each step's table and access path in
+// execution order.
+func (p *Prepared) Placement() string {
+	if p.plan == nil {
+		return "planned per run"
+	}
+	return p.plan.placement()
+}
+
 // Stale reports whether the plan's placement was chosen from table
 // row counts that have since moved by more than 2x in tx's snapshot —
 // a hint to prepare a replacement; correctness never depends on it.

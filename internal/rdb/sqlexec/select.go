@@ -3,6 +3,7 @@ package sqlexec
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,7 +30,9 @@ import (
 //   - with no ORDER BY, execution stops as soon as LIMIT/OFFSET is
 //     satisfied — an ASK probe compiled as LIMIT 1 touches one row;
 //   - ORDER BY + LIMIT keeps only the top offset+limit rows in a
-//     bounded heap instead of materializing and sorting everything.
+//     bounded heap instead of materializing and sorting everything;
+//     with the keys on the FROM table it joins only the outer rows
+//     the window needs (key-ordered placement, below).
 //
 // While placement keeps textual order — always the case for
 // translator-emitted SQL, whose joins are all index-backed and
@@ -91,6 +94,38 @@ import (
 // byte-identical rows in byte-identical order to textual placement,
 // just faster. SelectTextual forces textual placement and is the
 // reference the reordering parity tests compare against.
+//
+// Key-ordered placement (top-K joins stop early). A reordered plan
+// must see every joined row before it can emit the first, so an ORDER
+// BY … LIMIT over a join used to cost the whole join. The third
+// placement engages when the statement has a LIMIT, every ORDER BY key
+// is a non-DOUBLE column of the FROM table (NaN makes DOUBLE order no
+// strict weak order, which the walk's resume test needs), all joins
+// are inner typed equi-joins in textual order, there is no DISTINCT or
+// aggregate, nothing is fallible (no naive mode, no deferred WHERE,
+// infallible keys and projection), no conjunct pins an indexed FROM
+// column to a literal or slot (a pinned key keeps the cost-based plan,
+// which starts from the point probe) and no conjunct but a column's IS
+// NOT NULL filters one joined table (a selective filter there favours
+// the cost-based plan, which joins out only the rows it keeps).
+// Placement is then textual, but the FROM table is not scanned in id
+// order: walk keeps the first offset+limit filtered rows in (keys,
+// internal id) order in the top-K heap, descends each in that order
+// through the probe/hash steps, and stops as soon as offset+limit rows
+// are delivered. The order is the baseline's: the baseline output is
+// the stable sort of "FROM row id ascending, then the inner steps in
+// textual order" by keys that read only the FROM row, which is
+// exactly (keys, FROM row id, inner textual order) — what the walk
+// emits. If the joins drop so many outer rows that the window is
+// still short, a second scan joins every row strictly after the
+// first's last (keys, id) in id order and stably sorts the survivors
+// by the keys, which is the baseline rule applied to the rest. A LIMIT
+// without ORDER BY has no keys, so the walk is the plain textual scan
+// with the LIMIT target's early stop. A prepared key-ordered plan run
+// without a LIMIT (Window(-1, …)) is one unbounded first scan. The
+// guard reads no statistics, so such a plan is never Stale.
+// SelectTextual never takes this placement, so it stays the
+// independent reference.
 //
 // LEFT OUTER JOIN runs in textual placement: per outer row, the
 // candidate rows stream through the join's ON conditions; if none
@@ -184,6 +219,10 @@ type selPlan struct {
 	// order: joined rows are collected with their internal row ids and
 	// replayed in baseline order (see the package comment).
 	reordered bool
+	// keyOrdered marks a top-K placement: textual steps driven by a walk
+	// of the FROM table in (ORDER BY keys, internal id) order, which
+	// stops once the LIMIT window is full (see the package comment).
+	keyOrdered bool
 	// naive delegates the whole statement to SelectNaive: an ON
 	// conjunct is fallible, and join-phase errors depend on the naive
 	// executor's breadth-first join order.
@@ -598,23 +637,22 @@ func planSelectMode(tx *rdb.Tx, st sqlparser.Select, forceTextual bool) (*selPla
 	// consumes rows in baseline order), and no ON conjunct references
 	// a textually later table (the baseline's prefix environment
 	// errors on such forward references, so the plan must too).
-	// Everything else runs in textual placement.
-	costBased := !forceTextual && !p.deferredWhere && !hasLeft &&
-		p.agg == nil && len(st.Joins) > 0
-	if costBased {
-	forward:
-		for ji := range ons {
-			later := ^uint64(0) << uint(ji+2)
-			for _, c := range ons[ji] {
-				if c.mask&later != 0 {
-					costBased = false
-					break forward
-				}
+	// Key-ordered placement takes precedence where it applies (see
+	// keyOrderedFits). Everything else runs in textual placement.
+	forward := false
+	for ji := range ons {
+		later := ^uint64(0) << uint(ji+2)
+		for _, c := range ons[ji] {
+			if c.mask&later != 0 {
+				forward = true
 			}
 		}
 	}
+	costBased := !forceTextual && !p.deferredWhere && !hasLeft && !forward &&
+		p.agg == nil && len(st.Joins) > 0
+	p.keyOrdered = !forceTextual && !hasLeft && !forward && p.keyOrderedFits(tx, wheres, ons)
 	p.prog = make(prog, 0, 16)
-	if costBased {
+	if costBased && !p.keyOrdered {
 		if err := p.planCostBased(tx, st, wheres, ons); err != nil {
 			return nil, err
 		}
@@ -624,6 +662,121 @@ func planSelectMode(tx *rdb.Tx, st sqlparser.Select, forceTextual bool) (*selPla
 	p.bindOutput()
 	p.bindParams()
 	return p, nil
+}
+
+// keyOrderedFits is the guard of key-ordered placement (the caller adds
+// inner joins only and no forward ON reference): a LIMIT without
+// DISTINCT or aggregation, nothing fallible, every ORDER BY key a
+// column of the FROM table that is not DOUBLE, a typed equi-join for
+// every textual join step, no conjunct pinning an indexed FROM column
+// to a literal or slot — a pinned key makes the cost-based plan start
+// from a point probe, which beats any walk — and no conjunct that
+// filters one joined table, other than a column's IS NOT NULL. Such a
+// filter may be selective, and without column statistics there is no
+// telling: the cost-based plan can start from the filtered table and
+// join out only the rows it keeps, where the walk would probe outer
+// row after outer row to find the few that survive it.
+//
+// The walk's resume test needs the key order to be a strict weak order
+// (with the internal id as tiebreak, a total one). compareForSort is one
+// on INTEGER, VARCHAR/TEXT and BOOLEAN columns, whose stored values all
+// share one kind, but not on DOUBLE: rdb.Compare reports NaN equal to
+// every number. Key expressions are left out for the same reason.
+func (p *selPlan) keyOrderedFits(tx *rdb.Tx, wheres []conjunct, ons [][]conjunct) bool {
+	st := p.st
+	if st.Limit < 0 || st.Distinct || p.agg != nil || p.countAlias != "" ||
+		p.deferredWhere || p.keysFallible || p.projFallible {
+		return false
+	}
+	for _, k := range st.OrderBy {
+		q, m, ok := qualifyExpr(k.Expr, p.metas)
+		cr, isCol := q.(sqlparser.ColRef)
+		if !ok || m != 1 || !isCol {
+			return false
+		}
+		if _, ci := p.locOf(cr); ci < 0 || p.schemas[0].Columns[ci].Type == rdb.TFloat ||
+			typeClass(p.schemas[0].Columns[ci].Type) == 0 {
+			return false
+		}
+	}
+	placed := uint64(1)
+	for ji := range ons {
+		if _, _, ok := p.equiJoinFor(ji, ons[ji], placed); !ok {
+			return false
+		}
+		placed |= uint64(1) << uint(ji+1)
+	}
+	for _, cs := range append([][]conjunct{wheres}, ons...) {
+		for i := range cs {
+			c := &cs[i]
+			if m := c.mask; m&1 == 0 && m != 0 && m&(m-1) == 0 && !isNotNullCol(c.expr) {
+				return false // filters one joined table
+			}
+			if ci, ok := p.litEqCol(c, 0); ok {
+				if has, err := tx.HasIndex(p.refs[0].Table, p.schemas[0].Columns[ci].Name); err == nil && has {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// isNotNullCol recognizes col IS NOT NULL, the presence test the
+// translator emits for each triple pattern's object column.
+func isNotNullCol(e sqlparser.Expr) bool {
+	n, ok := e.(sqlparser.IsNull)
+	if !ok || !n.Negate {
+		return false
+	}
+	_, ok = n.Inner.(sqlparser.ColRef)
+	return ok
+}
+
+// placement describes the plan's join order for explain output: the
+// placement kind, then each step's table (with its alias) and access
+// path in execution order.
+func (p *selPlan) placement() string {
+	if p.naive {
+		return "naive: the nested-loop baseline (a fallible ON conjunct)"
+	}
+	var b strings.Builder
+	switch {
+	case p.keyOrdered && len(p.keys) > 0:
+		b.WriteString("key-ordered")
+	case p.keyOrdered:
+		b.WriteString("key-ordered (FROM id order)")
+	case p.reordered:
+		b.WriteString("reordered")
+	default:
+		b.WriteString("textual")
+	}
+	for si, s := range p.steps {
+		sep := ", "
+		if si == 0 {
+			sep = ": "
+		}
+		b.WriteString(sep + p.refs[s.ti].Table)
+		if eff := p.metas[s.ti].eff; !strings.EqualFold(eff, p.refs[s.ti].Table) {
+			b.WriteString(" " + eff)
+		}
+		switch {
+		case s.litProbe:
+			b.WriteString(" point probe " + s.probeName)
+		case s.access == accessProbe:
+			b.WriteString(" probe " + s.probeName)
+		case s.access == accessHash:
+			b.WriteString(" hash " + s.probeName)
+		case si == 0 && p.keyOrdered && len(p.keys) > 0:
+			b.WriteString(" key walk")
+		default:
+			b.WriteString(" scan")
+		}
+		if s.leftOuter {
+			b.WriteString(" (left)")
+		}
+	}
+	return b.String()
 }
 
 // bindParams turns every parameter slot of the bound plan into a column
@@ -1160,16 +1313,17 @@ func (p *selPlan) run(tx *rdb.Tx, args []rdb.Value, limit, offset int) (*ResultS
 // runStream executes the plan as a cursor: head receives the output
 // column names once, then row receives each result row in order. The
 // plain unordered path — DISTINCT, deferred WHERE and reordered plans
-// included — delivers each in-window row the moment the pipeline
-// produces it; paths that must see every row before the first output
-// one (ORDER BY, aggregation, the naive error-parity baseline) run
-// buffered and replay the materialized result. Either way the rows,
-// their order and any error are byte-identical to run; row returning
-// false cancels the remainder of the stream without error. On the
-// buffered paths an execution error surfaces before head is called;
-// on the streaming path it can surface mid-stream.
+// included — and the key-ordered walk deliver each in-window row the
+// moment the pipeline produces it; paths that must see every row before
+// the first output one (any other ORDER BY, aggregation, the naive
+// error-parity baseline) run buffered and replay the materialized
+// result. Either way the rows, their order and any error are
+// byte-identical to run; row returning false cancels the remainder of
+// the stream without error. On the buffered paths an execution error
+// surfaces before head is called; on the streaming path it can surface
+// mid-stream.
 func (p *selPlan) runStream(tx *rdb.Tx, args []rdb.Value, limit, offset int, head func(cols []string) error, row func(vals []rdb.Value) (bool, error)) error {
-	if p.naive || p.countAlias != "" || p.agg != nil || len(p.st.OrderBy) > 0 {
+	if p.naive || p.countAlias != "" || p.agg != nil || (len(p.st.OrderBy) > 0 && !p.keyOrdered) {
 		rs, err := p.run(tx, args, limit, offset)
 		if err != nil {
 			return err
@@ -1234,12 +1388,18 @@ func (p *selPlan) start(tx *rdb.Tx, args []rdb.Value, limit, offset int) *selExe
 		x.agg = newAggregator(p.agg, p.prog)
 	default:
 		x.cols = p.proj.cols
-		x.sorting = len(st.OrderBy) > 0
+		// A key-ordered walk delivers rows in final order: no sort stage.
+		x.sorting = len(st.OrderBy) > 0 && !p.keyOrdered
 		if st.Distinct {
 			x.seen = map[string]bool{}
 		}
 		off := max(offset, 0)
 		switch {
+		case p.keyOrdered:
+			if limit >= 0 && off+limit >= limit {
+				x.target = off + limit
+			}
+			x.keyBuf = make([]rdb.Value, len(st.OrderBy))
 		case x.sorting && limit >= 0 && !st.Distinct && !p.keysFallible && !p.projFallible &&
 			off+limit >= limit: // offset+limit must not overflow to a bogus capacity
 			// Top-K: only the first offset+limit rows of the sorted
@@ -1271,7 +1431,13 @@ func (x *selExec) drive() error {
 		runPipeline = false
 	}
 	if !x.impossible && runPipeline {
-		if _, err := x.step(0); err != nil {
+		var err error
+		if p.keyOrdered && len(p.keys) > 0 {
+			err = x.walk()
+		} else {
+			_, err = x.step(0)
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -1303,6 +1469,104 @@ func (x *selExec) drive() error {
 		}
 	}
 	return nil
+}
+
+// walk drives a key-ordered plan: it visits the FROM table's rows in
+// (ORDER BY keys, internal id) order and descends each through the
+// textual join steps, so joined rows reach the output stage in final
+// order and the walk stops as soon as the LIMIT window is full. It
+// scans the FROM table at most twice. The first scan keeps the first
+// offset+limit filtered rows in the bounded top-K heap, which is all
+// the window needs unless the joins drop outer rows. If the window is
+// still short, the second joins every filtered row strictly after the
+// first scan's last (keys, id), in id order, and sorts only what
+// survives. A run without a LIMIT is one unbounded first scan.
+func (x *selExec) walk() error {
+	p := x.p
+	h := &topkCollector{keys: p.st.OrderBy, cap: x.target}
+	if x.target < 0 {
+		h.cap = math.MaxInt
+	}
+	if err := x.scanOuter(func(id int64, row []rdb.Value) error {
+		h.offer(x.keyBuf, int(id), row)
+		return nil
+	}); err != nil {
+		return err
+	}
+	rows := h.finish()
+	for i := range rows {
+		if cont, err := x.descend(&rows[i]); err != nil || !cont {
+			return err
+		}
+	}
+	if len(rows) < h.cap {
+		return nil // the table is exhausted
+	}
+	// The rest joins in id order, the inner steps in textual order: a
+	// stable sort of the survivors by the keys gives the final order.
+	last := rows[len(rows)-1]
+	x.sorting = true
+	err := x.scanOuter(func(id int64, row []rdb.Value) error {
+		r := topkRow{keys: x.keyBuf, seq: int(id), row: row}
+		if h.cmp(&last, &r) >= 0 {
+			return nil
+		}
+		_, err := x.descend(&r)
+		return err
+	})
+	x.sorting = false
+	if err != nil {
+		return err
+	}
+	if err := p.prog.sortEnvs(x.envs, p.keys, p.st.OrderBy); err != nil {
+		return err
+	}
+	for _, e := range x.envs {
+		copy(x.full, e)
+		if cont, err := x.emitRow(); err != nil || !cont {
+			return err
+		}
+	}
+	return nil
+}
+
+// scanOuter scans a key-ordered plan's FROM table: for each row that
+// passes the table's own conditions it evaluates the sort keys into
+// x.keyBuf and calls visit; an error from visit stops the scan.
+func (x *selExec) scanOuter(visit func(id int64, row []rdb.Value) error) error {
+	p := x.p
+	base := &p.steps[0]
+	var evalErr error
+	err := x.tx.Scan(p.refs[base.ti].Table, func(id int64, row []rdb.Value) bool {
+		x.full[base.ti] = row
+		for _, conds := range [2][]bexpr{base.preds, base.residual} {
+			if ok, err := p.prog.holds(conds, x.full); !ok {
+				evalErr = err
+				return err == nil
+			}
+		}
+		for i, k := range p.keys {
+			v, err := p.prog.eval(k, x.full)
+			if err != nil {
+				evalErr = err // unreachable: the guard requires infallible keys
+				return false
+			}
+			x.keyBuf[i] = v
+		}
+		evalErr = visit(id, row)
+		return evalErr == nil
+	})
+	if err == nil {
+		err = evalErr
+	}
+	return err
+}
+
+// descend joins one outer row of a key-ordered walk through the
+// remaining textual steps; false stops the walk.
+func (x *selExec) descend(r *topkRow) (bool, error) {
+	x.full[x.p.steps[0].ti], x.ids[x.p.steps[0].ti] = r.row, int64(r.seq)
+	return x.step(1)
 }
 
 // finish materializes the output stage into a ResultSet: the count
@@ -2026,6 +2290,8 @@ type topkRow struct {
 	keys []rdb.Value
 	seq  int
 	env  env
+	// row is the outer row a key-ordered walk keeps instead of env.
+	row []rdb.Value
 }
 
 // topkCollector keeps the first cap rows of the stable sort order in a
@@ -2042,7 +2308,7 @@ type topkCollector struct {
 // cmp orders rows by the sort keys (DESC inverting per key) with the
 // emission sequence as the final tiebreak; it never returns 0 for
 // distinct rows.
-func (h *topkCollector) cmp(a, b topkRow) int {
+func (h *topkCollector) cmp(a, b *topkRow) int {
 	for i, k := range h.keys {
 		c := compareForSort(a.keys[i], b.keys[i])
 		if k.Desc {
@@ -2056,7 +2322,7 @@ func (h *topkCollector) cmp(a, b topkRow) int {
 }
 
 func (h *topkCollector) Len() int           { return len(h.items) }
-func (h *topkCollector) Less(i, j int) bool { return h.cmp(h.items[i], h.items[j]) > 0 } // max-heap
+func (h *topkCollector) Less(i, j int) bool { return h.cmp(&h.items[i], &h.items[j]) > 0 } // max-heap
 func (h *topkCollector) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
 func (h *topkCollector) Push(v any)         { h.items = append(h.items, v.(topkRow)) }
 func (h *topkCollector) Pop() (v any) {
@@ -2074,7 +2340,7 @@ func (h *topkCollector) admits(keys []rdb.Value, seq int) bool {
 	if len(h.items) < h.cap {
 		return true
 	}
-	return h.cmp(h.items[0], topkRow{keys: keys, seq: seq}) > 0
+	return h.cmp(&h.items[0], &topkRow{keys: keys, seq: seq}) > 0
 }
 
 // add offers a row to the collector.
@@ -2090,9 +2356,27 @@ func (h *topkCollector) add(r topkRow) {
 	heap.Fix(h, 0)
 }
 
+// offer adds an outer row for a caller that reuses its key scratch: a
+// kept row's keys are copied, and once the heap is full the evicted
+// root's key storage is recycled, so the allocations stay bounded by
+// cap however many rows are offered.
+func (h *topkCollector) offer(keys []rdb.Value, seq int, row []rdb.Value) {
+	if !h.admits(keys, seq) {
+		return
+	}
+	if len(h.items) < h.cap {
+		heap.Push(h, topkRow{keys: append([]rdb.Value(nil), keys...), seq: seq, row: row})
+		return
+	}
+	r := &h.items[0]
+	copy(r.keys, keys)
+	r.seq, r.row = seq, row
+	heap.Fix(h, 0)
+}
+
 // finish returns the kept rows in final sorted order.
 func (h *topkCollector) finish() []topkRow {
-	sort.Slice(h.items, func(i, j int) bool { return h.cmp(h.items[i], h.items[j]) < 0 })
+	sort.Slice(h.items, func(i, j int) bool { return h.cmp(&h.items[i], &h.items[j]) < 0 })
 	return h.items
 }
 

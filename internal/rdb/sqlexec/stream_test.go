@@ -554,6 +554,201 @@ func TestCostBasedReorderMatchesBaseline(t *testing.T) {
 	}
 }
 
+// seedKeyOrderData loads a join set for key-ordered walks: publication
+// titles and author titles with few distinct values (ties everywhere,
+// author titles and emails partly NULL), publications with zero, one or
+// two authors, and authors without a team, so the joins drop outer
+// rows and fan some out.
+func seedKeyOrderData(t testing.TB, db *rdb.Database) {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("INSERT INTO team (id, name, code) VALUES (1, 'N1', 'c1'), (2, 'N2', 'c2'), (3, 'N3', 'c3'), (4, 'N4', 'c4');\n")
+	b.WriteString("INSERT INTO author (id, title, email, lastname, team) VALUES ")
+	for i := 1; i <= 80; i++ {
+		title, email, team := fmt.Sprintf("'T%d'", i%3), fmt.Sprintf("'e%d'", i%11), strconv.Itoa(i%4+1)
+		if i%4 == 0 {
+			title = "NULL"
+		}
+		if i%5 == 0 {
+			email = "NULL"
+		}
+		if i%7 == 0 {
+			team = "NULL"
+		}
+		if i > 1 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "(%d, %s, %s, 'L%d', %s)", i, title, email, i%6, team)
+	}
+	b.WriteString(";\nINSERT INTO publication (id, title, year) VALUES ")
+	for i := 1; i <= 120; i++ {
+		if i > 1 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "(%d, 'P%d', %d)", i, (i*5)%9, 2000+i%11)
+	}
+	b.WriteString(";\nINSERT INTO publication_author (publication, author) VALUES (1, 1)")
+	for i := 2; i <= 120; i++ {
+		if i%3 != 0 {
+			fmt.Fprintf(&b, ", (%d, %d)", i, i%80+1)
+		}
+		if i%4 == 0 {
+			fmt.Fprintf(&b, ", (%d, %d)", i, (i*7)%80+1)
+		}
+	}
+	if _, err := Run(db, b.String()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKeyOrderedLimitMatchesBaseline drives the key-ordered placement —
+// ORDER BY keys on the FROM table plus a LIMIT, or a LIMIT alone —
+// through ties at the LIMIT boundary, NULL and DESC keys, two keys,
+// windows past the end, LIMIT 0, joins and filters that drop outer
+// rows (so the walk needs its second scan) and many-to-many fan-out,
+// and checks that the shapes the guard refuses keep today's plans,
+// DOUBLE keys holding NaN among them. Every statement must match
+// SelectTextual and SelectNaive row for row, stream the same rows
+// through the cursor, keep prepared parity, and answer any other
+// window of the same plan (none included: one unbounded walk) like the
+// baseline.
+func TestKeyOrderedLimitMatchesBaseline(t *testing.T) {
+	db := paperDB(t)
+	seedKeyOrderData(t, db)
+	// d.v holds NaN beside ordinary numbers; e matches the NaN row and
+	// a few others, so the join drops most outer rows.
+	if _, err := Run(db, `CREATE TABLE d (id INTEGER PRIMARY KEY, v DOUBLE); CREATE TABLE e (id INTEGER PRIMARY KEY, d INTEGER)`); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Update(func(tx *rdb.Tx) error {
+		for i, v := range []float64{2, math.NaN(), 1, 0.5, math.NaN(), 3, 1, -1} {
+			if err := tx.Insert("d", map[string]rdb.Value{"id": rdb.Int(int64(i + 1)), "v": rdb.Float(v)}); err != nil {
+				return err
+			}
+		}
+		for i, d := range []int64{2, 5, 6, 2} {
+			if err := tx.Insert("e", map[string]rdb.Value{"id": rdb.Int(int64(i + 1)), "d": rdb.Int(d)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const pubAuthor = ` FROM publication p JOIN publication_author pa ON pa.publication = p.id JOIN author a ON a.id = pa.author`
+	cases := []struct {
+		q          string
+		keyOrdered bool
+	}{
+		{`SELECT p.id, p.title, a.lastname` + pubAuthor + ` ORDER BY p.title LIMIT 10`, true},
+		{`SELECT p.id, p.title, a.id` + pubAuthor + ` ORDER BY p.title LIMIT 7 OFFSET 5`, true},
+		{`SELECT a.id, a.title, t.name FROM author a JOIN team t ON a.team = t.id ORDER BY a.title LIMIT 12`, true},
+		{`SELECT a.id, a.title, a.email FROM author a JOIN team t ON t.id = a.team ORDER BY a.title DESC, a.email LIMIT 9 OFFSET 3`, true},
+		{`SELECT p.id, a.id` + pubAuthor + ` ORDER BY p.title LIMIT 5 OFFSET 1000`, true},
+		{`SELECT p.id, a.id` + pubAuthor + ` ORDER BY p.title LIMIT 0`, true},
+		{`SELECT p.id, a.id, t.code` + pubAuthor + ` JOIN team t ON t.id = a.team WHERE a.title IS NOT NULL ORDER BY p.title DESC LIMIT 6`, true},
+		{`SELECT p.id, a.lastname` + pubAuthor + ` WHERE a.id < p.id AND p.year > 2002 ORDER BY p.year DESC, p.title LIMIT 8`, true},
+		{`SELECT id, email FROM author ORDER BY email DESC LIMIT 4`, true},
+		// a residual filter across tables that drops most outer rows,
+		// the first LIMIT of them included: the rest are joined whole
+		{`SELECT p.id, a.id` + pubAuthor + ` WHERE a.id > p.id ORDER BY p.title LIMIT 5`, true},
+		{`SELECT p.id, a.id` + pubAuthor + ` WHERE a.team > p.id ORDER BY p.title LIMIT 6`, true},
+		{`SELECT p.id, a.id` + pubAuthor + ` LIMIT 15 OFFSET 2`, true},
+		{`SELECT p.id, t.name` + pubAuthor + ` JOIN team t ON t.id = a.team AND t.name IS NOT NULL WHERE a.email IS NOT NULL LIMIT 4`, true},
+		// keys on a joined table, a key expression, a pinned indexed
+		// key, other filters on one joined table (indexed or not),
+		// DISTINCT and a LEFT JOIN keep today's plans
+		{`SELECT p.id, a.lastname` + pubAuthor + ` ORDER BY a.lastname LIMIT 5`, false},
+		{`SELECT p.id, a.lastname` + pubAuthor + ` WHERE a.lastname > 'L3' ORDER BY p.year + 1 DESC, p.title LIMIT 8`, false},
+		{`SELECT p.id, a.id` + pubAuthor + ` WHERE a.team = 2 ORDER BY p.title LIMIT 3`, false},
+		{`SELECT p.id, a.id, t.code` + pubAuthor + ` JOIN team t ON t.id = a.team WHERE t.code = 'c3' ORDER BY p.title DESC LIMIT 6`, false},
+		{`SELECT p.id, a.id, t.code` + pubAuthor + ` JOIN team t ON t.id = a.team WHERE t.code >= 'c3' ORDER BY p.title DESC LIMIT 6`, false},
+		{`SELECT p.id, a.lastname` + pubAuthor + ` WHERE a.lastname > 'L3' ORDER BY p.year DESC, p.title LIMIT 8`, false},
+		{`SELECT p.id, t.name` + pubAuthor + ` JOIN team t ON t.id = a.team AND t.name <> 'N2' LIMIT 4`, false},
+		{`SELECT DISTINCT p.title` + pubAuthor + ` ORDER BY p.title LIMIT 3`, false},
+		{`SELECT a.id, t.name FROM author a LEFT JOIN team t ON a.team = t.id ORDER BY a.title LIMIT 5`, false},
+		// DOUBLE keys can hold NaN, which compares equal to every
+		// number: no strict order to walk in, so today's plan
+		{`SELECT d.id, d.v FROM d JOIN e ON e.d = d.id ORDER BY d.v LIMIT 1`, false},
+		{`SELECT d.id, e.id FROM d JOIN e ON e.d = d.id ORDER BY d.v DESC, d.id LIMIT 3 OFFSET 1`, false},
+	}
+	windows := [][2]int{{-1, -1}, {3, -1}, {2, 4}, {0, 0}, {1000, 70}}
+	for _, c := range cases {
+		sel := mustSelect(t, c.q)
+		db.View(func(tx *rdb.Tx) error {
+			p, err := planSelect(tx, sel)
+			if err != nil {
+				t.Fatalf("%s: %v", c.q, err)
+			}
+			if p.keyOrdered != c.keyOrdered {
+				t.Errorf("%s: keyOrdered = %v, want %v (%s)", c.q, p.keyOrdered, c.keyOrdered, p.placement())
+			}
+			assertPreparedParity(t, tx, sel)
+			got, gerr := execSelect(tx, sel)
+			textual, terr := SelectTextual(tx, sel)
+			naive, nerr := SelectNaive(tx, sel)
+			if gerr != nil || terr != nil || nerr != nil {
+				t.Fatalf("%s: %v / %v / %v", c.q, gerr, terr, nerr)
+			}
+			if !reflect.DeepEqual(got.Columns, naive.Columns) || !sameRows(got.Rows, textual.Rows) || !sameRows(got.Rows, naive.Rows) {
+				t.Errorf("%s: diverges:\n got %v\ntextual %v\n naive %v", c.q, got.Rows, textual.Rows, naive.Rows)
+			}
+			streamed, err := streamSelect(tx, sel, false)
+			if err != nil || !sameRows(streamed, naive.Rows) {
+				t.Errorf("%s: streamed %v (%v), naive %v", c.q, streamed, err, naive.Rows)
+			}
+			pr, err := Prepare(tx, sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range windows {
+				ws := sel
+				ws.Limit, ws.Offset = w[0], w[1]
+				want, werr := SelectNaive(tx, ws)
+				if werr != nil {
+					t.Fatal(werr)
+				}
+				run := preparedResult(tx, pr.Window(w[0], w[1]), nil, nil)
+				if run.err != "" || !sameRows(run.rows, want.Rows) {
+					t.Errorf("%s window %v: prepared %+v, naive %v", c.q, w, run, want.Rows)
+				}
+			}
+			return nil
+		})
+	}
+
+	// The filtered walk must need its second scan: its answer draws on
+	// outer rows past the first LIMIT of them in key order.
+	db.View(func(tx *rdb.Tx) error {
+		first, err := SelectNaive(tx, mustSelect(t, `SELECT id FROM publication ORDER BY title DESC LIMIT 6`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		joined, err := execSelect(tx, mustSelect(t, `SELECT p.id`+pubAuthor+` JOIN team t ON t.id = a.team WHERE a.title IS NOT NULL ORDER BY p.title DESC LIMIT 6`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inFirst := map[int64]bool{}
+		for _, r := range first.Rows {
+			inFirst[r[0].I] = true
+		}
+		beyond := false
+		for _, r := range joined.Rows {
+			beyond = beyond || !inFirst[r[0].I]
+		}
+		if len(joined.Rows) != 6 || !beyond {
+			t.Errorf("filtered walk returned %v from first outer rows %v: the data no longer needs a second scan", joined.Rows, first.Rows)
+		}
+		return nil
+	})
+}
+
+// sameRows compares row lists by their Go syntax, so NaN cells compare
+// by representation; an empty list equals a nil one.
+func sameRows(a, b [][]rdb.Value) bool {
+	return len(a)+len(b) == 0 || fmt.Sprintf("%#v", a) == fmt.Sprintf("%#v", b)
+}
+
 // TestAggregateFloatArithmetic pins SUM/AVG semantics on DOUBLE
 // columns and mixed inputs: integer accumulation switches to the
 // per-value float sum once a float appears, AVG divides as float64.

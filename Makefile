@@ -63,10 +63,11 @@ crash-recovery:
 metamorphic:
 	$(GO) test -run 'TestMetamorphic' -v ./internal/workload
 
-# 100s of native fuzzing across the parser/normalizer targets, the
+# 110s of native fuzzing across the parser/normalizer targets, the
 # prepared-plan executor, the row-cell encoders, the statistics
-# invariant, the sharded publish protocol and the index tries —
-# regressions land in testdata/fuzz/ as seeds.
+# invariant, the sharded publish protocol, the index tries and the
+# DOUBLE/BOOLEAN cell encoding — regressions land in testdata/fuzz/ as
+# seeds.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParseUpdate -fuzztime 10s -run '^$$' ./internal/update
 	$(GO) test -fuzz FuzzParseQuery -fuzztime 10s -run '^$$' ./internal/sparql
@@ -78,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzStatsInvariant -fuzztime 10s -run '^$$' ./internal/rdb
 	$(GO) test -fuzz FuzzShardedPublish -fuzztime 10s -run '^$$' ./internal/rdb
 	$(GO) test -fuzz FuzzIndexOps -fuzztime 10s -run '^$$' ./internal/rdb
+	$(GO) test -fuzz FuzzValueFloatBits -fuzztime 10s -run '^$$' ./internal/rdb
 
 # The benchmark (bench/) is its own module, so `./...` above never
 # builds it: vet and test it against the program it links.

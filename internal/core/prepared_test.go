@@ -197,7 +197,7 @@ func otherClassVals(vals []rdb.Value) [][]rdb.Value {
 		case rdb.KInt:
 			alts = []rdb.Value{rdb.String_(v.Text() + "x"), rdb.Float(float64(v.I) + 0.5), rdb.Float(float64(v.I))}
 		case rdb.KFloat:
-			alts = []rdb.Value{rdb.String_(v.Text()), rdb.Int(int64(v.F))}
+			alts = []rdb.Value{rdb.String_(v.Text()), rdb.Int(int64(v.F()))}
 		case rdb.KString:
 			alts = []rdb.Value{rdb.Int(int64(len(v.S))), rdb.Bool(true)}
 		}

@@ -68,3 +68,30 @@ func TestStreamedScanAllocs(t *testing.T) {
 		t.Errorf("full-scan response: %v allocs, ceiling 100", full)
 	}
 }
+
+// BenchmarkServeScan serves the benchmark's scan_stream whole-table
+// read — every author's first name, family name and mailbox as JSON,
+// about 25,000 rows from bigMediator — through ServeHTTP into a
+// discarding writer, so it times the executor, the cell encoders and
+// the JSON writer with no socket. Run it with
+// `go test -run '^$' -bench ServeScan ./internal/endpoint`.
+func BenchmarkServeScan(b *testing.B) {
+	m, err := bigMediator()
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := New(m)
+	const q = `SELECT ?x ?f ?l ?m WHERE { ?x foaf:firstName ?f ; foaf:family_name ?l ; foaf:mbox ?m . }`
+	req := httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(workload.Prologue+q), nil)
+	req.Header.Set("Accept", "application/sparql-results+json")
+	w := &discardResponse{h: http.Header{}}
+	s.ServeHTTP(w, req) // compile and memoize the plan
+	if w.bytes < 1<<20 {
+		b.Fatalf("scan answered %d bytes, want the whole table", w.bytes)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ServeHTTP(w, req)
+	}
+}

@@ -3,6 +3,7 @@ package rdb
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -317,6 +318,61 @@ func TestDiffStructural(t *testing.T) {
 	}
 	if !reflect.DeepEqual(d.TablesAdded, []string{"grp"}) || len(d.Tables) != 0 {
 		t.Fatalf("DDL diff = %+v, want table grp added", d)
+	}
+}
+
+// TestDiffDoubleCells: Diff compares DOUBLE cells as float64 values,
+// not by the bits a Value stores. A row rewritten from 0.0 to -0.0 is
+// unchanged, a row rewritten from NaN to the same NaN is updated (NaN
+// equals nothing), and a row rewritten to the same number is unchanged.
+func TestDiffDoubleCells(t *testing.T) {
+	db := NewDatabase("diffdouble")
+	if err := db.CreateTable(&TableSchema{
+		Name: "fv",
+		Columns: []Column{
+			{Name: "id", Type: TInt, NotNull: true},
+			{Name: "x", Type: TFloat},
+		},
+		PrimaryKey: []string{"id"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before := []float64{0.0, math.NaN(), 1.5}
+	after := []float64{math.Copysign(0, -1), math.NaN(), 1.5}
+	put := func(xs []float64, insert bool) {
+		t.Helper()
+		if err := db.Update(func(tx *Tx) error {
+			for i, x := range xs {
+				id := Int(int64(i + 1))
+				if insert {
+					if err := tx.Insert("fv", map[string]Value{"id": id, "x": Float(x)}); err != nil {
+						return err
+					}
+					continue
+				}
+				rid, _, _, err := tx.LookupPK("fv", []Value{id})
+				if err != nil {
+					return err
+				}
+				if err := tx.UpdateByID("fv", rid, map[string]Value{"x": Float(x)}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, "fv"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(before, true)
+	from := db.SnapshotVersion()
+	put(after, false)
+	d, err := db.Diff(ReadTarget{AsOf: from}, ReadTarget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []TableDiff{{Table: "fv", Updated: 1, SampleKeys: []string{"2"}}}
+	if !reflect.DeepEqual(d.Tables, want) {
+		t.Fatalf("diff = %+v, want %+v", d.Tables, want)
 	}
 }
 

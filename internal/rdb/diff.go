@@ -107,11 +107,21 @@ func rowsEqual(a, b []Value) bool {
 		return true
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if !sameCell(a[i], b[i]) {
 			return false
 		}
 	}
 	return true
+}
+
+// sameCell reports whether two stored values are the same cell. A
+// DOUBLE compares as a float64, not by its bits in I: -0.0 equals 0.0
+// and a NaN equals nothing, so rewriting a NaN counts as a change.
+func sameCell(a, b Value) bool {
+	if a.Kind == KFloat && b.Kind == KFloat {
+		return a.F() == b.F()
+	}
+	return a == b
 }
 
 // diffTableRows reports every row id whose tuple differs between the

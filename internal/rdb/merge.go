@@ -233,7 +233,7 @@ func schemasEqual(a, b *TableSchema) bool {
 		if (ca.Default == nil) != (cb.Default == nil) {
 			return false
 		}
-		if ca.Default != nil && *ca.Default != *cb.Default {
+		if ca.Default != nil && !sameCell(*ca.Default, *cb.Default) {
 			return false
 		}
 	}

@@ -502,11 +502,11 @@ func appendValue(b []byte, v Value) []byte {
 	case KInt:
 		b = binary.AppendVarint(b, v.I)
 	case KFloat:
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.F))
+		b = binary.LittleEndian.AppendUint64(b, uint64(v.I)) // the IEEE bits, as stored
 	case KString:
 		b = appendString(b, v.S)
 	case KBool:
-		if v.B {
+		if v.B() {
 			b = append(b, 1)
 		} else {
 			b = append(b, 0)

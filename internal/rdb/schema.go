@@ -160,7 +160,7 @@ func checkType(v Value, c *Column) error {
 	case TInt:
 		if v.Kind != KInt {
 			// Integral floats coerce.
-			if v.Kind == KFloat && v.F == float64(int64(v.F)) {
+			if v.Kind == KFloat && v.F() == float64(int64(v.F())) {
 				return nil
 			}
 			return fmt.Errorf("value %s is not an INTEGER", v)
@@ -193,7 +193,7 @@ func coerce(v Value, c *Column) Value {
 	switch c.Type {
 	case TInt:
 		if v.Kind == KFloat {
-			return Int(int64(v.F))
+			return Int(int64(v.F()))
 		}
 	case TFloat:
 		if v.Kind == KInt {

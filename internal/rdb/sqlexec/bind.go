@@ -190,7 +190,7 @@ func (p prog) eval(b bexpr, e env) (rdb.Value, error) {
 		case rdb.KInt:
 			return rdb.Int(-v.I), nil
 		case rdb.KFloat:
-			return rdb.Float(-v.F), nil
+			return rdb.Float(-v.F()), nil
 		}
 		return rdb.Null, fmt.Errorf("sqlexec: cannot negate %s", v.Kind)
 	case bNot:
@@ -204,7 +204,7 @@ func (p prog) eval(b bexpr, e env) (rdb.Value, error) {
 		if v.Kind != rdb.KBool {
 			return rdb.Null, fmt.Errorf("sqlexec: NOT applied to %s", v.Kind)
 		}
-		return rdb.Bool(!v.B), nil
+		return rdb.Bool(!v.B()), nil
 	case bIsNull:
 		v, err := p.arg(n.l, e)
 		if err != nil {
@@ -331,9 +331,19 @@ func (p prog) evalBinary(n *bnode, e env) (rdb.Value, error) {
 }
 
 // holds reports whether every condition is true on the row; the first
-// evaluation error wins.
+// evaluation error wins. A column's IS [NOT] NULL, most of a BGP
+// scan's WHERE, reads the slot's kind in place: it cannot fail, so
+// the conditions still run in order and the same error wins.
 func (p prog) holds(conds []bexpr, e env) (bool, error) {
 	for _, c := range conds {
+		if n := &p[c]; n.kind == bIsNull {
+			if l := &p[n.l]; l.kind == bCol {
+				if (e[l.ti][l.ci].Kind == rdb.KNull) == n.negate {
+					return false, nil
+				}
+				continue
+			}
+		}
 		v, err := p.arg(c, e)
 		if err != nil || !isTrue(v) {
 			return false, err
@@ -344,12 +354,12 @@ func (p prog) holds(conds []bexpr, e env) (bool, error) {
 
 func boolOf(v rdb.Value) (bool, bool) {
 	if v.Kind == rdb.KBool {
-		return v.B, true
+		return v.B(), true
 	}
 	return false, false
 }
 
-func isTrue(v rdb.Value) bool { return v.Kind == rdb.KBool && v.B }
+func isTrue(v rdb.Value) bool { return v.Kind == rdb.KBool && v.B() }
 
 // projection is a bound SELECT list: output column names and one
 // bound expression per column (SELECT * expands to column slots).

@@ -363,8 +363,8 @@ func probeKey(v rdb.Value, t rdb.ColType) (rdb.Value, bool) {
 		case rdb.KInt:
 			return v, true
 		case rdb.KFloat:
-			if v.F == float64(int64(v.F)) {
-				return rdb.Int(int64(v.F)), true
+			if v.F() == float64(int64(v.F())) {
+				return rdb.Int(int64(v.F())), true
 			}
 			return rdb.Null, false
 		}
@@ -409,7 +409,7 @@ func hashKey(v rdb.Value, class int) (string, bool) {
 		if v.Kind != rdb.KBool {
 			return "", false
 		}
-		if v.B {
+		if v.B() {
 			return "t", true
 		}
 		return "f", true
@@ -1608,17 +1608,23 @@ func (x *selExec) finish() (*ResultSet, error) {
 		}
 	}
 	rs := &ResultSet{Columns: x.cols, Rows: x.rows}
-	if x.offset > 0 {
-		if x.offset >= len(rs.Rows) {
-			rs.Rows = nil
-		} else {
-			rs.Rows = rs.Rows[x.offset:]
-		}
-	}
-	if x.limit >= 0 && x.limit < len(rs.Rows) {
-		rs.Rows = rs.Rows[:x.limit]
-	}
+	rs.window(x.limit, x.offset)
 	return rs, nil
+}
+
+// window slices the rows to OFFSET/LIMIT (limit < 0: none). Every
+// executor's non-aggregate result ends here, so an empty result's Rows
+// is nil whichever of them produced it.
+func (rs *ResultSet) window(limit, offset int) {
+	if offset > 0 {
+		rs.Rows = rs.Rows[min(offset, len(rs.Rows)):]
+	}
+	if limit >= 0 && limit < len(rs.Rows) {
+		rs.Rows = rs.Rows[:limit]
+	}
+	if len(rs.Rows) == 0 {
+		rs.Rows = nil
+	}
 }
 
 // step produces the rows of step si and recurses; it returns false to
@@ -2164,7 +2170,7 @@ func (a *aggregator) add(e env) error {
 				acc.sumF += float64(v.I)
 			case rdb.KFloat:
 				acc.isF = true
-				acc.sumF += v.F
+				acc.sumF += v.F()
 			default:
 				return fmt.Errorf("sqlexec: %s requires numeric values, got %s", aggName(it.fn), v.Kind)
 			}
@@ -2238,6 +2244,9 @@ group:
 			}
 		}
 		rows = append(rows, row[:a.p.vis])
+	}
+	if len(rows) == 0 {
+		return nil // an empty result's Rows is nil, as window leaves it
 	}
 	return rows
 }
@@ -2560,16 +2569,7 @@ func SelectNaive(tx *rdb.Tx, st sqlparser.Select) (*ResultSet, error) {
 		}
 		rs.Rows = kept
 	}
-	if st.Offset > 0 {
-		if st.Offset >= len(rs.Rows) {
-			rs.Rows = nil
-		} else {
-			rs.Rows = rs.Rows[st.Offset:]
-		}
-	}
-	if st.Limit >= 0 && st.Limit < len(rs.Rows) {
-		rs.Rows = rs.Rows[:st.Limit]
-	}
+	rs.window(st.Limit, st.Offset)
 	return rs, nil
 }
 

@@ -693,6 +693,14 @@ func TestKeyOrderedLimitMatchesBaseline(t *testing.T) {
 			if !reflect.DeepEqual(got.Columns, naive.Columns) || !sameRows(got.Rows, textual.Rows) || !sameRows(got.Rows, naive.Rows) {
 				t.Errorf("%s: diverges:\n got %v\ntextual %v\n naive %v", c.q, got.Rows, textual.Rows, naive.Rows)
 			}
+			// The whole ResultSets agree too, and an empty window (the
+			// LIMIT 0 and OFFSET 1000 joins) is nil Rows from every executor.
+			if !reflect.DeepEqual(got, naive) || !reflect.DeepEqual(textual, naive) {
+				t.Errorf("%s: result sets differ:\n got %#v\ntextual %#v\n naive %#v", c.q, got, textual, naive)
+			}
+			if len(naive.Rows) == 0 && naive.Rows != nil {
+				t.Errorf("%s: empty result has non-nil Rows %#v", c.q, naive.Rows)
+			}
 			streamed, err := streamSelect(tx, sel, false)
 			if err != nil || !sameRows(streamed, naive.Rows) {
 				t.Errorf("%s: streamed %v (%v), naive %v", c.q, streamed, err, naive.Rows)
@@ -744,9 +752,9 @@ func TestKeyOrderedLimitMatchesBaseline(t *testing.T) {
 }
 
 // sameRows compares row lists by their Go syntax, so NaN cells compare
-// by representation; an empty list equals a nil one.
+// by representation and an empty list differs from a nil one.
 func sameRows(a, b [][]rdb.Value) bool {
-	return len(a)+len(b) == 0 || fmt.Sprintf("%#v", a) == fmt.Sprintf("%#v", b)
+	return fmt.Sprintf("%#v", a) == fmt.Sprintf("%#v", b)
 }
 
 // TestAggregateFloatArithmetic pins SUM/AVG semantics on DOUBLE

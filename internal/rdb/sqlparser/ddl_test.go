@@ -71,7 +71,7 @@ CREATE TABLE alltypes (
 		t.Errorf("VARCHAR length = %d", d.Length)
 	}
 	i, _ := s.Column("i")
-	if i.Default == nil || i.Default.Kind != rdb.KBool || !i.Default.B {
+	if i.Default == nil || i.Default.Kind != rdb.KBool || !i.Default.B() {
 		t.Errorf("default = %+v", i.Default)
 	}
 }

@@ -10,10 +10,16 @@
 // The SQL front-end lives in the sub-packages sqlparser (lexer,
 // parser, statement AST) and sqlexec (statement execution against
 // this engine); this package is the storage and constraint kernel.
+//
+// A cell is a Value: a kind tag and two payload words, 32 bytes on a
+// 64-bit machine. INTEGER lives in I, VARCHAR in S, and DOUBLE and
+// BOOLEAN share I as well (IEEE-754 bits and 0/1), so stored rows,
+// executor environments and projected rows copy no unused payload.
 package rdb
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -46,15 +52,18 @@ func (k ValueKind) String() string {
 	return "?"
 }
 
-// Value is a SQL runtime value. It is a comparable value type with
-// normalized representation (only the field matching Kind is set), so
-// it can serve directly as an index key.
+// Value is a SQL runtime value. Only the payload that Kind selects is
+// set: I holds an INTEGER, a DOUBLE's IEEE-754 bits (read them with F)
+// or a BOOLEAN as 0/1 (read it with B); S holds a VARCHAR. Build
+// DOUBLE and BOOLEAN values with Float and Bool only.
+//
+// Go's == on two Values compares DOUBLE bits, so it calls -0.0 and
+// 0.0 different and a NaN equal to itself; SQL equality is Equal, and
+// index keys go through KeyOf, which folds -0.0 into 0.0.
 type Value struct {
 	Kind ValueKind
 	I    int64
-	F    float64
 	S    string
-	B    bool
 }
 
 // Null is the SQL NULL value.
@@ -64,14 +73,27 @@ var Null = Value{}
 func Int(v int64) Value { return Value{Kind: KInt, I: v} }
 
 // Float returns a DOUBLE value.
-func Float(v float64) Value { return Value{Kind: KFloat, F: v} }
+func Float(v float64) Value { return Value{Kind: KFloat, I: int64(math.Float64bits(v))} }
 
 // String_ returns a VARCHAR value. (Named with a trailing underscore
 // because String is the Stringer method.)
 func String_(v string) Value { return Value{Kind: KString, S: v} }
 
 // Bool returns a BOOLEAN value.
-func Bool(v bool) Value { return Value{Kind: KBool, B: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{Kind: KBool, I: 1}
+	}
+	return Value{Kind: KBool}
+}
+
+// F returns a DOUBLE's float64, bit for bit as Float stored it. On a
+// value of another kind it is meaningless.
+func (v Value) F() float64 { return math.Float64frombits(uint64(v.I)) }
+
+// B returns a BOOLEAN's truth. On a value of another kind it is
+// meaningless.
+func (v Value) B() bool { return v.I != 0 }
 
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return v.Kind == KNull }
@@ -84,11 +106,11 @@ func (v Value) String() string {
 	case KInt:
 		return strconv.FormatInt(v.I, 10)
 	case KFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.F(), 'g', -1, 64)
 	case KString:
 		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
 	case KBool:
-		if v.B {
+		if v.B() {
 			return "TRUE"
 		}
 		return "FALSE"
@@ -110,8 +132,8 @@ func (v Value) AsInt() (int64, error) {
 	case KInt:
 		return v.I, nil
 	case KFloat:
-		if v.F == float64(int64(v.F)) {
-			return int64(v.F), nil
+		if v.F() == float64(int64(v.F())) {
+			return int64(v.F()), nil
 		}
 	}
 	return 0, fmt.Errorf("rdb: %s is not an integer", v)
@@ -123,7 +145,7 @@ func (v Value) AsFloat() (float64, error) {
 	case KInt:
 		return float64(v.I), nil
 	case KFloat:
-		return v.F, nil
+		return v.F(), nil
 	}
 	return 0, fmt.Errorf("rdb: %s is not numeric", v)
 }
@@ -154,9 +176,9 @@ func Compare(a, b Value) (int, error) {
 		return strings.Compare(a.S, b.S), nil
 	case KBool:
 		switch {
-		case !a.B && b.B:
+		case !a.B() && b.B():
 			return -1, nil
-		case a.B && !b.B:
+		case a.B() && !b.B():
 			return 1, nil
 		}
 		return 0, nil
@@ -196,7 +218,7 @@ func encodeKey(vals []Value) string {
 			b.WriteString(strconv.FormatInt(v.I, 10))
 		case KFloat:
 			b.WriteByte('f')
-			f := v.F
+			f := v.F()
 			if f == 0 {
 				f = 0 // -0.0 keys like 0.0: Compare treats them as equal
 			}
@@ -205,7 +227,7 @@ func encodeKey(vals []Value) string {
 			b.WriteByte('s')
 			b.WriteString(v.S)
 		case KBool:
-			if v.B {
+			if v.B() {
 				b.WriteByte('t')
 			} else {
 				b.WriteByte('b')

@@ -229,9 +229,9 @@ func appendText(b []byte, v rdb.Value) []byte {
 	case rdb.KInt:
 		return strconv.AppendInt(b, v.I, 10)
 	case rdb.KFloat:
-		return strconv.AppendFloat(b, v.F, 'g', -1, 64)
+		return strconv.AppendFloat(b, v.F(), 'g', -1, 64)
 	case rdb.KBool:
-		if v.B {
+		if v.B() {
 			return append(b, "TRUE"...)
 		}
 		return append(b, "FALSE"...)

@@ -332,23 +332,20 @@ func TestQueryExecStats(t *testing.T) {
 	}
 }
 
-// TestSpecSelectMatchesParsedText is the structural-parity anchor of
-// the SQL text: no read path parses it back, so lowering a bound spec
-// through specSelect must produce exactly the AST the parser builds
-// from the rendered text — what the mediator executes is what it
-// reports. Runs over every structural plan shape: the parameterized
-// parity cases, each UNION branch, aggregates with GROUP BY / HAVING,
-// OPTIONAL attribute reads and foreign-key hops, OR and arithmetic
-// filters, and the uncompiled MODIFY WHERE.
-func TestSpecSelectMatchesParsedText(t *testing.T) {
-	m := paperMediator(t, Options{})
-	mustExec(t, m, listing15)
-	events := eventMediator(t, Options{})
-	type anchorCase struct {
-		name, src string
-		m         *Mediator
-		templates int
-	}
+// anchorCase is one structural plan shape of the SQL-text anchor: a
+// query, the mediator it compiles on and its SELECT template count.
+type anchorCase struct {
+	name, src string
+	m         *Mediator
+	templates int
+}
+
+// anchorCases lists every structural plan shape the SQL-text anchor
+// covers: the parameterized parity cases, each UNION branch,
+// aggregates with GROUP BY / HAVING, OPTIONAL attribute reads and
+// foreign-key hops, OR and arithmetic filters. m serves the paper
+// data, events the datatyped event fixture.
+func anchorCases(m, events *Mediator) []anchorCase {
 	var cases []anchorCase
 	for _, tc := range queryParityCases {
 		cases = append(cases, anchorCase{tc.name, paperPrologue + tc.q, m, 1})
@@ -376,6 +373,21 @@ func TestSpecSelectMatchesParsedText(t *testing.T) {
 			cases = append(cases, anchorCase{"having: " + tc.name, eventPrologue + tc.q, events, 1})
 		}
 	}
+	return cases
+}
+
+// TestSpecSelectMatchesParsedText is the structural-parity anchor of
+// the SQL text: no read path parses it back, so lowering a bound spec
+// through specSelect must produce exactly the AST the parser builds
+// from the rendered text — what the mediator executes is what it
+// reports. Runs over every structural plan shape: the parameterized
+// parity cases, each UNION branch, aggregates with GROUP BY / HAVING,
+// OPTIONAL attribute reads and foreign-key hops, OR and arithmetic
+// filters, and the uncompiled MODIFY WHERE.
+func TestSpecSelectMatchesParsedText(t *testing.T) {
+	m := paperMediator(t, Options{})
+	mustExec(t, m, listing15)
+	cases := anchorCases(m, eventMediator(t, Options{}))
 	for _, tc := range cases {
 		q, err := sparql.ParseQuery(tc.src)
 		if err != nil {

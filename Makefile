@@ -35,14 +35,16 @@ allocs:
 	$(GO) test -run 'Allocs|Footprint' ./internal/core ./internal/rdb ./internal/rdb/sqlexec ./internal/endpoint
 
 # Coverage gates: the translation core, the SQL executor (the
-# compiled read path's engine), the write-ahead log, the storage
-# engine (statistics included) and the SPARQL engine (aggregation
-# included) must all stay above 70%.
+# compiled read path's engine), the SQL parser and its SELECT printer,
+# the write-ahead log, the storage engine (statistics included) and
+# the SPARQL engine (aggregation included) must all stay above 70%.
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/core
 	@$(GO) tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $$3); if ($$3+0 < 70) { printf "core coverage %.1f%% is below the 70%% gate\n", $$3; exit 1 } else printf "core coverage %.1f%% (gate 70%%)\n", $$3 }'
 	$(GO) test -coverprofile=cover.out ./internal/rdb/sqlexec
 	@$(GO) tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $$3); if ($$3+0 < 70) { printf "sqlexec coverage %.1f%% is below the 70%% gate\n", $$3; exit 1 } else printf "sqlexec coverage %.1f%% (gate 70%%)\n", $$3 }'
+	$(GO) test -coverprofile=cover.out ./internal/rdb/sqlparser
+	@$(GO) tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $$3); if ($$3+0 < 70) { printf "sqlparser coverage %.1f%% is below the 70%% gate\n", $$3; exit 1 } else printf "sqlparser coverage %.1f%% (gate 70%%)\n", $$3 }'
 	$(GO) test -coverprofile=cover.out ./internal/rdb/wal
 	@$(GO) tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $$3); if ($$3+0 < 70) { printf "wal coverage %.1f%% is below the 70%% gate\n", $$3; exit 1 } else printf "wal coverage %.1f%% (gate 70%%)\n", $$3 }'
 	$(GO) test -coverprofile=cover.out ./internal/rdb

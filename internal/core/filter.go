@@ -8,9 +8,9 @@ import (
 
 	"ontoaccess/internal/rdb"
 	"ontoaccess/internal/rdb/sqlexec"
+	"ontoaccess/internal/rdb/sqlparser"
 	"ontoaccess/internal/rdf"
 	"ontoaccess/internal/sparql"
-	"ontoaccess/internal/sqlgen"
 )
 
 // This file lowers SPARQL FILTER constraints and solution modifiers
@@ -281,8 +281,7 @@ func filterableBinding(b varBinding) (*rdb.Column, bool) {
 
 // filterNumericValue converts a numeric literal's lexical form into a
 // comparable engine value, mirroring SPARQL's float promotion
-// (rdf.Term.AsFloat). Integral values normalize to INTEGER so the
-// rendered SQL re-parses to the same AST the plan lowers directly.
+// (rdf.Term.AsFloat). Integral values normalize to INTEGER.
 func filterNumericValue(lex string) (rdb.Value, bool) {
 	s := strings.TrimSpace(lex)
 	if v, err := strconv.ParseInt(s, 10, 64); err == nil {
@@ -327,10 +326,14 @@ func filterCanonValue(lex string, col *rdb.Column) (rdb.Value, bool) {
 
 // ---- translation ----------------------------------------------------
 
-var sparqlToCmp = map[sparql.BinOp]sqlgen.CmpOp{
-	sparql.OpEq: sqlgen.CmpEq, sparql.OpNe: sqlgen.CmpNe,
-	sparql.OpLt: sqlgen.CmpLt, sparql.OpLe: sqlgen.CmpLe,
-	sparql.OpGt: sqlgen.CmpGt, sparql.OpGe: sqlgen.CmpGe,
+// sparqlToSQL maps the comparison and arithmetic operators a FILTER or
+// HAVING lowers onto the SQL AST's.
+var sparqlToSQL = map[sparql.BinOp]sqlparser.BinOp{
+	sparql.OpEq: sqlparser.OpEq, sparql.OpNe: sqlparser.OpNe,
+	sparql.OpLt: sqlparser.OpLt, sparql.OpLe: sqlparser.OpLe,
+	sparql.OpGt: sqlparser.OpGt, sparql.OpGe: sqlparser.OpGe,
+	sparql.OpAdd: sqlparser.OpAdd, sparql.OpSub: sqlparser.OpSub,
+	sparql.OpMul: sqlparser.OpMul, sparql.OpDiv: sqlparser.OpDiv,
 }
 
 // addFilters lowers the group's FILTER constraints into WHERE
@@ -363,18 +366,18 @@ func (tr *translator) addFilterCond(fi int, c filterCond) error {
 		if tr.comp != nil {
 			return fmt.Errorf("core: FILTER disjunction in a parameterized plan")
 		}
-		or := make([]sqlgen.WhereSpec, 0, len(c.alts))
+		or := make([]sqlparser.Expr, 0, len(c.alts))
 		for _, alt := range c.alts {
-			w, err := tr.filterCondSpec(fi, alt)
+			w, err := tr.filterCmp(fi, alt)
 			if err != nil {
 				return err
 			}
 			or = append(or, w)
 		}
-		tr.wheres = append(tr.wheres, sqlgen.WhereSpec{Or: or})
+		tr.wheres = append(tr.wheres, chain(sqlparser.OpOr, or))
 		return nil
 	}
-	w, err := tr.filterCondSpec(fi, c)
+	w, err := tr.filterCmp(fi, c)
 	if err != nil {
 		return err
 	}
@@ -382,16 +385,15 @@ func (tr *translator) addFilterCond(fi int, c filterCond) error {
 	return nil
 }
 
-// filterCondSpec lowers one simple comparison conjunct to a WHERE
+// filterCmp lowers one simple comparison conjunct to a WHERE
 // condition, proving SQL evaluation decides like SPARQL first.
-func (tr *translator) filterCondSpec(fi int, c filterCond) (sqlgen.WhereSpec, error) {
+func (tr *translator) filterCmp(fi int, c filterCond) (sqlparser.Expr, error) {
 	if c.l.arith != nil || c.r.arith != nil {
-		return tr.filterArithSpec(c)
+		return tr.filterArith(c)
 	}
-	none := sqlgen.WhereSpec{}
 	lb, ok := tr.bind[c.l.v]
 	if !ok {
-		return none, fmt.Errorf("core: FILTER uses unbound variable ?%s", c.l.v)
+		return nil, fmt.Errorf("core: FILTER uses unbound variable ?%s", c.l.v)
 	}
 	if lb.nullable {
 		// Possibly-unbound (OPTIONAL) variables stay uncompiled: SPARQL
@@ -399,26 +401,26 @@ func (tr *translator) filterCondSpec(fi int, c filterCond) (sqlgen.WhereSpec, er
 		// only after the optional has already extended it, a two-stage
 		// semantics the single WHERE clause cannot reproduce for every
 		// placement.
-		return none, fmt.Errorf("core: FILTER on optional variable ?%s is not translatable", c.l.v)
+		return nil, fmt.Errorf("core: FILTER on optional variable ?%s is not translatable", c.l.v)
 	}
 	lcol, ok := filterableBinding(lb)
 	if !ok {
-		return none, fmt.Errorf("core: FILTER variable ?%s is not a comparable data attribute", c.l.v)
+		return nil, fmt.Errorf("core: FILTER variable ?%s is not a comparable data attribute", c.l.v)
 	}
 	ordered := c.op != sparql.OpEq && c.op != sparql.OpNe
-	column := lb.alias + "." + lb.col
+	column, op := lb.colRef(), sparqlToSQL[c.op]
 
 	if c.r.isVar {
 		rb, ok := tr.bind[c.r.v]
 		if !ok {
-			return none, fmt.Errorf("core: FILTER uses unbound variable ?%s", c.r.v)
+			return nil, fmt.Errorf("core: FILTER uses unbound variable ?%s", c.r.v)
 		}
 		if rb.nullable {
-			return none, fmt.Errorf("core: FILTER on optional variable ?%s is not translatable", c.r.v)
+			return nil, fmt.Errorf("core: FILTER on optional variable ?%s is not translatable", c.r.v)
 		}
 		rcol, ok := filterableBinding(rb)
 		if !ok {
-			return none, fmt.Errorf("core: FILTER variable ?%s is not a comparable data attribute", c.r.v)
+			return nil, fmt.Errorf("core: FILTER variable ?%s is not a comparable data attribute", c.r.v)
 		}
 		// Equal decode datatypes collapse SPARQL term *identity* to
 		// value comparison on both sides; the classes must agree for
@@ -431,7 +433,7 @@ func (tr *translator) filterCondSpec(fi int, c filterCond) (sqlgen.WhereSpec, er
 		// order lexically exactly like the stored booleans).
 		cls := colClass(lcol.Type)
 		if cls == 0 || cls != colClass(rcol.Type) || lb.am.Datatype != rb.am.Datatype {
-			return none, fmt.Errorf("core: FILTER compares incomparable attributes")
+			return nil, fmt.Errorf("core: FILTER compares incomparable attributes")
 		}
 		if cls == 1 && !numericDatatype(lb.am.Datatype) {
 			// Numeric storage with lexically decoding terms: SPARQL
@@ -439,7 +441,7 @@ func (tr *translator) filterCondSpec(fi int, c filterCond) (sqlgen.WhereSpec, er
 			// goes through float64, which collapses distinct integers
 			// beyond 2^53 — the comparison semantics cannot be proven
 			// equal for any operator.
-			return none, fmt.Errorf("core: FILTER compares numerically stored but lexically decoded attributes")
+			return nil, fmt.Errorf("core: FILTER compares numerically stored but lexically decoded attributes")
 		}
 		if ordered {
 			dt := lb.am.Datatype
@@ -447,59 +449,55 @@ func (tr *translator) filterCondSpec(fi int, c filterCond) (sqlgen.WhereSpec, er
 				(cls == 2 && (stringishDatatype(dt) || dateDatatype(dt))) ||
 				(cls == 3 && stringishDatatype(dt))
 			if !orderable {
-				return none, fmt.Errorf("core: FILTER orders attributes SPARQL cannot order")
+				return nil, fmt.Errorf("core: FILTER orders attributes SPARQL cannot order")
 			}
 		}
-		return sqlgen.WhereSpec{
-			Column: column, OtherColumn: rb.alias + "." + rb.col, Op: sparqlToCmp[c.op],
-		}, nil
+		return sqlparser.Binary{Op: op, Left: column, Right: rb.colRef()}, nil
 	}
 
 	t := c.r.term
 	if t.Lang != "" {
-		return none, fmt.Errorf("core: FILTER against a language-tagged literal is not translatable")
+		return nil, fmt.Errorf("core: FILTER against a language-tagged literal is not translatable")
 	}
 	var conv convKind
 	switch {
 	case t.IsNumeric():
 		if colClass(lcol.Type) != 1 || !numericDatatype(lb.am.Datatype) {
-			return none, fmt.Errorf("core: FILTER compares a numeric constant with a non-numeric attribute")
+			return nil, fmt.Errorf("core: FILTER compares a numeric constant with a non-numeric attribute")
 		}
 		conv = convFilterNum
 	case stringishDatatype(t.Datatype):
 		if !stringishDatatype(lb.am.Datatype) {
-			return none, fmt.Errorf("core: FILTER compares a string constant with a typed attribute")
+			return nil, fmt.Errorf("core: FILTER compares a string constant with a typed attribute")
 		}
 		if ordered && colClass(lcol.Type) != 2 {
-			return none, fmt.Errorf("core: FILTER orders a non-string column lexically")
+			return nil, fmt.Errorf("core: FILTER orders a non-string column lexically")
 		}
 		conv = convFilterCanon
 	case dateDatatype(t.Datatype):
 		if lb.am.Datatype != t.Datatype || colClass(lcol.Type) != 2 {
-			return none, fmt.Errorf("core: FILTER compares a date constant with a non-matching attribute")
+			return nil, fmt.Errorf("core: FILTER compares a date constant with a non-matching attribute")
 		}
 		conv = convFilterCanon
 	default:
-		return none, fmt.Errorf("core: FILTER constant %s is not translatable", t)
+		return nil, fmt.Errorf("core: FILTER constant %s is not translatable", t)
 	}
 
 	if tr.comp != nil {
 		if segs := tr.comp.filterSegs(fi); segs != nil {
 			src := valueSrc{segs: segs, raw: t.Value, conv: conv, col: lcol}
-			return sqlgen.WhereSpec{
-				Column: column, Op: sparqlToCmp[c.op], Param: tr.comp.addSrc(src),
-			}, nil
+			return sqlparser.Binary{Op: op, Left: column, Right: tr.comp.addSrc(src)}, nil
 		}
 	}
 	src := valueSrc{raw: t.Value, conv: conv, col: lcol}
 	v, err := tr.m.bindValue(&src, "", nil)
 	if err != nil {
-		return none, fmt.Errorf("core: FILTER constant %s does not convert canonically", t)
+		return nil, fmt.Errorf("core: FILTER constant %s does not convert canonically", t)
 	}
-	return sqlgen.WhereSpec{Column: column, Op: sparqlToCmp[c.op], Value: v}, nil
+	return sqlparser.Binary{Op: op, Left: column, Right: sqlparser.Lit{Value: v}}, nil
 }
 
-// filterArithSpec lowers a comparison with arithmetic on either side.
+// filterArith lowers a comparison with arithmetic on either side.
 // The equivalence proof is all-numeric: every variable must be a
 // numerically stored, numerically decoding attribute and every
 // constant a finite numeric literal, so both engines evaluate the
@@ -511,23 +509,22 @@ func (tr *translator) filterCondSpec(fi int, c filterCond) (sqlgen.WhereSpec, er
 // WHERE error aborts the query, so only provably infallible
 // arithmetic may lower (the same proof that keeps the executor's
 // pushdown analysis on the fast path).
-func (tr *translator) filterArithSpec(c filterCond) (sqlgen.WhereSpec, error) {
-	none := sqlgen.WhereSpec{}
+func (tr *translator) filterArith(c filterCond) (sqlparser.Expr, error) {
 	if tr.comp != nil {
 		// Arithmetic constants sit inside expression structure the
 		// normalizer cannot parameterize; normalizeFilters refuses them,
 		// so parameterized plans never contain one.
-		return none, fmt.Errorf("core: FILTER arithmetic in a parameterized plan")
+		return nil, fmt.Errorf("core: FILTER arithmetic in a parameterized plan")
 	}
 	l, err := tr.arithOperand(arithSideOf(c.l))
 	if err != nil {
-		return none, err
+		return nil, err
 	}
 	r, err := tr.arithOperand(arithSideOf(c.r))
 	if err != nil {
-		return none, err
+		return nil, err
 	}
-	return sqlgen.WhereSpec{LeftExpr: l, RightExpr: r, Op: sparqlToCmp[c.op]}, nil
+	return sqlparser.Binary{Op: sparqlToSQL[c.op], Left: l, Right: r}, nil
 }
 
 // arithSideOf views a comparison side as an arithmetic tree: plain
@@ -540,12 +537,7 @@ func arithSideOf(s filterSide) *filterArith {
 	return &filterArith{leaf: s}
 }
 
-var sparqlToArith = map[sparql.BinOp]sqlgen.ArithOp{
-	sparql.OpAdd: sqlgen.ArithAdd, sparql.OpSub: sqlgen.ArithSub,
-	sparql.OpMul: sqlgen.ArithMul, sparql.OpDiv: sqlgen.ArithDiv,
-}
-
-func (tr *translator) arithOperand(a *filterArith) (*sqlgen.ArithSpec, error) {
+func (tr *translator) arithOperand(a *filterArith) (sqlparser.Expr, error) {
 	if a.op != 0 {
 		l, err := tr.arithOperand(a.l)
 		if err != nil {
@@ -556,14 +548,15 @@ func (tr *translator) arithOperand(a *filterArith) (*sqlgen.ArithSpec, error) {
 			return nil, err
 		}
 		if a.op == sparql.OpDiv {
-			if r.Op != 0 || r.Column != "" {
+			divisor, ok := r.(sqlparser.Lit)
+			if !ok {
 				return nil, fmt.Errorf("core: FILTER division by a non-constant is not translatable")
 			}
-			if f, err := r.Value.AsFloat(); err != nil || f == 0 {
+			if f, err := divisor.Value.AsFloat(); err != nil || f == 0 {
 				return nil, fmt.Errorf("core: FILTER division by zero is not translatable")
 			}
 		}
-		return &sqlgen.ArithSpec{Op: sparqlToArith[a.op], Left: l, Right: r}, nil
+		return sqlparser.Binary{Op: sparqlToSQL[a.op], Left: l, Right: r}, nil
 	}
 	s := a.leaf
 	if s.isVar {
@@ -581,7 +574,7 @@ func (tr *translator) arithOperand(a *filterArith) (*sqlgen.ArithSpec, error) {
 		if colClass(col.Type) != 1 || !numericDatatype(b.am.Datatype) {
 			return nil, fmt.Errorf("core: FILTER arithmetic over a non-numeric attribute ?%s", s.v)
 		}
-		return &sqlgen.ArithSpec{Column: b.alias + "." + b.col}, nil
+		return b.colRef(), nil
 	}
 	t := s.term
 	if t.Lang != "" || !t.IsNumeric() {
@@ -591,18 +584,18 @@ func (tr *translator) arithOperand(a *filterArith) (*sqlgen.ArithSpec, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: FILTER arithmetic constant %s is not finite", t)
 	}
-	return &sqlgen.ArithSpec{Value: v}, nil
+	return sqlparser.Lit{Value: v}, nil
 }
 
 // ---- solution modifiers ---------------------------------------------
 
 // applyQueryModifiers lowers DISTINCT / ORDER BY / LIMIT / OFFSET onto
-// the translated spec. ORDER BY keys compile only when SQL value order
+// the translated SELECT. ORDER BY keys compile only when SQL value order
 // over the column equals SPARQL order over the decoded terms: string
 // and boolean columns always (both orders are lexical / false-before-
 // true), numeric columns only when the attribute decodes numerically.
-func applyQueryModifiers(st *SelectTranslation, q *sparql.Query, spec *sqlgen.SelectSpec) error {
-	spec.Distinct = q.Distinct
+func applyQueryModifiers(st *SelectTranslation, q *sparql.Query, sel *sqlparser.Select) error {
+	sel.Distinct = q.Distinct
 	for _, k := range q.OrderBy {
 		b, ok := st.binds[k.Var]
 		if !ok {
@@ -639,13 +632,13 @@ func applyQueryModifiers(st *SelectTranslation, q *sparql.Query, spec *sqlgen.Se
 		default:
 			return fmt.Errorf("core: ORDER BY on an unorderable column type")
 		}
-		spec.OrderBy = append(spec.OrderBy, sqlgen.OrderSpec{Column: b.alias + "." + b.col, Desc: k.Desc})
+		sel.OrderBy = append(sel.OrderBy, sqlparser.OrderKey{Expr: b.colRef(), Desc: k.Desc})
 	}
 	if q.Limit >= 0 {
-		spec.Limit = q.Limit
+		sel.Limit = q.Limit
 	}
 	if q.Offset >= 0 {
-		spec.Offset = q.Offset
+		sel.Offset = q.Offset
 	}
 	return nil
 }

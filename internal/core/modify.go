@@ -4,9 +4,10 @@ import (
 	"fmt"
 
 	"ontoaccess/internal/rdb"
+	"ontoaccess/internal/rdb/sqlexec"
+	"ontoaccess/internal/rdb/sqlparser"
 	"ontoaccess/internal/rdf"
 	"ontoaccess/internal/sparql"
-	"ontoaccess/internal/sqlgen"
 	"ontoaccess/internal/update"
 )
 
@@ -29,14 +30,14 @@ func (m *Mediator) execModify(tx *rdb.Tx, op update.Modify) (*OpResult, error) {
 	q := &sparql.Query{Form: sparql.FormSelect, Star: true, Where: op.Where, Limit: -1, Offset: -1}
 
 	// Step 5: translate the SELECT to SQL. BGP-only patterns go
-	// through the paper's translateSelect, lowered straight to the
-	// executable AST (the SQL text is feedback only); anything richer
+	// through the paper's translateSelect, which builds the executable
+	// AST (its printed SQL text is feedback only); anything richer
 	// evaluates over the virtual view (same relational data, no
 	// materialized triples).
 	var sols sparql.Solutions
-	if st, spec, err := m.translateSelect(tx, op.Where, nil, nil); err == nil {
-		res.SQL = append(res.SQL, sqlgen.Select(*spec))
-		_, p, err := prepareSpec(tx, spec)
+	if st, sel, err := m.translateSelect(tx, op.Where, nil, nil); err == nil {
+		res.SQL = append(res.SQL, sqlparser.Format(*sel, nil))
+		p, err := sqlexec.Prepare(tx, *sel)
 		if err != nil {
 			return res, err
 		}

@@ -8,9 +8,9 @@ import (
 
 	"ontoaccess/internal/r3m"
 	"ontoaccess/internal/rdb"
+	"ontoaccess/internal/rdb/sqlparser"
 	"ontoaccess/internal/rdf"
 	"ontoaccess/internal/sparql"
-	"ontoaccess/internal/sqlgen"
 	"ontoaccess/internal/update"
 )
 
@@ -46,13 +46,13 @@ import (
 // the declared lock set) aborts with errPlanStale and is transparently
 // re-run uncompiled.
 
-// selectTemplate is the compiled WHERE SELECT: the rendered spec with
-// parameter marks, the deferred value sources, the decode bindings,
-// and the executor plan prepared once from the spec. A run binds the
-// sources to argument values and hands them to the plan; the SQL text
-// is rendered from the spec and those values only when read.
+// selectTemplate is the compiled WHERE SELECT: the executor plan
+// prepared once from the translated statement (ps.stmt, its parameter
+// leaves indexing srcs), the deferred value sources and the decode
+// bindings. A run binds the sources to argument values and hands them
+// to the plan; the SQL text is printed from the statement and those
+// values only when read.
 type selectTemplate struct {
-	spec sqlgen.SelectSpec
 	ps   *preparedSelect
 	srcs []valueSrc
 	// checks lists the occurrence templates of each parameterized
@@ -99,7 +99,7 @@ type ModifyPlan struct {
 
 // varKeyCond is the WHERE equality that pins a variable template
 // subject's primary key: the subject's table and either a compile-time
-// constant or a 1-based parameter mark into the plan's bind sources.
+// constant (param -1) or the index of the bind value holding the key.
 type varKeyCond struct {
 	table string
 	value rdb.Value
@@ -135,7 +135,7 @@ func (p *ModifyPlan) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "MODIFY plan: %d slot(s), writes %s, reads %s\n",
 		p.slots, strings.Join(p.writeTables, ", "), strings.Join(p.readTables, ", "))
-	fmt.Fprintf(&b, "  WHERE SELECT template over %s\n", p.sel.spec.From)
+	fmt.Fprintf(&b, "  WHERE SELECT template over %s\n", p.sel.ps.stmt.From.Table)
 	for _, sec := range []struct {
 		tag string
 		nps []normPattern
@@ -171,12 +171,12 @@ func (m *Mediator) compileModifyPlan(key string, slots int, op update.Modify, nm
 	p := &ModifyPlan{key: key, slots: slots, del: nm.del, ins: nm.ins}
 	comp := &selectCompile{nm: nm.where, fconds: nm.fconds}
 	var st *SelectTranslation
-	var spec *sqlgen.SelectSpec
 	var ps *preparedSelect
 	err := m.db.View(func(tx *rdb.Tx) error {
+		var sel *sqlparser.Select
 		var terr error
-		if st, spec, terr = m.translateSelect(tx, op.Where, nil, comp); terr == nil {
-			ps, terr = prepareSelect(tx, spec)
+		if st, sel, terr = m.translateSelect(tx, op.Where, nil, comp); terr == nil {
+			ps, terr = prepareSelect(tx, *sel)
 		}
 		return terr
 	})
@@ -184,12 +184,12 @@ func (m *Mediator) compileModifyPlan(key string, slots int, op update.Modify, nm
 		return nil, errUnplannable
 	}
 	p.sel = selectTemplate{
-		spec: *spec, ps: ps, srcs: comp.srcs, checks: comp.checks, constURIs: comp.constURIs,
+		ps: ps, srcs: comp.srcs, checks: comp.checks, constURIs: comp.constURIs,
 		vars: st.Vars, bindings: st.bindings,
 	}
-	reads := map[string]bool{spec.From: true}
-	for _, j := range spec.Joins {
-		reads[j.Table] = true
+	reads := map[string]bool{ps.stmt.From.Table: true}
+	for _, j := range ps.stmt.Joins {
+		reads[j.Ref.Table] = true
 	}
 	// The templates' target tables are a shape-level property: subject
 	// variables are pinned to tables by the WHERE translation, constant
@@ -290,10 +290,11 @@ func (p *ModifyPlan) compileSubjectKeys(varTM map[string]*r3m.TableMap) {
 	}
 }
 
-// pinnedSubjectKey scans the compiled SELECT's conditions for a plain
-// equality on the subject variable's primary-key column. Conditions
-// promoted to JOIN ... ON never qualify (they carry OtherColumn), nor
-// do null tests, disjunctions or arithmetic comparisons.
+// pinnedSubjectKey scans the compiled SELECT's WHERE conjuncts for a
+// plain equality of the subject variable's primary-key column with a
+// constant or a parameter. Conditions promoted to JOIN ... ON never
+// qualify, nor do column equalities, null tests, disjunctions or
+// arithmetic comparisons.
 func (p *ModifyPlan) pinnedSubjectKey(v, table string) (varKeyCond, bool) {
 	for i, name := range p.sel.vars {
 		if name != v {
@@ -303,14 +304,17 @@ func (p *ModifyPlan) pinnedSubjectKey(v, table string) (varKeyCond, bool) {
 		if b.kind != bindSubject {
 			return varKeyCond{}, false
 		}
-		col := b.alias + "." + b.col
-		for _, w := range p.sel.spec.Where {
-			if w.Column != col || w.Op != sqlgen.CmpEq ||
-				w.OtherColumn != "" || w.IsNull || w.NotNull ||
-				len(w.Or) > 0 || w.LeftExpr != nil {
+		for _, c := range sqlparser.Conjuncts(p.sel.ps.stmt.Where, nil) {
+			e, ok := c.(sqlparser.Binary)
+			if !ok || e.Op != sqlparser.OpEq || e.Left != b.colRef() {
 				continue
 			}
-			return varKeyCond{table: table, value: w.Value, param: w.Param}, true
+			switch r := e.Right.(type) {
+			case sqlparser.Lit:
+				return varKeyCond{table: table, value: r.Value, param: -1}, true
+			case sqlparser.Param:
+				return varKeyCond{table: table, param: r.Index}, true
+			}
 		}
 		return varKeyCond{}, false
 	}
@@ -342,7 +346,7 @@ func sortedTableNames(set map[string]bool) []string {
 
 // boundModify is a ModifyPlan instantiated with one argument vector:
 // the WHERE SELECT's slot values (the prepared plan runs with them;
-// the SQL text is rendered from them for the feedback report only)
+// the SQL text is printed from them for the feedback report only)
 // and the materialized templates. The per-solution work stays
 // data-dependent and runs at execution time.
 type boundModify struct {
@@ -389,23 +393,6 @@ func (t *selectTemplate) bindArgs(m *Mediator, args []string) ([]rdb.Value, erro
 		vals[i] = v
 	}
 	return vals, nil
-}
-
-// boundSpec returns the template's spec with every parameter slot
-// filled from vals — what the SQL text reports.
-func (t *selectTemplate) boundSpec(vals []rdb.Value) sqlgen.SelectSpec {
-	spec := t.spec
-	if len(vals) == 0 {
-		return spec
-	}
-	spec.Where = make([]sqlgen.WhereSpec, len(t.spec.Where))
-	copy(spec.Where, t.spec.Where)
-	for i := range spec.Where {
-		if w := &spec.Where[i]; w.Param > 0 {
-			w.Value, w.Param = vals[w.Param-1], 0
-		}
-	}
-	return spec
 }
 
 // bind instantiates the plan, verifying the shape assumptions
@@ -456,8 +443,8 @@ func (p *ModifyPlan) writeShards(m *Mediator, args []string, vals []rdb.Value) [
 					continue
 				}
 				pk := vk.value
-				if vk.param > 0 {
-					pk = vals[vk.param-1]
+				if vk.param >= 0 {
+					pk = vals[vk.param]
 				}
 				s, ok := m.db.ShardOfPK(vk.table, pk)
 				if !ok {
@@ -541,7 +528,7 @@ func materializeTerm(t normPatTerm, args []string) sparql.PatternTerm {
 // and execute the DELETE DATA / INSERT DATA pair.
 func (p *ModifyPlan) execBound(m *Mediator, tx *rdb.Tx, bm *boundModify) (*OpResult, error) {
 	res := &OpResult{Operation: "MODIFY"}
-	res.SQL = append(res.SQL, sqlgen.Select(p.sel.boundSpec(bm.vals)))
+	res.SQL = append(res.SQL, sqlparser.Format(p.sel.ps.stmt, bm.vals))
 	sols, err := solutions(m, tx, p.sel.bindings, p.sel.ps.get(tx), bm.vals)
 	if err != nil {
 		return res, err

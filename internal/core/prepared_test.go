@@ -161,16 +161,12 @@ func selectRowsOf(run func(row func([]rdb.Value) (bool, error)) error) (string, 
 
 // assertTemplateMatchesSelectFunc runs a compiled template's prepared
 // plan with vals and requires the rows and error SelectFunc produces on
-// the literal statement the bound spec lowers to — what every hit ran
-// before plans were prepared.
+// the literal statement — the template with its slots replaced by
+// vals, what every hit ran before plans were prepared.
 func assertTemplateMatchesSelectFunc(t *testing.T, m *Mediator, name string, tmpl selectTemplate, vals []rdb.Value, limit, offset int) {
 	t.Helper()
-	spec := tmpl.boundSpec(vals)
-	spec.Limit, spec.Offset = limit, offset
-	lit, err := specSelect(&spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lit := withLits(tmpl.ps.stmt, vals)
+	lit.Limit, lit.Offset = limit, offset
 	m.db.View(func(tx *rdb.Tx) error {
 		got, gerr := selectRowsOf(func(row func([]rdb.Value) (bool, error)) error {
 			return runSelect(tx, tmpl.ps.get(tx).Window(limit, offset), vals, row)
@@ -259,7 +255,7 @@ func checkPreparedBattery(t *testing.T, m *Mediator, phase, prologue string, bat
 			name := fmt.Sprintf("%s: %s (template %d)", phase, q, i)
 			vals, limit, offset := bq.vals, bq.limit, bq.offset
 			if len(bq.plan.union) > 0 {
-				vals, limit, offset = nil, tmpl.spec.Limit, tmpl.spec.Offset
+				vals, limit, offset = nil, tmpl.ps.stmt.Limit, tmpl.ps.stmt.Offset
 			}
 			assertTemplateMatchesSelectFunc(t, m, name, tmpl, vals, limit, offset)
 			for _, alt := range otherClassVals(vals) {
@@ -360,24 +356,19 @@ func TestPreparedPlanConcurrentRePrepare(t *testing.T) {
 	}
 }
 
-// TestSpecSelectSlots pins the lowering of a parameter-marked condition:
-// a parameter leaf indexing the mark's bind source.
+// TestSpecSelectSlots pins the translation of a parameterized
+// condition: a parameter leaf indexing its bind source, reported as
+// its bound value.
 func TestSpecSelectSlots(t *testing.T) {
 	m := preparedBatteryMediator(t)
 	bq := cachedBound(t, m, paperPrologue+`SELECT ?m WHERE { ex:author6 foaf:mbox ?m . }`)
-	where := bq.plan.sel.ps.stmt.Where
-	for {
-		and, ok := where.(sqlparser.Binary)
-		if !ok || and.Op != sqlparser.OpAnd {
-			break
-		}
-		where = and.Left
-	}
-	w, ok := where.(sqlparser.Binary)
+	stmt := bq.plan.sel.ps.stmt
+	w, ok := sqlparser.Conjuncts(stmt.Where, nil)[0].(sqlparser.Binary)
 	if !ok {
-		t.Fatalf("WHERE = %#v", bq.plan.sel.ps.stmt.Where)
+		t.Fatalf("WHERE = %#v", stmt.Where)
 	}
 	if p, ok := w.Right.(sqlparser.Param); !ok || p.Index != 0 || len(bq.vals) != 1 || bq.vals[0] != rdb.Int(6) {
 		t.Errorf("key condition %#v with values %v; want a slot bound to 6", w, bq.vals)
 	}
+	assertReportedIsRun(t, "slot", stmt, bq.vals)
 }

@@ -9,9 +9,9 @@ import (
 	"ontoaccess/internal/r3m"
 	"ontoaccess/internal/rdb"
 	"ontoaccess/internal/rdb/sqlexec"
+	"ontoaccess/internal/rdb/sqlparser"
 	"ontoaccess/internal/rdf"
 	"ontoaccess/internal/sparql"
-	"ontoaccess/internal/sqlgen"
 )
 
 // SelectTranslation is the result of translating a SPARQL basic graph
@@ -81,8 +81,8 @@ type qnode struct {
 // constant terms whose normalized form carries parameter slots (nm is
 // aligned with the WHERE triples, fconds with the lowered FILTER
 // conjuncts) contribute deferred value sources instead of compile-time
-// values, and the resulting SelectSpec marks their conditions with
-// 1-based indices into srcs.
+// values, and the resulting statement compares against parameter
+// leaves indexing srcs.
 type selectCompile struct {
 	nm     []normPattern
 	fconds []normFilterCond
@@ -110,11 +110,11 @@ func (c *selectCompile) filterSegs(fi int) []shapeSeg {
 	return c.fconds[fi].r.segs
 }
 
-// addSrc registers a deferred value source and returns its 1-based
-// parameter mark.
-func (c *selectCompile) addSrc(src valueSrc) int {
+// addSrc registers a deferred value source and returns the parameter
+// leaf that reads it.
+func (c *selectCompile) addSrc(src valueSrc) sqlparser.Param {
 	c.srcs = append(c.srcs, src)
-	return len(c.srcs)
+	return sqlparser.Param{Index: len(c.srcs) - 1}
 }
 
 type translator struct {
@@ -124,19 +124,13 @@ type translator struct {
 	nodes   map[string]*qnode
 	order   []string
 	aliasN  int
-	joins   []sqlgen.JoinSpec
-	wheres  []sqlgen.WhereSpec
-	links   []linkUse
+	joins   []sqlparser.Join
+	wheres  []sqlparser.Expr // the WHERE conjuncts, in emission order
 	bind    map[string]varBinding
 	bindSeq []string
 	// leftJoins collects OPTIONAL lowerings; they attach after the
 	// inner joins so their ON clauses only reference joined aliases.
-	leftJoins []sqlgen.JoinSpec
-}
-
-type linkUse struct {
-	alias string
-	lt    *r3m.LinkTableMap
+	leftJoins []sqlparser.Join
 }
 
 // TranslateSelect translates a group pattern of triple patterns and
@@ -146,21 +140,22 @@ type linkUse struct {
 // not translatable and return an error; callers fall back to
 // evaluation over the virtual RDF view.
 func (m *Mediator) TranslateSelect(tx *rdb.Tx, where *sparql.GroupPattern, projVars []string) (*SelectTranslation, error) {
-	st, spec, err := m.translateSelect(tx, where, projVars, nil)
+	st, sel, err := m.translateSelect(tx, where, projVars, nil)
 	if err != nil {
 		return nil, err
 	}
-	st.SQL = sqlgen.Select(*spec)
+	st.SQL = sqlparser.Format(*sel, nil)
 	return st, nil
 }
 
 // translateSelect is the shared translation engine. With a non-nil
 // comp it runs in plan-compilation mode: parameterized constants defer
-// their values into comp.srcs, and the returned spec carries their
-// Param marks so a compiled MODIFY can re-render the SQL per argument
-// vector. Both modes share every structural decision, which keeps the
-// compiled SELECT byte-identical to the uncompiled translation.
-func (m *Mediator) translateSelect(tx *rdb.Tx, where *sparql.GroupPattern, projVars []string, comp *selectCompile) (*SelectTranslation, *sqlgen.SelectSpec, error) {
+// their values into comp.srcs, and the returned statement compares
+// against Param leaves that read them, so one prepared plan serves
+// every argument vector. Both modes share every structural decision,
+// which keeps the compiled SELECT byte-identical to the uncompiled
+// translation.
+func (m *Mediator) translateSelect(tx *rdb.Tx, where *sparql.GroupPattern, projVars []string, comp *selectCompile) (*SelectTranslation, *sqlparser.Select, error) {
 	if where == nil {
 		return nil, nil, fmt.Errorf("core: nil WHERE pattern")
 	}
@@ -220,7 +215,7 @@ func (m *Mediator) translateSelect(tx *rdb.Tx, where *sparql.GroupPattern, projV
 		projVars = tr.bindSeq
 	}
 	st := &SelectTranslation{m: m, binds: tr.bind}
-	var cols []string
+	var items []sqlparser.SelectItem
 	for _, v := range projVars {
 		b, ok := tr.bind[v]
 		if !ok {
@@ -228,22 +223,22 @@ func (m *Mediator) translateSelect(tx *rdb.Tx, where *sparql.GroupPattern, projV
 		}
 		st.Vars = append(st.Vars, v)
 		st.bindings = append(st.bindings, b)
-		cols = append(cols, b.alias+"."+b.col)
+		items = append(items, sqlparser.SelectItem{Expr: b.colRef()})
 	}
-	if len(cols) == 0 {
+	if len(items) == 0 {
 		// ASK-style probe: select the first node's key.
 		first := tr.nodes[tr.order[0]]
-		cols = []string{first.alias + "." + first.schema.PrimaryKey[0]}
+		items = []sqlparser.SelectItem{{Expr: first.keyRef()}}
 	}
-	spec, err := tr.buildSpec(cols)
+	sel, err := tr.buildSelect(items)
 	if err != nil {
 		return nil, nil, err
 	}
-	// The SQL text is rendered by the caller once the spec is final:
-	// the uncompiled read path first lowers the query's solution
-	// modifiers onto it, and in compile mode Param-marked conditions
-	// carry no values yet.
-	return st, spec, nil
+	// The SQL text is printed by the caller once the statement is
+	// final: the uncompiled read path first lowers the query's solution
+	// modifiers onto it, and in compile mode the parameter leaves carry
+	// no values yet.
+	return st, sel, nil
 }
 
 // emitSubjectConds adds the primary-key condition of every constant
@@ -256,11 +251,10 @@ func (tr *translator) emitSubjectConds() error {
 		if n.uri == "" {
 			continue
 		}
-		col := n.alias + "." + n.schema.PrimaryKey[0]
 		if tr.comp != nil && len(n.occs) > 0 {
 			src := valueSrc{segs: n.occs[0], raw: n.uri, conv: convKey, refTM: n.tm, refSch: n.schema}
 			tr.comp.checks = append(tr.comp.checks, n.occs)
-			tr.wheres = append(tr.wheres, sqlgen.WhereSpec{Column: col, Param: tr.comp.addSrc(src)})
+			tr.wheres = append(tr.wheres, eq(n.keyRef(), tr.comp.addSrc(src)))
 			continue
 		}
 		if tr.comp != nil {
@@ -274,7 +268,7 @@ func (tr *translator) emitSubjectConds() error {
 		if err != nil {
 			return err
 		}
-		tr.wheres = append(tr.wheres, sqlgen.WhereSpec{Column: col, Value: pk})
+		tr.wheres = append(tr.wheres, eq(n.keyRef(), sqlparser.Lit{Value: pk}))
 	}
 	return nil
 }
@@ -393,9 +387,7 @@ func (tr *translator) pinNode(key string, tm *r3m.TableMap) error {
 func (tr *translator) bindVar(name string, b varBinding) {
 	if prev, ok := tr.bind[name]; ok {
 		// The variable already has a binding: require column equality.
-		tr.wheres = append(tr.wheres, sqlgen.WhereSpec{
-			Column: prev.alias + "." + prev.col, OtherColumn: b.alias + "." + b.col,
-		})
+		tr.wheres = append(tr.wheres, eq(prev.colRef(), b.colRef()))
 		return
 	}
 	tr.bind[name] = b
@@ -419,7 +411,7 @@ func (tr *translator) addPattern(ti int, tp sparql.TriplePattern) error {
 	if !ok {
 		return fmt.Errorf("core: class %s has no attribute for property %s", n.tm.Class, prop)
 	}
-	col := n.alias + "." + am.Name
+	col := sqlparser.ColRef{Table: n.alias, Column: am.Name}
 	ref, isFK := am.ForeignKeyRef()
 	switch {
 	case tp.O.IsVar:
@@ -428,23 +420,19 @@ func (tr *translator) addPattern(ti int, tp sparql.TriplePattern) error {
 			// If the object variable is itself a pinned node, join the
 			// referenced table; otherwise decode the key column.
 			if on, pinned := tr.nodes[tp.O.Var]; pinned {
-				tr.wheres = append(tr.wheres, sqlgen.WhereSpec{
-					Column: col, OtherColumn: on.alias + "." + on.schema.PrimaryKey[0],
-				})
+				tr.wheres = append(tr.wheres, eq(col, on.keyRef()))
 			} else {
 				tr.bindVar(tp.O.Var, varBinding{
 					name: tp.O.Var, kind: bindColumn, alias: n.alias, col: am.Name, refTM: refTM,
 				})
-				tr.wheres = append(tr.wheres, sqlgen.WhereSpec{Column: col, NotNull: true})
-				return nil
 			}
-			tr.wheres = append(tr.wheres, sqlgen.WhereSpec{Column: col, NotNull: true})
+			tr.wheres = append(tr.wheres, notNull(col))
 			return nil
 		}
 		tr.bindVar(tp.O.Var, varBinding{
 			name: tp.O.Var, kind: bindColumn, alias: n.alias, col: am.Name, am: am, schema: n.schema,
 		})
-		tr.wheres = append(tr.wheres, sqlgen.WhereSpec{Column: col, NotNull: true})
+		tr.wheres = append(tr.wheres, notNull(col))
 	default:
 		if tr.comp != nil {
 			if segs := tr.comp.objSegs(ti); segs != nil {
@@ -456,7 +444,7 @@ func (tr *translator) addPattern(ti int, tp sparql.TriplePattern) error {
 		if err != nil {
 			return err
 		}
-		tr.wheres = append(tr.wheres, sqlgen.WhereSpec{Column: col, Value: v})
+		tr.wheres = append(tr.wheres, eq(col, sqlparser.Lit{Value: v}))
 	}
 	return nil
 }
@@ -464,7 +452,7 @@ func (tr *translator) addPattern(ti int, tp sparql.TriplePattern) error {
 // deferObjectCond records a parameterized constant object as a
 // deferred condition, mirroring tripleObjectToValue's three conversion
 // flavours (foreign key, IRI-valued attribute, data literal).
-func (tr *translator) deferObjectCond(col string, am *r3m.AttributeMap, n *qnode, o normTerm, prop string) error {
+func (tr *translator) deferObjectCond(col sqlparser.ColRef, am *r3m.AttributeMap, n *qnode, o normTerm, prop string) error {
 	var src *valueSrc
 	var err error
 	if ref, isFK := am.ForeignKeyRef(); isFK {
@@ -489,7 +477,7 @@ func (tr *translator) deferObjectCond(col string, am *r3m.AttributeMap, n *qnode
 	if err != nil {
 		return err
 	}
-	tr.wheres = append(tr.wheres, sqlgen.WhereSpec{Column: col, Param: tr.comp.addSrc(*src)})
+	tr.wheres = append(tr.wheres, eq(col, tr.comp.addSrc(*src)))
 	return nil
 }
 
@@ -499,18 +487,16 @@ func (tr *translator) addLinkPattern(ti int, lt *r3m.LinkTableMap, n *qnode, tp 
 	if objTM == nil {
 		return fmt.Errorf("core: link table %q unresolved", lt.Name)
 	}
-	alias := fmt.Sprintf("l%d", len(tr.links))
-	tr.links = append(tr.links, linkUse{alias: alias, lt: lt})
-	tr.joins = append(tr.joins, sqlgen.JoinSpec{
-		Table: lt.Name, As: alias,
-		Left: alias + "." + lt.SubjectAttr.Name, Right: n.alias + "." + n.schema.PrimaryKey[0],
+	alias := fmt.Sprintf("l%d", len(tr.joins)) // joins holds the link-table joins only
+	tr.joins = append(tr.joins, sqlparser.Join{
+		Ref: sqlparser.TableRef{Table: lt.Name, Alias: alias},
+		On:  eq(sqlparser.ColRef{Table: alias, Column: lt.SubjectAttr.Name}, n.keyRef()),
 	})
+	obj := sqlparser.ColRef{Table: alias, Column: lt.ObjectAttr.Name}
 	switch {
 	case tp.O.IsVar:
 		if on, pinned := tr.nodes[tp.O.Var]; pinned {
-			tr.wheres = append(tr.wheres, sqlgen.WhereSpec{
-				Column: alias + "." + lt.ObjectAttr.Name, OtherColumn: on.alias + "." + on.schema.PrimaryKey[0],
-			})
+			tr.wheres = append(tr.wheres, eq(obj, on.keyRef()))
 		} else {
 			tr.bindVar(tp.O.Var, varBinding{
 				name: tp.O.Var, kind: bindColumn, alias: alias, col: lt.ObjectAttr.Name, refTM: objTM,
@@ -528,9 +514,7 @@ func (tr *translator) addLinkPattern(ti int, lt *r3m.LinkTableMap, n *qnode, tp 
 				if err != nil {
 					return err
 				}
-				tr.wheres = append(tr.wheres, sqlgen.WhereSpec{
-					Column: alias + "." + lt.ObjectAttr.Name, Param: tr.comp.addSrc(*src),
-				})
+				tr.wheres = append(tr.wheres, eq(obj, tr.comp.addSrc(*src)))
 				return nil
 			}
 		}
@@ -538,33 +522,32 @@ func (tr *translator) addLinkPattern(ti int, lt *r3m.LinkTableMap, n *qnode, tp 
 		if err != nil {
 			return err
 		}
-		tr.wheres = append(tr.wheres, sqlgen.WhereSpec{Column: alias + "." + lt.ObjectAttr.Name, Value: objKey})
+		tr.wheres = append(tr.wheres, eq(obj, sqlparser.Lit{Value: objKey}))
 	}
 	return nil
 }
 
-// buildSpec assembles the final SELECT: the first node is FROM, every
-// other node joins through a shared condition, link tables join as
-// recorded.
-func (tr *translator) buildSpec(cols []string) (*sqlgen.SelectSpec, error) {
+// buildSelect assembles the final SELECT: the first node is FROM,
+// every other node joins through a shared condition, link tables join
+// as recorded.
+func (tr *translator) buildSelect(items []sqlparser.SelectItem) (*sqlparser.Select, error) {
 	if len(tr.order) == 0 {
 		return nil, fmt.Errorf("core: no tables in pattern")
 	}
 	first := tr.nodes[tr.order[0]]
-	spec := &sqlgen.SelectSpec{
-		Columns: cols,
-		From:    first.tm.Name,
-		FromAs:  first.alias,
-		Joins:   tr.joins,
-		Limit:   -1,
-		Offset:  -1,
+	sel := &sqlparser.Select{
+		Items:  items,
+		From:   sqlparser.TableRef{Table: first.tm.Name, Alias: first.alias},
+		Joins:  tr.joins,
+		Limit:  -1,
+		Offset: -1,
 	}
 	joined := map[string]bool{first.alias: true}
 	for _, j := range tr.joins {
-		joined[j.As] = true
+		joined[j.Ref.Alias] = true
 	}
-	// Attach remaining nodes: find a column-equality condition
-	// linking the node to an already-joined alias and promote it to a
+	// Attach remaining nodes: find a column-equality conjunct linking
+	// the node to an already-joined alias and promote it to a
 	// JOIN ... ON; iterate until no progress.
 	remaining := tr.order[1:]
 	conds := tr.wheres
@@ -575,12 +558,8 @@ func (tr *translator) buildSpec(cols []string) (*sqlgen.SelectSpec, error) {
 			n := tr.nodes[key]
 			found := -1
 			for ci, c := range conds {
-				if c.OtherColumn == "" || c.Op != sqlgen.CmpEq {
-					continue // ordered FILTER conds never join tables
-				}
-				la, _ := splitAlias(c.Column)
-				ra, _ := splitAlias(c.OtherColumn)
-				if la == n.alias && joined[ra] || ra == n.alias && joined[la] {
+				l, r, ok := columnEquality(c) // ordered FILTER conds never join tables
+				if ok && (l.Table == n.alias && joined[r.Table] || r.Table == n.alias && joined[l.Table]) {
 					found = ci
 					break
 				}
@@ -589,10 +568,10 @@ func (tr *translator) buildSpec(cols []string) (*sqlgen.SelectSpec, error) {
 				still = append(still, key)
 				continue
 			}
-			c := conds[found]
+			on := conds[found]
 			conds = append(conds[:found:found], conds[found+1:]...)
-			spec.Joins = append(spec.Joins, sqlgen.JoinSpec{
-				Table: n.tm.Name, As: n.alias, Left: c.Column, Right: c.OtherColumn,
+			sel.Joins = append(sel.Joins, sqlparser.Join{
+				Ref: sqlparser.TableRef{Table: n.tm.Name, Alias: n.alias}, On: on,
 			})
 			joined[n.alias] = true
 			progress = true
@@ -604,17 +583,50 @@ func (tr *translator) buildSpec(cols []string) (*sqlgen.SelectSpec, error) {
 	}
 	// OPTIONAL left joins render last: their ON clauses reference inner
 	// aliases, never the other way around.
-	spec.Joins = append(spec.Joins, tr.leftJoins...)
-	spec.Where = conds
-	return spec, nil
+	sel.Joins = append(sel.Joins, tr.leftJoins...)
+	sel.Where = chain(sqlparser.OpAnd, conds)
+	return sel, nil
 }
 
-func splitAlias(qualified string) (alias, col string) {
-	i := strings.IndexByte(qualified, '.')
-	if i < 0 {
-		return "", qualified
+// colRef is the qualified column a binding reads.
+func (b *varBinding) colRef() sqlparser.ColRef {
+	return sqlparser.ColRef{Table: b.alias, Column: b.col}
+}
+
+// keyRef is the node's primary-key column.
+func (n *qnode) keyRef() sqlparser.ColRef {
+	return sqlparser.ColRef{Table: n.alias, Column: n.schema.PrimaryKey[0]}
+}
+
+func eq(l, r sqlparser.Expr) sqlparser.Expr {
+	return sqlparser.Binary{Op: sqlparser.OpEq, Left: l, Right: r}
+}
+
+func notNull(c sqlparser.ColRef) sqlparser.Expr { return sqlparser.IsNull{Inner: c, Negate: true} }
+
+// chain folds es left-deep under op — the tree the parser builds from
+// "a AND b AND c" — and is nil for no operands.
+func chain(op sqlparser.BinOp, es []sqlparser.Expr) sqlparser.Expr {
+	var out sqlparser.Expr
+	for _, e := range es {
+		if out == nil {
+			out = e
+		} else {
+			out = sqlparser.Binary{Op: op, Left: out, Right: e}
+		}
 	}
-	return qualified[:i], qualified[i+1:]
+	return out
+}
+
+// columnEquality matches a column-equals-column condition.
+func columnEquality(e sqlparser.Expr) (l, r sqlparser.ColRef, ok bool) {
+	b, isBin := e.(sqlparser.Binary)
+	if !isBin || b.Op != sqlparser.OpEq {
+		return l, r, false
+	}
+	l, lok := b.Left.(sqlparser.ColRef)
+	r, rok := b.Right.(sqlparser.ColRef)
+	return l, r, lok && rok
 }
 
 // solutions runs a prepared SELECT with its slot values and decodes
@@ -787,7 +799,7 @@ type QueryResult struct {
 // Query evaluates a SPARQL query against the mapped database. Graph
 // patterns with comparison FILTERs and solution modifiers compile once
 // per shape into a QueryPlan — the WHERE translated to a parameterized
-// SELECT spec (FILTER conjuncts as typed WHERE conditions, DISTINCT /
+// SELECT (FILTER conjuncts as typed WHERE conditions, DISTINCT /
 // ORDER BY / LIMIT / OFFSET lowered onto it) executed directly by the
 // streaming index-aware executor over the pinned snapshot — and
 // repeated query strings skip straight to the bound plan through the

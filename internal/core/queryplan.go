@@ -10,7 +10,6 @@ import (
 	"ontoaccess/internal/rdb/sqlexec"
 	"ontoaccess/internal/rdb/sqlparser"
 	"ontoaccess/internal/sparql"
-	"ontoaccess/internal/sqlgen"
 )
 
 // This file extends the compiled-plan pipeline to the read path — the
@@ -18,11 +17,9 @@ import (
 // QueryPlan is the shape-level artifact of a SPARQL SELECT, ASK or
 // CONSTRUCT over a basic graph pattern: the WHERE clause is translated
 // once (through the same translateSelect engine MODIFY plans use) into
-// a parameterized SELECT template plus decode bindings, with literals
-// and IRI digit runs lifted into parameter slots. The template lowers
-// once into the executable sqlparser AST, its slots as parameter
-// leaves, and the executor prepares its plan from it once
-// (sqlexec.Prepare). Re-executions bind fresh argument values and run
+// a parameterized sqlparser.Select plus decode bindings, with literals
+// and IRI digit runs lifted into parameter leaves, and the executor
+// prepares its plan from that statement once (sqlexec.Prepare). Re-executions bind fresh argument values and run
 // that prepared plan against the transaction's pinned snapshot — no
 // AST is rebuilt, no SQL is planned again and no SQL text is rendered
 // unless a caller reads it.
@@ -35,7 +32,7 @@ import (
 //
 // Comparison FILTERs lower to typed WHERE conjuncts with their
 // constants in parameter slots (filter.go), and a SELECT's solution
-// modifiers lower onto the spec: DISTINCT and ORDER BY keys are
+// modifiers lower onto the statement: DISTINCT and ORDER BY keys are
 // structural, LIMIT and OFFSET values are parameter slots — "LIMIT 3"
 // and "LIMIT 30" share one plan. Rich SELECTs — OPTIONAL / UNION
 // patterns, aggregates, FILTER disjunctions — compile as zero-slot
@@ -43,8 +40,9 @@ import (
 // non-comparison FILTERs, variable predicates, unmapped vocabulary,
 // modifiers on ASK or CONSTRUCT — take the uncompiled path, which
 // evaluates over the virtual RDF view, exactly the paper's behaviour.
-// The SQL text sqlgen renders is reporting output only (feedback,
-// QueryResult.SQL), rendered when read; no read path parses it back.
+// The SQL text sqlparser.Format prints is reporting output only
+// (feedback, QueryResult.SQL), printed when read; no read path parses
+// it back.
 
 // normQuery is a query with its WHERE triples, FILTER constants,
 // LIMIT/OFFSET values (and CONSTRUCT template) parameterized. The
@@ -195,7 +193,12 @@ func (p *QueryPlan) ReadTables() []string {
 	var out []string
 	seen := map[string]bool{}
 	for _, t := range p.templates() {
-		for _, tbl := range append([]string{t.spec.From}, joinTables(t.spec.Joins)...) {
+		st := &t.ps.stmt
+		for i := -1; i < len(st.Joins); i++ {
+			tbl := st.From.Table
+			if i >= 0 {
+				tbl = st.Joins[i].Ref.Table
+			}
 			if !seen[tbl] {
 				seen[tbl] = true
 				out = append(out, tbl)
@@ -214,14 +217,6 @@ func (p *QueryPlan) templates() []selectTemplate {
 	return []selectTemplate{p.sel}
 }
 
-func joinTables(joins []sqlgen.JoinSpec) []string {
-	var out []string
-	for _, j := range joins {
-		out = append(out, j.Table)
-	}
-	return out
-}
-
 // Explain renders the compiled shape with ?n parameter markers, and
 // each SELECT template's join placement as currently prepared.
 func (p *QueryPlan) Explain() string {
@@ -229,8 +224,9 @@ func (p *QueryPlan) Explain() string {
 	fmt.Fprintf(&b, "%s plan: %d slot(s), reads %s\n",
 		p.form, p.slots, strings.Join(p.ReadTables(), ", "))
 	for _, t := range p.templates() {
+		st := &t.ps.stmt
 		fmt.Fprintf(&b, "  SELECT template over %s (%d join(s), %d condition(s))\n",
-			t.spec.From, len(t.spec.Joins), len(t.spec.Where))
+			st.From.Table, len(st.Joins), len(sqlparser.Conjuncts(st.Where, nil)))
 		if t.ps != nil {
 			fmt.Fprintf(&b, "    placement %s\n", t.ps.cur.Load().Placement())
 		}
@@ -266,35 +262,35 @@ func (m *Mediator) compileQueryPlan(key string, slots int, q *sparql.Query, nq *
 	proj := projectionFor(q)
 	comp := &selectCompile{nm: nq.where, fconds: nq.fconds}
 	var st *SelectTranslation
-	var spec *sqlgen.SelectSpec
 	var ps *preparedSelect
 	err := m.db.View(func(tx *rdb.Tx) error {
+		var sel *sqlparser.Select
 		var terr error
-		if st, spec, terr = m.translateSelect(tx, q.Where, proj, comp); terr != nil {
+		if st, sel, terr = m.translateSelect(tx, q.Where, proj, comp); terr != nil {
 			return terr
 		}
 		switch q.Form {
 		case sparql.FormAsk:
 			// One witness row decides the answer; the streaming executor
 			// terminates the scan as soon as it is found.
-			spec.Limit = 1
+			sel.Limit = 1
 		case sparql.FormSelect:
 			// DISTINCT and ORDER BY are structural; the exemplar
-			// LIMIT/OFFSET values land in the spec here and re-bind from
-			// the argument vector per execution.
-			if terr = applyQueryModifiers(st, q, spec); terr != nil {
+			// LIMIT/OFFSET values land in the statement here and re-bind
+			// from the argument vector per execution.
+			if terr = applyQueryModifiers(st, q, sel); terr != nil {
 				return terr
 			}
 		}
 		p.encs = m.cellEncoders(tx, st.bindings)
-		ps, terr = prepareSelect(tx, spec)
+		ps, terr = prepareSelect(tx, *sel)
 		return terr
 	})
 	if err != nil {
 		return nil, errUnplannable
 	}
 	p.sel = selectTemplate{
-		spec: *spec, ps: ps, srcs: comp.srcs, checks: comp.checks, constURIs: comp.constURIs,
+		ps: ps, srcs: comp.srcs, checks: comp.checks, constURIs: comp.constURIs,
 		vars: st.Vars, bindings: st.bindings,
 	}
 	p.layout = sparql.NewRowLayout(st.Vars, p.encs)
@@ -349,15 +345,15 @@ func (m *Mediator) compileRichQueryPlan(tx *rdb.Tx, q *sparql.Query) (*QueryPlan
 			return nil, errUnplannable
 		}
 		for _, bg := range branches {
-			st, spec, err := m.translateSelect(tx, bg, proj, nil)
+			st, sel, err := m.translateSelect(tx, bg, proj, nil)
 			if err != nil {
 				return nil, err
 			}
-			ps, err := prepareSelect(tx, spec)
+			ps, err := prepareSelect(tx, *sel)
 			if err != nil {
 				return nil, err
 			}
-			p.union = append(p.union, selectTemplate{spec: *spec, ps: ps, vars: st.Vars, bindings: st.bindings})
+			p.union = append(p.union, selectTemplate{ps: ps, vars: st.Vars, bindings: st.bindings})
 		}
 		return p, nil
 	}
@@ -365,23 +361,23 @@ func (m *Mediator) compileRichQueryPlan(tx *rdb.Tx, q *sparql.Query) (*QueryPlan
 		return nil, errUnplannable
 	}
 	var st *SelectTranslation
-	var spec *sqlgen.SelectSpec
+	var sel *sqlparser.Select
 	var err error
 	if q.Aggs != nil {
-		if st, spec, err = m.translateSelect(tx, q.Where, aggNeededVars(q), nil); err == nil {
-			err = applyAggregates(st, q, spec)
+		if st, sel, err = m.translateSelect(tx, q.Where, aggNeededVars(q), nil); err == nil {
+			err = applyAggregates(st, q, sel)
 		}
-	} else if st, spec, err = m.translateSelect(tx, q.Where, projectionFor(q), nil); err == nil {
-		err = applyQueryModifiers(st, q, spec)
+	} else if st, sel, err = m.translateSelect(tx, q.Where, projectionFor(q), nil); err == nil {
+		err = applyQueryModifiers(st, q, sel)
 	}
 	if err != nil {
 		return nil, err
 	}
-	ps, err := prepareSelect(tx, spec)
+	ps, err := prepareSelect(tx, *sel)
 	if err != nil {
 		return nil, err
 	}
-	p.sel = selectTemplate{spec: *spec, ps: ps, vars: st.Vars, bindings: st.bindings}
+	p.sel = selectTemplate{ps: ps, vars: st.Vars, bindings: st.bindings}
 	p.encs = m.cellEncoders(tx, st.bindings)
 	p.layout = sparql.NewRowLayout(st.Vars, p.encs)
 	return p, nil
@@ -427,7 +423,7 @@ func projectionFor(q *sparql.Query) []string {
 
 // boundQuery is a QueryPlan instantiated with one argument vector: the
 // slot values the prepared plan runs with, the LIMIT/OFFSET window,
-// and the materialized CONSTRUCT template. The SQL text is rendered
+// and the materialized CONSTRUCT template. The SQL text is printed
 // from them only when a caller reads it (sql).
 type boundQuery struct {
 	plan          *QueryPlan
@@ -448,7 +444,7 @@ func (p *QueryPlan) bind(m *Mediator, args []string) (*boundQuery, error) {
 	if len(p.union) > 0 {
 		return bq, nil // rich plans carry no slots
 	}
-	bq.limit, bq.offset = p.sel.spec.Limit, p.sel.spec.Offset
+	bq.limit, bq.offset = p.sel.ps.stmt.Limit, p.sel.ps.stmt.Offset
 	vals, err := p.sel.bindArgs(m, args)
 	if err != nil {
 		return nil, err
@@ -472,193 +468,20 @@ func (p *QueryPlan) bind(m *Mediator, args []string) (*boundQuery, error) {
 	return bq, nil
 }
 
-// sql renders the bound SELECT (every UNION branch's, joined) — the
+// sql prints the bound SELECT (every UNION branch's, joined) — the
 // reporting text, never executed.
 func (bq *boundQuery) sql() string {
 	p := bq.plan
 	if len(p.union) > 0 {
 		sqls := make([]string, len(p.union))
 		for i := range p.union {
-			sqls[i] = sqlgen.Select(p.union[i].spec)
+			sqls[i] = sqlparser.Format(p.union[i].ps.stmt, nil)
 		}
 		return strings.Join(sqls, " UNION ")
 	}
-	spec := p.sel.boundSpec(bq.vals)
-	spec.Limit, spec.Offset = bq.limit, bq.offset
-	return sqlgen.Select(spec)
-}
-
-// specSelect lowers a SelectSpec into the executable sqlparser AST —
-// the structured twin of rendering the spec with sqlgen.Select and
-// re-parsing it, which is exactly what the parity tests assert. A
-// Param-marked condition lowers its value to a parameter slot: the
-// mark minus one, the index of its bind source.
-func specSelect(spec *sqlgen.SelectSpec) (sqlparser.Select, error) {
-	sel := sqlparser.Select{Distinct: spec.Distinct, Limit: -1, Offset: -1}
-	switch {
-	case len(spec.AggItems) > 0:
-		for _, it := range spec.AggItems {
-			if it.Fn == "" {
-				sel.Items = append(sel.Items, sqlparser.SelectItem{Expr: colRefOf(it.Column)})
-				continue
-			}
-			fn, ok := aggFuncOf[it.Fn]
-			if !ok {
-				return sqlparser.Select{}, fmt.Errorf("core: unknown aggregate %q in SELECT spec", it.Fn)
-			}
-			// The parser gives alias-less aggregate items the lowercase
-			// function name as default alias; mirror it for parity.
-			item := sqlparser.SelectItem{Agg: fn, Alias: strings.ToLower(it.Fn)}
-			if it.Column != "" {
-				item.Expr = colRefOf(it.Column)
-			}
-			sel.Items = append(sel.Items, item)
-		}
-	case len(spec.Columns) == 0:
-		sel.Items = []sqlparser.SelectItem{{Star: true}}
-	default:
-		for _, c := range spec.Columns {
-			sel.Items = append(sel.Items, sqlparser.SelectItem{Expr: colRefOf(c)})
-		}
-	}
-	sel.From = sqlparser.TableRef{Table: spec.From, Alias: spec.FromAs}
-	for _, j := range spec.Joins {
-		var on sqlparser.Expr = sqlparser.Binary{
-			Op: sqlparser.OpEq, Left: colRefOf(j.Left), Right: colRefOf(j.Right),
-		}
-		for _, w := range j.On {
-			cond, err := condExpr(w)
-			if err != nil {
-				return sqlparser.Select{}, err
-			}
-			on = sqlparser.Binary{Op: sqlparser.OpAnd, Left: on, Right: cond}
-		}
-		sel.Joins = append(sel.Joins, sqlparser.Join{
-			Ref:       sqlparser.TableRef{Table: j.Table, Alias: j.As},
-			On:        on,
-			LeftOuter: j.LeftOuter,
-		})
-	}
-	var where sqlparser.Expr
-	for _, w := range spec.Where {
-		cond, err := condExpr(w)
-		if err != nil {
-			return sqlparser.Select{}, err
-		}
-		if where == nil {
-			where = cond
-		} else {
-			where = sqlparser.Binary{Op: sqlparser.OpAnd, Left: where, Right: cond}
-		}
-	}
-	sel.Where = where
-	for _, g := range spec.GroupBy {
-		sel.GroupBy = append(sel.GroupBy, colRefOf(g))
-	}
-	for _, h := range spec.Having {
-		fn, ok := aggFuncOf[h.Fn]
-		if !ok {
-			return sqlparser.Select{}, fmt.Errorf("core: unknown aggregate %q in HAVING spec", h.Fn)
-		}
-		cond := sqlparser.HavingCond{Agg: fn, Op: cmpToParserOp[h.Op], Val: h.Value}
-		if h.Column != "" {
-			cond.Expr = colRefOf(h.Column)
-		}
-		sel.Having = append(sel.Having, cond)
-	}
-	for _, k := range spec.OrderBy {
-		sel.OrderBy = append(sel.OrderBy, sqlparser.OrderKey{Expr: colRefOf(k.Column), Desc: k.Desc})
-	}
-	if spec.Limit >= 0 {
-		sel.Limit = spec.Limit // 0 is a real LIMIT 0; -1 alone means unset
-	}
-	if spec.Offset >= 0 {
-		sel.Offset = spec.Offset
-	}
-	return sel, nil
-}
-
-// condExpr lowers one WHERE condition — possibly a disjunction of
-// simple conditions — into the parser's expression shape: OR chains
-// fold left-associatively, exactly how the parser reads the rendered
-// "(a OR b OR c)" text.
-func condExpr(w sqlgen.WhereSpec) (sqlparser.Expr, error) {
-	if len(w.Or) > 0 {
-		var or sqlparser.Expr
-		for _, alt := range w.Or {
-			cond, err := condExpr(alt)
-			if err != nil {
-				return nil, err
-			}
-			if or == nil {
-				or = cond
-			} else {
-				or = sqlparser.Binary{Op: sqlparser.OpOr, Left: or, Right: cond}
-			}
-		}
-		return or, nil
-	}
-	if w.LeftExpr != nil {
-		return sqlparser.Binary{
-			Op: cmpToParserOp[w.Op], Left: arithExpr(w.LeftExpr), Right: arithExpr(w.RightExpr),
-		}, nil
-	}
-	col := colRefOf(w.Column)
-	switch {
-	case w.Param > 0:
-		return sqlparser.Binary{Op: cmpToParserOp[w.Op], Left: col, Right: sqlparser.Param{Index: w.Param - 1}}, nil
-	case w.IsNull:
-		return sqlparser.IsNull{Inner: col}, nil
-	case w.NotNull:
-		return sqlparser.IsNull{Inner: col, Negate: true}, nil
-	case w.OtherColumn != "":
-		return sqlparser.Binary{Op: cmpToParserOp[w.Op], Left: col, Right: colRefOf(w.OtherColumn)}, nil
-	default:
-		return sqlparser.Binary{Op: cmpToParserOp[w.Op], Left: col, Right: sqlparser.Lit{Value: w.Value}}, nil
-	}
-}
-
-// aggFuncOf maps the renderer's aggregate names onto the SQL parser's.
-var aggFuncOf = map[string]sqlparser.AggFunc{
-	"COUNT": sqlparser.AggCount, "SUM": sqlparser.AggSum,
-	"AVG": sqlparser.AggAvg, "MIN": sqlparser.AggMin, "MAX": sqlparser.AggMax,
-}
-
-// arithToParserOp maps the renderer's arithmetic operators onto the
-// SQL parser's.
-var arithToParserOp = map[sqlgen.ArithOp]sqlparser.BinOp{
-	sqlgen.ArithAdd: sqlparser.OpAdd, sqlgen.ArithSub: sqlparser.OpSub,
-	sqlgen.ArithMul: sqlparser.OpMul, sqlgen.ArithDiv: sqlparser.OpDiv,
-}
-
-// arithExpr lowers an arithmetic operand spec to the parser's AST —
-// the same tree the fully parenthesized rendering re-parses to.
-func arithExpr(a *sqlgen.ArithSpec) sqlparser.Expr {
-	if a.Op != 0 {
-		return sqlparser.Binary{
-			Op: arithToParserOp[a.Op], Left: arithExpr(a.Left), Right: arithExpr(a.Right),
-		}
-	}
-	if a.Column != "" {
-		return colRefOf(a.Column)
-	}
-	return sqlparser.Lit{Value: a.Value}
-}
-
-// cmpToParserOp maps the renderer's comparison operators onto the SQL
-// parser's, so the lowered AST stays DeepEqual to parsing the rendered
-// text.
-var cmpToParserOp = map[sqlgen.CmpOp]sqlparser.BinOp{
-	sqlgen.CmpEq: sqlparser.OpEq, sqlgen.CmpNe: sqlparser.OpNe,
-	sqlgen.CmpLt: sqlparser.OpLt, sqlgen.CmpLe: sqlparser.OpLe,
-	sqlgen.CmpGt: sqlparser.OpGt, sqlgen.CmpGe: sqlparser.OpGe,
-}
-
-func colRefOf(qualified string) sqlparser.ColRef {
-	if i := strings.IndexByte(qualified, '.'); i >= 0 {
-		return sqlparser.ColRef{Table: qualified[:i], Column: qualified[i+1:]}
-	}
-	return sqlparser.ColRef{Column: qualified}
+	stmt := p.sel.ps.stmt
+	stmt.Limit, stmt.Offset = bq.limit, bq.offset
+	return sqlparser.Format(stmt, bq.vals)
 }
 
 // ---- execution -----------------------------------------------------
@@ -673,27 +496,16 @@ type preparedSelect struct {
 	cur  atomic.Pointer[sqlexec.Prepared]
 }
 
-// prepareSelect lowers a spec (its slots as parameter leaves) and
-// prepares it against tx.
-func prepareSelect(tx *rdb.Tx, spec *sqlgen.SelectSpec) (*preparedSelect, error) {
-	stmt, p, err := prepareSpec(tx, spec)
+// prepareSelect prepares a translated statement (its slots as
+// parameter leaves) against tx.
+func prepareSelect(tx *rdb.Tx, stmt sqlparser.Select) (*preparedSelect, error) {
+	p, err := sqlexec.Prepare(tx, stmt)
 	if err != nil {
 		return nil, err
 	}
 	ps := &preparedSelect{stmt: stmt}
 	ps.cur.Store(p)
 	return ps, nil
-}
-
-// prepareSpec lowers a spec and prepares the statement against tx —
-// all a one-shot plan needs.
-func prepareSpec(tx *rdb.Tx, spec *sqlgen.SelectSpec) (sqlparser.Select, *sqlexec.Prepared, error) {
-	stmt, err := specSelect(spec)
-	if err != nil {
-		return stmt, nil, err
-	}
-	p, err := sqlexec.Prepare(tx, stmt)
-	return stmt, p, err
 }
 
 // get returns the plan to run in tx, re-preparing a stale one.

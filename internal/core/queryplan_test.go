@@ -10,7 +10,6 @@ import (
 	"ontoaccess/internal/rdb"
 	"ontoaccess/internal/rdb/sqlparser"
 	"ontoaccess/internal/sparql"
-	"ontoaccess/internal/sqlgen"
 	"ontoaccess/internal/update"
 )
 
@@ -166,8 +165,8 @@ func TestQueryPlanIntrospection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ask.Kind() != "ASK" || ask.sel.spec.Limit != 1 {
-		t.Errorf("ASK plan = kind %s, limit %d (want LIMIT 1)", ask.Kind(), ask.sel.spec.Limit)
+	if ask.Kind() != "ASK" || ask.sel.ps.stmt.Limit != 1 {
+		t.Errorf("ASK plan = kind %s, limit %d (want LIMIT 1)", ask.Kind(), ask.sel.ps.stmt.Limit)
 	}
 	for _, unplannable := range []string{
 		// Ordering "2009" lexically against an INTEGER-stored, plainly
@@ -377,13 +376,11 @@ func anchorCases(m, events *Mediator) []anchorCase {
 }
 
 // TestSpecSelectMatchesParsedText is the structural-parity anchor of
-// the SQL text: no read path parses it back, so lowering a bound spec
-// through specSelect must produce exactly the AST the parser builds
-// from the rendered text — what the mediator executes is what it
-// reports. Runs over every structural plan shape: the parameterized
-// parity cases, each UNION branch, aggregates with GROUP BY / HAVING,
-// OPTIONAL attribute reads and foreign-key hops, OR and arithmetic
-// filters, and the uncompiled MODIFY WHERE.
+// the SQL text: no read path parses it back, so what a plan reports
+// must be exactly what it runs — the text sqlparser.Format prints for
+// a template and its bound values parses to the prepared statement
+// with each parameter leaf replaced by its value. Runs over every
+// structural plan shape (anchorCases) and the uncompiled MODIFY WHERE.
 func TestSpecSelectMatchesParsedText(t *testing.T) {
 	m := paperMediator(t, Options{})
 	mustExec(t, m, listing15)
@@ -409,60 +406,46 @@ func TestSpecSelectMatchesParsedText(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			name := fmt.Sprintf("%s (template %d)", tc.name, i)
-			assertLoweringMatchesText(t, name, tmpl.boundSpec(vals))
-			assertPreparedMatchesBound(t, name, tmpl, vals)
+			assertReportedIsRun(t, fmt.Sprintf("%s (template %d)", tc.name, i), tmpl.ps.stmt, vals)
 		}
 	}
-	// The uncompiled MODIFY WHERE lowers its translation the same way.
+	// The uncompiled MODIFY WHERE reports its translation the same way.
 	op := mustParseModify(t, paperPrologue+`
 MODIFY
 DELETE { ?x foaf:mbox ?m . }
 INSERT { ?x foaf:mbox <mailto:new@example.org> . }
 WHERE { ?x foaf:family_name "Hert" ; ont:team ?t ; foaf:mbox ?m . ?t foaf:name ?tn . }`)
 	if err := m.DB().View(func(tx *rdb.Tx) error {
-		_, spec, err := m.translateSelect(tx, op.Where, nil, nil)
+		_, sel, err := m.translateSelect(tx, op.Where, nil, nil)
 		if err != nil {
 			return err
 		}
-		assertLoweringMatchesText(t, "uncompiled MODIFY WHERE", *spec)
+		assertReportedIsRun(t, "uncompiled MODIFY WHERE", *sel, nil)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// assertLoweringMatchesText checks one fully bound spec: specSelect's
-// AST must equal the parse of sqlgen's rendering.
-func assertLoweringMatchesText(t *testing.T, name string, spec sqlgen.SelectSpec) {
+// assertReportedIsRun checks one statement the mediator runs against
+// the SQL text it reports for it: Format(stmt, vals) must parse to
+// stmt with every parameter leaf replaced by its bound value.
+func assertReportedIsRun(t *testing.T, name string, stmt sqlparser.Select, vals []rdb.Value) {
 	t.Helper()
-	lowered, err := specSelect(&spec)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	text := sqlgen.Select(spec)
+	text := sqlparser.Format(stmt, vals)
 	parsed, err := sqlparser.ParseStatement(text)
 	if err != nil {
-		t.Fatalf("%s: rendered SQL does not parse: %v\n%s", name, err, text)
+		t.Fatalf("%s: reported SQL does not parse: %v\n%s", name, err, text)
 	}
-	if !reflect.DeepEqual(lowered, parsed.(sqlparser.Select)) {
-		t.Errorf("%s: lowered AST diverges from parsed text %s\nlowered: %#v\nparsed:  %#v",
-			name, text, lowered, parsed)
+	if want := withLits(stmt, vals); !reflect.DeepEqual(parsed, want) {
+		t.Errorf("%s: reported SQL %s parses to another statement than the one run\nparsed: %#v\nrun:    %#v",
+			name, text, parsed, want)
 	}
 }
 
-// assertPreparedMatchesBound checks what a compiled template runs
-// against what it reports: the statement it prepared, its parameter
-// slots replaced by the bound values, must equal the lowering of the
-// bound spec — the AST the rendered text parses to.
-func assertPreparedMatchesBound(t *testing.T, name string, tmpl selectTemplate, vals []rdb.Value) {
-	t.Helper()
-	spec := tmpl.boundSpec(vals)
-	want, err := specSelect(&spec)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	got := tmpl.ps.stmt
+// withLits returns stmt with every parameter leaf of its WHERE and
+// JOIN ... ON conditions replaced by its value in vals.
+func withLits(stmt sqlparser.Select, vals []rdb.Value) sqlparser.Select {
 	var sub func(e sqlparser.Expr) sqlparser.Expr
 	sub = func(e sqlparser.Expr) sqlparser.Expr {
 		switch x := e.(type) {
@@ -473,33 +456,36 @@ func assertPreparedMatchesBound(t *testing.T, name string, tmpl selectTemplate, 
 		}
 		return e
 	}
-	if got.Where != nil {
-		got.Where = sub(got.Where)
+	if stmt.Where != nil {
+		stmt.Where = sub(stmt.Where)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("%s: prepared statement with its slots bound diverges from the bound spec\nprepared: %#v\nbound:    %#v", name, got, want)
+	joins := make([]sqlparser.Join, len(stmt.Joins))
+	for i, j := range stmt.Joins {
+		j.On = sub(j.On)
+		joins[i] = j
 	}
+	if stmt.Joins != nil {
+		stmt.Joins = joins
+	}
+	return stmt
 }
 
 // TestModifyBoundSpecMatchesParsedText extends the same anchor to the
-// MODIFY WHERE path, which shares bindArgs/boundSpec and the prepared
-// SELECT with query plans instead of re-parsing its rendered SELECT.
+// MODIFY WHERE path, which shares bindArgs and the prepared SELECT with
+// query plans and reports its bound statement through Format.
 func TestModifyBoundSpecMatchesParsedText(t *testing.T) {
 	m := paperMediator(t, Options{})
 	mustExec(t, m, listing15)
-	plan, err := m.ModifyPlanFor(paperPrologue + `
+	src := paperPrologue + `
 MODIFY
 DELETE { ex:author6 foaf:mbox ?m . }
 INSERT { ex:author6 foaf:mbox <mailto:new@example.org> . }
-WHERE { ex:author6 foaf:mbox ?m . }`)
+WHERE { ex:author6 foaf:mbox ?m . }`
+	plan, err := m.ModifyPlanFor(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, args, _, ok := normalizeModify(mustParseModify(t, paperPrologue+`
-MODIFY
-DELETE { ex:author6 foaf:mbox ?m . }
-INSERT { ex:author6 foaf:mbox <mailto:new@example.org> . }
-WHERE { ex:author6 foaf:mbox ?m . }`))
+	_, args, _, ok := normalizeModify(mustParseModify(t, src))
 	if !ok {
 		t.Fatal("modify not normalizable")
 	}
@@ -510,8 +496,7 @@ WHERE { ex:author6 foaf:mbox ?m . }`))
 	if len(bm.vals) == 0 {
 		t.Fatal("the keyed MODIFY WHERE bound no slot values")
 	}
-	assertLoweringMatchesText(t, "bound MODIFY", plan.sel.boundSpec(bm.vals))
-	assertPreparedMatchesBound(t, "bound MODIFY", plan.sel, bm.vals)
+	assertReportedIsRun(t, "bound MODIFY", plan.sel.ps.stmt, bm.vals)
 }
 
 // TestQueryDisablePlanCacheMatchesSeedBehaviour pins the ablation:

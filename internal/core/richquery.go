@@ -2,11 +2,12 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"ontoaccess/internal/rdb"
+	"ontoaccess/internal/rdb/sqlparser"
 	"ontoaccess/internal/rdf"
 	"ontoaccess/internal/sparql"
-	"ontoaccess/internal/sqlgen"
 )
 
 // This file lowers the rich query surface — OPTIONAL groups, one
@@ -143,11 +144,10 @@ func (tr *translator) lowerOptionalJoin(og *sparql.GroupPattern, fresh map[strin
 	}
 	alias := fmt.Sprintf("t%d", tr.aliasN)
 	tr.aliasN++
-	join := sqlgen.JoinSpec{
-		Table: refTM.Name, As: alias,
-		Left: n.alias + "." + am.Name, Right: alias + "." + refSchema.PrimaryKey[0],
-		LeftOuter: true,
-	}
+	on := []sqlparser.Expr{eq(
+		sqlparser.ColRef{Table: n.alias, Column: am.Name},
+		sqlparser.ColRef{Table: alias, Column: refSchema.PrimaryKey[0]},
+	)}
 	newBinds := []varBinding{{
 		name: tp0.O.Var, kind: bindSubject, alias: alias,
 		col: refSchema.PrimaryKey[0], tm: refTM, schema: refSchema, nullable: true,
@@ -171,7 +171,7 @@ func (tr *translator) lowerOptionalJoin(og *sparql.GroupPattern, fresh map[strin
 		if _, chained := ram.ForeignKeyRef(); chained {
 			return fmt.Errorf("core: OPTIONAL chained foreign keys are not translatable")
 		}
-		col := alias + "." + ram.Name
+		col := sqlparser.ColRef{Table: alias, Column: ram.Name}
 		if tp.O.IsVar {
 			if !fresh[tp.O.Var] || seen[tp.O.Var] {
 				return fmt.Errorf("core: OPTIONAL object ?%s is not a fresh variable", tp.O.Var)
@@ -181,21 +181,23 @@ func (tr *translator) lowerOptionalJoin(og *sparql.GroupPattern, fresh map[strin
 				name: tp.O.Var, kind: bindColumn, alias: alias,
 				col: ram.Name, am: ram, schema: refSchema, nullable: true,
 			})
-			join.On = append(join.On, sqlgen.WhereSpec{Column: col, NotNull: true})
+			on = append(on, notNull(col))
 		} else {
 			schemaCol, _ := refSchema.Column(ram.Name)
 			v, verr := tr.m.tripleObjectToValue(tr.tx, tp.O.Term, ram, schemaCol, tp0.O.Var, prop.Value)
 			if verr != nil {
 				return verr
 			}
-			join.On = append(join.On, sqlgen.WhereSpec{Column: col, Value: v})
+			on = append(on, eq(col, sqlparser.Lit{Value: v}))
 		}
 	}
 	for _, b := range newBinds {
 		tr.bind[b.name] = b
 		tr.bindSeq = append(tr.bindSeq, b.name)
 	}
-	tr.leftJoins = append(tr.leftJoins, join)
+	tr.leftJoins = append(tr.leftJoins, sqlparser.Join{
+		Ref: sqlparser.TableRef{Table: refTM.Name, Alias: alias}, On: chain(sqlparser.OpAnd, on), LeftOuter: true,
+	})
 	return nil
 }
 
@@ -316,7 +318,7 @@ func aggNeededVars(q *sparql.Query) []string {
 // keeps the stored lexical (plain or numeric datatype) — the shapes
 // where SQL aggregation over values equals SPARQL aggregation over
 // terms.
-func applyAggregates(st *SelectTranslation, q *sparql.Query, spec *sqlgen.SelectSpec) error {
+func applyAggregates(st *SelectTranslation, q *sparql.Query, sel *sqlparser.Select) error {
 	for _, gv := range q.GroupBy {
 		b, ok := st.binds[gv]
 		if !ok {
@@ -325,9 +327,9 @@ func applyAggregates(st *SelectTranslation, q *sparql.Query, spec *sqlgen.Select
 		if b.nullable {
 			return fmt.Errorf("core: GROUP BY on optional variable ?%s is not translatable", gv)
 		}
-		spec.GroupBy = append(spec.GroupBy, b.alias+"."+b.col)
+		sel.GroupBy = append(sel.GroupBy, b.colRef())
 	}
-	items := make([]sqlgen.AggItemSpec, 0, len(q.Aggs))
+	items := make([]sqlparser.SelectItem, 0, len(q.Aggs))
 	outBinds := make([]varBinding, 0, len(q.Aggs))
 	for i, a := range q.Aggs {
 		name := q.Vars[i]
@@ -337,18 +339,18 @@ func applyAggregates(st *SelectTranslation, q *sparql.Query, spec *sqlgen.Select
 			// exists; it decodes injectively per column, which makes the
 			// SQL group partition equal the term partition.
 			b := st.binds[name]
-			items = append(items, sqlgen.AggItemSpec{Column: b.alias + "." + b.col})
+			items = append(items, sqlparser.SelectItem{Expr: b.colRef()})
 			outBinds = append(outBinds, b)
 		case "COUNT":
-			it := sqlgen.AggItemSpec{Fn: "COUNT"}
+			var arg sqlparser.Expr
 			if a.Var != "" {
 				b, ok := st.binds[a.Var]
 				if !ok {
 					return fmt.Errorf("core: COUNT uses unbound variable ?%s", a.Var)
 				}
-				it.Column = b.alias + "." + b.col
+				arg = b.colRef()
 			}
-			items = append(items, it)
+			items = append(items, aggItem(a.Fn, arg))
 			outBinds = append(outBinds, varBinding{name: name, kind: bindAgg, nullable: true})
 		default: // SUM / AVG / MIN / MAX
 			b, ok := st.binds[a.Var]
@@ -366,17 +368,17 @@ func applyAggregates(st *SelectTranslation, q *sparql.Query, spec *sqlgen.Select
 				!(stringishDatatype(b.am.Datatype) || numericDatatype(b.am.Datatype)) {
 				return fmt.Errorf("core: %s argument ?%s is not numerically stored", a.Fn, a.Var)
 			}
-			items = append(items, sqlgen.AggItemSpec{Fn: a.Fn, Column: b.alias + "." + b.col})
+			items = append(items, aggItem(a.Fn, b.colRef()))
 			outBinds = append(outBinds, varBinding{name: name, kind: bindAgg, nullable: true})
 		}
 	}
-	spec.AggItems = items
+	sel.Items = items
 	for _, hc := range q.Having {
 		h, err := lowerHavingCond(st, hc)
 		if err != nil {
 			return err
 		}
-		spec.Having = append(spec.Having, h)
+		sel.Having = append(sel.Having, h)
 	}
 	st.Vars = append([]string{}, q.Vars...)
 	st.bindings = outBinds
@@ -389,9 +391,9 @@ func applyAggregates(st *SelectTranslation, q *sparql.Query, spec *sqlgen.Select
 // way), and the literal side must be a plain numeric or string
 // constant — both engines then apply the same lexical comparison rule
 // to byte-identical operands.
-func lowerHavingCond(st *SelectTranslation, hc sparql.HavingCond) (sqlgen.HavingSpec, error) {
-	none := sqlgen.HavingSpec{}
-	h := sqlgen.HavingSpec{Fn: hc.Agg.Fn, Op: sparqlToCmp[hc.Op]}
+func lowerHavingCond(st *SelectTranslation, hc sparql.HavingCond) (sqlparser.HavingCond, error) {
+	var none sqlparser.HavingCond
+	h := sqlparser.HavingCond{Agg: aggFuncOf[hc.Agg.Fn], Op: sparqlToSQL[hc.Op]}
 	if hc.Agg.Var != "" {
 		b, ok := st.binds[hc.Agg.Var]
 		if !ok {
@@ -410,7 +412,7 @@ func lowerHavingCond(st *SelectTranslation, hc sparql.HavingCond) (sqlgen.Having
 				return none, fmt.Errorf("core: HAVING %s argument ?%s is not numerically stored", hc.Agg.Fn, hc.Agg.Var)
 			}
 		}
-		h.Column = b.alias + "." + b.col
+		h.Expr = b.colRef()
 	}
 	t := hc.Lit
 	switch {
@@ -421,11 +423,23 @@ func lowerHavingCond(st *SelectTranslation, hc sparql.HavingCond) (sqlgen.Having
 		if !ok {
 			return none, fmt.Errorf("core: HAVING constant %s is not finite", t)
 		}
-		h.Value = v
+		h.Val = v
 	case stringishDatatype(t.Datatype):
-		h.Value = rdb.String_(t.Value)
+		h.Val = rdb.String_(t.Value)
 	default:
 		return none, fmt.Errorf("core: HAVING constant %s is not translatable", t)
 	}
 	return h, nil
+}
+
+// aggFuncOf maps the SPARQL parser's aggregate names onto the SQL AST's.
+var aggFuncOf = map[string]sqlparser.AggFunc{
+	"COUNT": sqlparser.AggCount, "SUM": sqlparser.AggSum,
+	"AVG": sqlparser.AggAvg, "MIN": sqlparser.AggMin, "MAX": sqlparser.AggMax,
+}
+
+// aggItem is the projection item of an aggregate call (a nil arg is
+// COUNT(*)), aliased as the SQL parser aliases one without AS.
+func aggItem(fn string, arg sqlparser.Expr) sqlparser.SelectItem {
+	return sqlparser.SelectItem{Agg: aggFuncOf[fn], Alias: strings.ToLower(fn), Expr: arg}
 }

@@ -9,8 +9,8 @@ import (
 	"testing"
 
 	"ontoaccess/internal/rdb"
+	"ontoaccess/internal/rdb/sqlparser"
 	"ontoaccess/internal/sparql"
-	"ontoaccess/internal/sqlgen"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -18,7 +18,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files under te
 // boundTemplateSQL renders a compiled SELECT template with its slots
 // bound to vals: the text a plan reports for one execution.
 func boundTemplateSQL(tmpl selectTemplate, vals []rdb.Value) string {
-	return sqlgen.Select(tmpl.boundSpec(vals))
+	return sqlparser.Format(tmpl.ps.stmt, vals)
 }
 
 // sqlTextModifies are the MODIFY requests whose WHERE SELECT and

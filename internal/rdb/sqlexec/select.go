@@ -267,16 +267,6 @@ func SelectTextual(tx *rdb.Tx, st sqlparser.Select) (*ResultSet, error) {
 	return p.run(tx, nil, st.Limit, st.Offset)
 }
 
-// conjuncts flattens top-level ANDs: a row passes the conjunction iff
-// every conjunct evaluates to true, which matches SQL's three-valued
-// AND for filtering purposes.
-func conjunctsOf(e sqlparser.Expr, out []sqlparser.Expr) []sqlparser.Expr {
-	if b, ok := e.(sqlparser.Binary); ok && b.Op == sqlparser.OpAnd {
-		return conjunctsOf(b.Right, conjunctsOf(b.Left, out))
-	}
-	return append(out, e)
-}
-
 // qualifyExpr rewrites every column reference to its qualified form
 // and reports the set of tables the expression reads. ok is false
 // when a reference is ambiguous or unknown; such conjuncts keep their
@@ -578,18 +568,16 @@ func planSelectMode(tx *rdb.Tx, st sqlparser.Select, forceTextual bool) (*selPla
 
 	// Classify WHERE conjuncts and each join's ON conjuncts.
 	var wheres []conjunct
-	if st.Where != nil {
-		for _, e := range conjunctsOf(st.Where, nil) {
-			q, m, ok := qualifyExpr(e, p.metas)
-			if !ok {
-				q = e // keep the original form for faithful errors
-			}
-			wheres = append(wheres, conjunct{expr: q, mask: m, resolvable: ok})
+	for _, e := range sqlparser.Conjuncts(st.Where, nil) {
+		q, m, ok := qualifyExpr(e, p.metas)
+		if !ok {
+			q = e // keep the original form for faithful errors
 		}
+		wheres = append(wheres, conjunct{expr: q, mask: m, resolvable: ok})
 	}
 	ons := make([][]conjunct, len(st.Joins))
 	for ji, j := range st.Joins {
-		for _, e := range conjunctsOf(j.On, nil) {
+		for _, e := range sqlparser.Conjuncts(j.On, nil) {
 			q, m, ok := qualifyExpr(e, p.metas)
 			if !ok {
 				q = e

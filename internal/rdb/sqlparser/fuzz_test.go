@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -10,7 +11,9 @@ import (
 // never panic or hang, and whatever SELECT it accepts must be
 // structurally sound enough for the executor: a FROM table, items
 // present, joins carrying ON expressions, and LIMIT/OFFSET either
-// unset (-1) or non-negative.
+// unset (-1) or non-negative. And it must survive the printer:
+// Format's text parses back to the very same statement, so the SQL a
+// plan reports always describes the statement it runs.
 //
 // The seed corpus is translator-emitted SQL: the rendered forms of
 // compiled SELECT/ASK/CONSTRUCT plans and MODIFY WHERE templates
@@ -40,6 +43,10 @@ func FuzzParseSelect(f *testing.F) {
 		`SELECT DISTINCT a.lastname AS l FROM author a JOIN team t ON a.team = t.id WHERE t.name LIKE 'S%' ORDER BY l DESC, a.id LIMIT 10 OFFSET 2;`,
 		`SELECT COUNT(*) AS n FROM author WHERE team IN (1, 2, 3);`,
 		`SELECT id, year + 1 FROM publication WHERE NOT (year IS NULL) AND -year < 0;`,
+		// printer edge cases: quoted identifiers, integral DOUBLEs,
+		// nested negation, right-nested AND and OR
+		`SELECT "select", "a b".x AS "from" FROM "t" "order" WHERE y = 2.0 AND - -z > -(1) AND a AND (b AND c);`,
+		`SELECT x FROM t WHERE (a = b) = (c IS NULL) OR (d OR e) AND x NOT IN (1e3, -2.5, 'q');`,
 		// malformed prefixes that must error, not loop
 		`SELECT`, `SELECT *`, `SELECT * FROM`, `SELECT a. FROM t`, `SELECT x FROM t JOIN`,
 		`SELECT x FROM t WHERE`, `SELECT x FROM t LIMIT`, "\x00", `SELECT x FROM t WHERE ((((`,
@@ -77,6 +84,14 @@ func FuzzParseSelect(f *testing.F) {
 		}
 		if sel.Limit < -1 || sel.Offset < -1 {
 			t.Fatalf("accepted negative LIMIT/OFFSET: %d/%d", sel.Limit, sel.Offset)
+		}
+		out := Format(sel, nil)
+		back, err := ParseStatement(out)
+		if err != nil {
+			t.Fatalf("Format output does not parse: %v\n in  %q\n out %q", err, src, out)
+		}
+		if !reflect.DeepEqual(back, stmt) {
+			t.Fatalf("Format does not round-trip\n in  %q\n out %q\n%#v\n%#v", src, out, stmt, back)
 		}
 	})
 }

@@ -1,7 +1,14 @@
 // Package sqlparser implements a lexer, AST and recursive-descent
 // parser for the SQL subset OntoAccess generates and the tooling
 // needs: CREATE TABLE / DROP TABLE DDL, INSERT / UPDATE / DELETE DML,
-// and SELECT with inner joins, WHERE, ORDER BY, LIMIT and OFFSET.
+// and SELECT with inner and left joins, WHERE, GROUP BY, HAVING,
+// ORDER BY, LIMIT and OFFSET.
+//
+// The Select AST is the one representation of a SELECT: the mediator's
+// translator builds it directly (parameter slots as Param leaves),
+// sqlexec runs it, and Format is the one SELECT printer, producing the
+// SQL text the mediator reports; ParseStatement(Format(s, nil))
+// rebuilds every statement s the parser returns.
 //
 // The AST reuses the engine's value and schema types from package
 // rdb; execution lives in the sibling package sqlexec.

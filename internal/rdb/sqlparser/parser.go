@@ -759,20 +759,20 @@ func (p *Parser) parseHavingCond() (HavingCond, error) {
 	return cond, nil
 }
 
+// aggFuncs holds each aggregate's keyword and the default alias the
+// parser gives an aggregate item without AS.
+var aggFuncs = [...]struct{ kw, alias string }{
+	AggCount: {"COUNT", "count"}, AggSum: {"SUM", "sum"}, AggAvg: {"AVG", "avg"},
+	AggMin: {"MIN", "min"}, AggMax: {"MAX", "max"},
+}
+
 // aggKeyword maps the current token to an aggregate function and its
 // default (lowercase) alias; AggNone when it is not an aggregate.
 func (p *Parser) aggKeyword() (AggFunc, string) {
-	switch {
-	case p.isKeyword("COUNT"):
-		return AggCount, "count"
-	case p.isKeyword("SUM"):
-		return AggSum, "sum"
-	case p.isKeyword("AVG"):
-		return AggAvg, "avg"
-	case p.isKeyword("MIN"):
-		return AggMin, "min"
-	case p.isKeyword("MAX"):
-		return AggMax, "max"
+	for f := AggCount; f <= AggMax; f++ {
+		if p.isKeyword(aggFuncs[f].kw) {
+			return f, aggFuncs[f].alias
+		}
 	}
 	return AggNone, ""
 }

@@ -1,13 +1,12 @@
-// Package sqlgen renders SQL DML statements as text. The OntoAccess
-// translator emits SQL strings — exactly like the paper's prototype,
-// which shipped generated SQL to MySQL over JDBC — and this package
-// is the single place where that text is produced, so the feasibility
-// study can compare generated statements with the paper's listings
-// verbatim.
+// Package sqlgen renders the SQL write statements — INSERT, UPDATE and
+// DELETE — as text. The OntoAccess translator reports the SQL it runs,
+// exactly like the paper's prototype shipped generated SQL to MySQL
+// over JDBC, so the feasibility study can compare generated statements
+// with the paper's listings verbatim. SELECT text has one printer of
+// its own, sqlparser.Format, over the statement the executor runs.
 package sqlgen
 
 import (
-	"strconv"
 	"strings"
 
 	"ontoaccess/internal/rdb"
@@ -90,308 +89,4 @@ func writeWhere(b *strings.Builder, where []Cond) {
 			b.WriteString(c.Value.String())
 		}
 	}
-}
-
-// SelectSpec describes a SELECT statement for rendering: projected
-// columns (already qualified), a FROM table with alias, JOIN clauses,
-// comparison/IS NULL conditions, and solution modifiers.
-type SelectSpec struct {
-	Columns  []string
-	Distinct bool
-	From     string
-	FromAs   string
-	Joins    []JoinSpec
-	Where    []WhereSpec
-	// AggItems, when non-nil, replaces Columns as the projection list:
-	// plain group-by columns interleaved with aggregate calls. GroupBy
-	// lists the grouping columns (already qualified).
-	AggItems []AggItemSpec
-	GroupBy  []string
-	// Having lists the HAVING conjuncts (aggregating SELECTs only),
-	// rendered after GROUP BY and joined with AND.
-	Having []HavingSpec
-	// OrderBy lists the sort keys in priority order.
-	OrderBy []OrderSpec
-	// Limit caps the result rows when non-negative; -1 renders no
-	// LIMIT clause. Zero is a real "LIMIT 0" (no rows) — the unset
-	// state is the sentinel, not the zero value, so a compiled SPARQL
-	// "LIMIT 0" cannot silently return everything. Compiled ASK probes
-	// set 1: one row decides the answer.
-	Limit int
-	// Offset skips leading rows when non-negative; -1 renders no
-	// OFFSET clause.
-	Offset int
-}
-
-// OrderSpec is one ORDER BY key: a qualified column and direction.
-type OrderSpec struct {
-	Column string
-	Desc   bool
-}
-
-// JoinSpec is one "JOIN table alias ON left = right". LeftOuter
-// renders a LEFT JOIN instead, and On carries extra conditions ANDed
-// onto the join's ON clause — for OPTIONAL lowering the per-row match
-// conditions must live in the ON clause, not WHERE, so that non-
-// matching rows are null-extended rather than filtered out.
-type JoinSpec struct {
-	Table     string
-	As        string
-	Left      string // qualified column
-	Right     string // qualified column
-	LeftOuter bool
-	On        []WhereSpec
-}
-
-// AggItemSpec is one projection item of an aggregating SELECT: a
-// plain group-by column when Fn is empty, otherwise an aggregate call
-// Fn(Column). COUNT with an empty Column renders COUNT(*).
-type AggItemSpec struct {
-	Fn     string
-	Column string
-}
-
-// HavingSpec is one HAVING conjunct: the aggregate call Fn(Column) —
-// COUNT with an empty Column renders COUNT(*) — compared with a
-// literal value under Op.
-type HavingSpec struct {
-	Fn     string
-	Column string
-	Op     CmpOp
-	Value  rdb.Value
-}
-
-// CmpOp is the comparison operator of a WhereSpec. The zero value is
-// equality, so pattern-derived conditions need not set it; FILTER
-// compilation lowers the SPARQL comparison operators onto it.
-type CmpOp int
-
-// Comparison operators, in sqlparser-compatible order.
-const (
-	CmpEq CmpOp = iota
-	CmpNe
-	CmpLt
-	CmpLe
-	CmpGt
-	CmpGe
-)
-
-var cmpOpText = [...]string{" = ", " <> ", " < ", " <= ", " > ", " >= "}
-
-// ArithOp is the operator of an inner ArithSpec node. The zero value
-// marks a leaf.
-type ArithOp int
-
-// Arithmetic operators.
-const (
-	ArithAdd ArithOp = iota + 1
-	ArithSub
-	ArithMul
-	ArithDiv
-)
-
-var arithOpText = [...]string{"", " + ", " - ", " * ", " / "}
-
-// ArithSpec is one operand of an arithmetic comparison: a qualified
-// column reference (Column set), a constant (otherwise), or — when Op
-// is non-zero — the combination of Left and Right under Op. Inner
-// nodes render fully parenthesized, so the text re-parses to exactly
-// the tree the plan lowers directly (the parser drops parentheses).
-type ArithSpec struct {
-	Column      string
-	Value       rdb.Value
-	Op          ArithOp
-	Left, Right *ArithSpec
-}
-
-func writeArith(b *strings.Builder, a *ArithSpec) {
-	if a.Op != 0 {
-		b.WriteString("(")
-		writeArith(b, a.Left)
-		b.WriteString(arithOpText[a.Op])
-		writeArith(b, a.Right)
-		b.WriteString(")")
-		return
-	}
-	if a.Column != "" {
-		b.WriteString(a.Column)
-		return
-	}
-	b.WriteString(a.Value.String())
-}
-
-// WhereSpec is one condition: either column-vs-value (Value set) or
-// column-vs-column (OtherColumn set), compared with Op.
-type WhereSpec struct {
-	Column      string
-	Value       rdb.Value
-	OtherColumn string
-	// Op selects the comparison operator; the zero value is equality.
-	Op CmpOp
-	// IsNull renders "column IS NULL" (Value ignored).
-	IsNull bool
-	// NotNull renders "column IS NOT NULL".
-	NotNull bool
-	// Param carries compiled-plan metadata: a non-zero value marks the
-	// condition's Value as a parameter slot (1-based index into the
-	// plan's bind sources) to be filled before rendering. The renderer
-	// itself ignores it.
-	Param int
-	// Or, when non-empty, turns this condition into the parenthesized
-	// disjunction of its elements (the other fields are ignored). The
-	// elements themselves must be simple conditions, not disjunctions.
-	Or []WhereSpec
-	// LeftExpr/RightExpr, when non-nil, replace the Column/Value
-	// operands with arithmetic expressions compared under Op
-	// (FILTER-arithmetic lowering; Column, Value and OtherColumn are
-	// ignored).
-	LeftExpr, RightExpr *ArithSpec
-}
-
-// writeCond renders one condition; disjunctions get parentheses so
-// the rendered text re-parses with the intended precedence.
-func writeCond(b *strings.Builder, w WhereSpec) {
-	if len(w.Or) > 0 {
-		b.WriteString("(")
-		for i, alt := range w.Or {
-			if i > 0 {
-				b.WriteString(" OR ")
-			}
-			writeCond(b, alt)
-		}
-		b.WriteString(")")
-		return
-	}
-	if w.LeftExpr != nil {
-		writeArith(b, w.LeftExpr)
-		b.WriteString(cmpOpText[w.Op])
-		writeArith(b, w.RightExpr)
-		return
-	}
-	b.WriteString(w.Column)
-	switch {
-	case w.IsNull:
-		b.WriteString(" IS NULL")
-	case w.NotNull:
-		b.WriteString(" IS NOT NULL")
-	case w.OtherColumn != "":
-		b.WriteString(cmpOpText[w.Op])
-		b.WriteString(w.OtherColumn)
-	default:
-		b.WriteString(cmpOpText[w.Op])
-		b.WriteString(w.Value.String())
-	}
-}
-
-// Select renders the specification as SQL text.
-func Select(spec SelectSpec) string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	if spec.Distinct {
-		b.WriteString("DISTINCT ")
-	}
-	switch {
-	case spec.AggItems != nil:
-		for i, it := range spec.AggItems {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			if it.Fn == "" {
-				b.WriteString(it.Column)
-				continue
-			}
-			b.WriteString(it.Fn)
-			b.WriteString("(")
-			if it.Column == "" {
-				b.WriteString("*")
-			} else {
-				b.WriteString(it.Column)
-			}
-			b.WriteString(")")
-		}
-	case len(spec.Columns) == 0:
-		b.WriteString("*")
-	default:
-		b.WriteString(strings.Join(spec.Columns, ", "))
-	}
-	b.WriteString(" FROM ")
-	b.WriteString(spec.From)
-	if spec.FromAs != "" {
-		b.WriteString(" ")
-		b.WriteString(spec.FromAs)
-	}
-	for _, j := range spec.Joins {
-		if j.LeftOuter {
-			b.WriteString(" LEFT JOIN ")
-		} else {
-			b.WriteString(" JOIN ")
-		}
-		b.WriteString(j.Table)
-		if j.As != "" {
-			b.WriteString(" ")
-			b.WriteString(j.As)
-		}
-		b.WriteString(" ON ")
-		b.WriteString(j.Left)
-		b.WriteString(" = ")
-		b.WriteString(j.Right)
-		for _, c := range j.On {
-			b.WriteString(" AND ")
-			writeCond(&b, c)
-		}
-	}
-	for i, w := range spec.Where {
-		if i == 0 {
-			b.WriteString(" WHERE ")
-		} else {
-			b.WriteString(" AND ")
-		}
-		writeCond(&b, w)
-	}
-	for i, g := range spec.GroupBy {
-		if i == 0 {
-			b.WriteString(" GROUP BY ")
-		} else {
-			b.WriteString(", ")
-		}
-		b.WriteString(g)
-	}
-	for i, h := range spec.Having {
-		if i == 0 {
-			b.WriteString(" HAVING ")
-		} else {
-			b.WriteString(" AND ")
-		}
-		b.WriteString(h.Fn)
-		b.WriteString("(")
-		if h.Column == "" {
-			b.WriteString("*")
-		} else {
-			b.WriteString(h.Column)
-		}
-		b.WriteString(")")
-		b.WriteString(cmpOpText[h.Op])
-		b.WriteString(h.Value.String())
-	}
-	for i, k := range spec.OrderBy {
-		if i == 0 {
-			b.WriteString(" ORDER BY ")
-		} else {
-			b.WriteString(", ")
-		}
-		b.WriteString(k.Column)
-		if k.Desc {
-			b.WriteString(" DESC")
-		}
-	}
-	if spec.Limit >= 0 {
-		b.WriteString(" LIMIT ")
-		b.WriteString(strconv.Itoa(spec.Limit))
-	}
-	if spec.Offset >= 0 {
-		b.WriteString(" OFFSET ")
-		b.WriteString(strconv.Itoa(spec.Offset))
-	}
-	b.WriteString(";")
-	return b.String()
 }

@@ -56,64 +56,6 @@ func TestStringEscaping(t *testing.T) {
 	}
 }
 
-func TestSelectRendering(t *testing.T) {
-	got := Select(SelectSpec{
-		Columns: []string{"a.id", "a.email"},
-		From:    "author", FromAs: "a",
-		Joins: []JoinSpec{{Table: "team", As: "t", Left: "a.team", Right: "t.id"}},
-		Where: []WhereSpec{
-			{Column: "a.firstname", Value: rdb.String_("Matthias")},
-			{Column: "a.email", NotNull: true},
-		},
-		Limit: -1, Offset: -1,
-	})
-	want := "SELECT a.id, a.email FROM author a JOIN team t ON a.team = t.id " +
-		"WHERE a.firstname = 'Matthias' AND a.email IS NOT NULL;"
-	if got != want {
-		t.Errorf("got  %s\nwant %s", got, want)
-	}
-}
-
-func TestSelectDefaultsAndVariants(t *testing.T) {
-	if got := Select(SelectSpec{From: "t", Limit: -1, Offset: -1}); got != "SELECT * FROM t;" {
-		t.Errorf("got %s", got)
-	}
-	got := Select(SelectSpec{Distinct: true, Columns: []string{"x"}, From: "t",
-		Where: []WhereSpec{{Column: "x", IsNull: true}, {Column: "y", OtherColumn: "z"}},
-		Limit: -1, Offset: -1})
-	if got != "SELECT DISTINCT x FROM t WHERE x IS NULL AND y = z;" {
-		t.Errorf("got %s", got)
-	}
-}
-
-// TestSelectModifierRendering covers the solution-modifier clauses the
-// compiled query pipeline lowers: comparison operators, ORDER BY,
-// LIMIT (including the real "LIMIT 0") and OFFSET.
-func TestSelectModifierRendering(t *testing.T) {
-	got := Select(SelectSpec{
-		Columns: []string{"t0.id", "t0.year"},
-		From:    "publication", FromAs: "t0",
-		Where: []WhereSpec{
-			{Column: "t0.year", Op: CmpGe, Value: rdb.Int(2008)},
-			{Column: "t0.year", Op: CmpNe, Value: rdb.Int(2009)},
-			{Column: "t0.title", Op: CmpLt, OtherColumn: "t0.id"},
-		},
-		OrderBy: []OrderSpec{{Column: "t0.year", Desc: true}, {Column: "t0.id"}},
-		Limit:   5,
-		Offset:  2,
-	})
-	want := "SELECT t0.id, t0.year FROM publication t0 WHERE t0.year >= 2008 " +
-		"AND t0.year <> 2009 AND t0.title < t0.id ORDER BY t0.year DESC, t0.id LIMIT 5 OFFSET 2;"
-	if got != want {
-		t.Errorf("got  %s\nwant %s", got, want)
-	}
-	// The LIMIT 0 regression: zero must render a real clause — only the
-	// -1 sentinel suppresses it.
-	if got := Select(SelectSpec{From: "t", Limit: 0, Offset: -1}); got != "SELECT * FROM t LIMIT 0;" {
-		t.Errorf("LIMIT 0 lost: %s", got)
-	}
-}
-
 // Every generated statement must be parseable by the engine's SQL
 // parser — the contract between translator and executor.
 func TestGeneratedSQLParses(t *testing.T) {
@@ -123,14 +65,6 @@ func TestGeneratedSQLParses(t *testing.T) {
 			[]Cond{{Column: "id", Value: rdb.Int(6)}}),
 		Delete("publication_author", []Cond{{Column: "publication", Value: rdb.Int(12)},
 			{Column: "author", Value: rdb.Int(6)}}),
-		Select(SelectSpec{Columns: []string{"a.id"}, From: "author", FromAs: "a",
-			Joins: []JoinSpec{{Table: "team", As: "t", Left: "a.team", Right: "t.id"}},
-			Where: []WhereSpec{{Column: "t.code", Value: rdb.String_("SEAL")}},
-			Limit: -1, Offset: -1}),
-		Select(SelectSpec{Columns: []string{"t0.id"}, From: "publication", FromAs: "t0",
-			Where:   []WhereSpec{{Column: "t0.year", Op: CmpGt, Value: rdb.Int(2005)}},
-			OrderBy: []OrderSpec{{Column: "t0.year", Desc: true}},
-			Limit:   0, Offset: 3}),
 	}
 	for _, sql := range statements {
 		if _, err := sqlparser.ParseStatement(sql); err != nil {

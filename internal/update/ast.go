@@ -75,7 +75,7 @@ func (op Modify) String() string {
 			b.WriteString("  " + tp.String() + "\n")
 		}
 		for _, f := range op.Where.Filters {
-			b.WriteString("  FILTER " + f.String() + "\n")
+			b.WriteString("  FILTER (" + f.String() + ")\n") // a bare variable or constant needs the brackets
 		}
 	}
 	b.WriteString("}")
